@@ -779,10 +779,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, help="JSON config file")
         p.add_argument("--experiment", choices=EXPERIMENTS)
-        p.add_argument("--out", type=Path, default=Path("out"))
-        p.add_argument("--jobs", type=int, default=1)
+        # an unset flag (None) falls back to the config file, then to the
+        # default in _config_from_args, so a flag given at its default wins
+        p.add_argument("--out", type=Path, help="output directory (default: out)")
+        p.add_argument("--jobs", type=int, help="worker threads (default: 1)")
         p.add_argument("--t0", type=_parse_t0_list, help="comma-separated T0 list")
-        p.add_argument("--kind", choices=("fp", "fr", "both"), default="both")
+        p.add_argument("--kind", choices=("fp", "fr", "both"), help="default: both")
         p.add_argument("--t-max", type=float, default=None, help="figure time range")
     return parser
 
@@ -796,18 +798,16 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.command != "check" and not experiment:
         raise DomainError("an experiment must be given via --experiment or --config")
     t0 = args.t0 if args.t0 is not None else raw.get("t0")
-    kinds_flag = args.kind if args.kind != "both" else None
-    kinds = (
-        (kinds_flag,)
-        if kinds_flag
-        else tuple(raw.get("kinds", ("fp", "fr")))
-    )
+    if args.kind is None:
+        kinds = tuple(raw.get("kinds", ("fp", "fr")))
+    else:
+        kinds = ("fp", "fr") if args.kind == "both" else (args.kind,)
     return ExperimentConfig(
         experiment=experiment or "table1a",
-        out_dir=Path(args.out if args.out != Path("out") else raw.get("out", args.out)),
+        out_dir=Path(args.out if args.out is not None else raw.get("out", "out")),
         t0_list=tuple(t0) if t0 else None,
         kinds=kinds,
-        jobs=args.jobs if args.jobs != 1 else int(raw.get("jobs", 1)),
+        jobs=args.jobs if args.jobs is not None else int(raw.get("jobs", 1)),
         n_points=int(raw.get("n_points", 100)),
         t_max=float(args.t_max if args.t_max is not None else raw.get("t_max", 1.0)),
         fig_points=int(raw.get("fig_points", 500)),

@@ -115,10 +115,14 @@ class TraceSample:
     def from_csv(cls, path: str | Path) -> "TraceSample":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise DomainError(f"{path}: empty trace file")
             if header[:2] != ["t", "g"]:
                 raise DomainError(f"unexpected trace header {header}")
             rows = [(float(a), float(b)) for a, b in reader]
+        if not rows:
+            raise DomainError(f"{path}: trace file has no samples")
         t = np.array([r[0] for r in rows])
         g = np.array([r[1] for r in rows])
         return cls(t, g, T0=float(t[-1]))

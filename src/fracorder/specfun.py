@@ -4,7 +4,12 @@ Gamma, the two-parameter and multinomial Mittag-Leffler functions, and the
 contour-integral relaxation kernels that serve as an independent cross-check
 of the series evaluations.
 
-The Mittag-Leffler series are summed with compensated (Kahan) accumulation
+There is one series: the multinomial one, summed shell by shell.  The
+two-parameter function E_{alpha,beta}(z) is its one-argument case, and like
+beta0 of the multinomial function it needs beta > 0, so every Gamma argument
+of a term is positive.
+
+The series is summed with compensated (Kahan) accumulation
 and certify their own rounding envelope: the worst term magnitude is tracked
 in log space, and when alternating-term cancellation would eat the requested
 accuracy in double precision the evaluation transparently retries in bounded
@@ -97,20 +102,6 @@ def log_gamma(x: float) -> float:
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
     return math.lgamma(x)
-
-
-def _log_rgamma(x: float) -> tuple[float, float]:
-    """(log |1/Gamma(x)|, sign).  Zero at the poles x = 0, -1, -2, ..."""
-    if x > 0.0:
-        return -log_gamma(x), 1.0
-    if x == math.floor(x):
-        return -math.inf, 0.0
-    # reflection: 1/Gamma(x) = Gamma(1-x) sin(pi x) / pi
-    s = math.sin(math.pi * x)
-    return (
-        log_gamma(1.0 - x) + math.log(abs(s)) - math.log(math.pi),
-        math.copysign(1.0, s),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -254,70 +245,134 @@ def _certified(value: float, peak_log: float, rel_tol: float) -> bool:
     return lhs <= rhs
 
 
-def _ml2_double(alpha: float, beta: float, z: float, kmax: int):
-    ln_az = math.log(-z)
-    acc = _Kahan()
-    peak_log = -math.inf
-    quiet = 0
-    converged = False
-    for k in range(kmax + 1):
-        logr, sgn = _log_rgamma(alpha * k + beta)
-        if sgn == 0.0:
-            continue
-        tlog = k * ln_az + logr
-        peak_log = max(peak_log, tlog)
-        if tlog > 700.0:
-            return math.nan, peak_log, False
-        term = math.exp(tlog) * sgn * (1.0 if k % 2 == 0 else -1.0)
-        acc.add(term)
-        if abs(term) <= 1e-17 * max(abs(acc.s), 1e-300):
-            quiet += 1
-            if quiet >= 2:
-                converged = True
-                break
-        else:
-            quiet = 0
-    return acc.s, peak_log, converged
+def _compositions(k: int, m: int):
+    """All m-tuples of non-negative integers summing to k, lexicographic."""
+    if m == 1:
+        yield (k,)
+        return
+    for first in range(k + 1):
+        for rest in _compositions(k - first, m - 1):
+            yield (first, *rest)
 
 
-def _log_peak_scan(
-    beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], kcap: int
-) -> float:
+class _Table(dict):
+    """Per-index table filled on first lookup: the shell sums fill it one
+    shell at a time, the coarse sampler only at the indices it visits."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, i: int) -> float:
+        v = self[i] = self.fn(i)
+        return v
+
+
+class _ShellTerms:
+    """The terms of one multinomial series, listed shell by shell.
+
+    Shell k of sum_k sum_{|comp| = k} k!/(k_1! ... k_m!) prod z_j**k_j
+    / Gamma(beta0 + sum beta_j k_j) holds one term per composition of k;
+    the sign of every term in it is (-1)**k.  `terms` gives each term's log
+    magnitude and the exact lattice key of its Gamma argument.  The tables of
+    ln k! and k ln|z_j| fill as the shells reach new indices, through the
+    module's log_gamma, so one instance serves one call.
+    """
+
+    def __init__(self, beta0: float, betas: tuple[float, ...], zs: tuple[float, ...]) -> None:
+        self.beta0, self.betas, self.m = beta0, betas, len(betas)
+        self.lnfact = _Table(lambda i: log_gamma(i + 1.0))
+        lnz = [math.log(-z) if z < 0.0 else -math.inf for z in zs]
+        self.powlog = [_Table(lambda i, lz=lz: i * lz) for lz in lnz]
+        # every double is a dyadic rational, so with unit = 2**scale the Gamma
+        # argument beta0 + sum beta_j k_j is exactly the integer key
+        # key0 + sum bkey_j k_j over unit
+        ratios = [b.as_integer_ratio() for b in (beta0, *betas)]
+        self.scale = max(d.bit_length() - 1 for _, d in ratios)
+        self.key0, *self.bkeys = (n * ((1 << self.scale) // d) for n, d in ratios)
+
+    def terms(self, k: int, comps) -> list[tuple[tuple[int, ...], float, int]]:
+        """(comp, log |term|, key) for each composition of k in comps; terms
+        that vanish because some z_j = 0 are left out."""
+        lnfact, powlog, bs, bkeys = self.lnfact, self.powlog, self.betas, self.bkeys
+        lgk = lnfact[k]
+        out = []
+        for comp in comps:
+            # the multinomial log coefficient is assembled apart from the
+            # powers so the m = 1 case cancels exactly, and the Gamma argument
+            # is the float sum: the small-t fits hinge on the last bit of these
+            # values
+            coef_log, pow_log, bsum, key = lgk, 0.0, 0.0, self.key0
+            for j, kj in enumerate(comp):
+                if kj:
+                    coef_log -= lnfact[kj]
+                    pow_log += powlog[j][kj]
+                    bsum += bs[j] * kj
+                    key += bkeys[j] * kj
+            if pow_log == -math.inf:
+                continue
+            out.append((comp, coef_log + pow_log - log_gamma(self.beta0 + bsum), key))
+        return out
+
+    def shell(self, k: int) -> list[tuple[tuple[int, ...], float, int]]:
+        return self.terms(k, _compositions(k, self.m))
+
+
+def _sampled_shell_log(series: _ShellTerms, k: int) -> float:
+    """Largest log term among a coarse sample of the compositions of k."""
+    m = series.m
+    if m == 1:
+        comps = [(k,)]
+    elif m == 2:
+        comps = [(k1, k - k1) for k1 in sorted({round(k * i / 16.0) for i in range(17)})]
+    else:
+        # axes plus the even split; backed up by the in-pass check
+        comps = [tuple(k if j == i else 0 for j in range(m)) for i in range(m)]
+        comps.append(tuple(k // m for _ in range(m - 1)) + (k - (m - 1) * (k // m),))
+    return max((tlog for _, tlog, _ in series.terms(k, comps)), default=-math.inf)
+
+
+def _log_peak_scan(series: _ShellTerms, kcap: int) -> float:
     """Coarse scan of the largest log term of the series (double precision).
 
     Used to size the working precision of the extended path before summing;
     the summation itself re-verifies against the peak it actually saw.
     """
-    m = len(betas)
-    lnz = [math.log(-z) if z < 0.0 else -math.inf for z in zs]
-    best = _log_rgamma(beta0)[0]
-    ks = sorted({int(round(kcap ** (i / 59.0))) for i in range(60)} | {1, kcap})
+    ks = {int(round(kcap ** (i / 59.0))) for i in range(60)} | {0, 1, kcap}
+    return max(_sampled_shell_log(series, k) for k in sorted(ks))
 
-    def log_term(comp: tuple[int, ...]) -> float:
-        k = sum(comp)
-        tlog = log_gamma(k + 1.0)
-        for kj, lz in zip(comp, lnz):
-            if kj == 0:
-                continue
-            if lz == -math.inf:
-                return -math.inf
-            tlog += kj * lz - log_gamma(kj + 1.0)
-        logr, sgn = _log_rgamma(beta0 + sum(bj * kj for bj, kj in zip(betas, comp)))
-        return tlog + logr if sgn != 0.0 else -math.inf
 
-    for k in ks:
-        if m == 1:
-            comps = [(k,)]
-        elif m == 2:
-            k1s = sorted({int(round(k * i / 16.0)) for i in range(17)})
-            comps = [(k1, k - k1) for k1 in k1s]
+def series_tail_log(args: MLArgs, k: int = DEFAULT_SHELL_CAP) -> float:
+    """Log magnitude of the largest term in shell k (coarse sample).
+
+    A strongly negative value means the truncated series has converged well
+    before shell k; used to route evaluations to the contour kernels when
+    the series would still be live at the truncation index.
+    """
+    return _sampled_shell_log(_ShellTerms(args.beta0, args.betas, args.zs), k)
+
+
+def _mml_double(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], kmax: int):
+    series = _ShellTerms(beta0, betas, zs)
+    acc = _Kahan()
+    peak_log = -math.inf
+    quiet = 0
+    for k in range(kmax + 1):
+        logs = [tlog for _, tlog, _ in series.shell(k)]
+        peak_log = max(peak_log, max(logs, default=-math.inf))
+        if peak_log > 700.0:
+            return math.nan, peak_log, False
+        shell = math.fsum([math.exp(tlog) for tlog in logs])
+        acc.add(shell if k % 2 == 0 else -shell)
+        if abs(shell) <= 1e-17 * max(abs(acc.s), 1e-300):
+            quiet += 1
+            if quiet >= 2:
+                return acc.s, peak_log, True
         else:
-            # axes plus the even split; backed up by the in-pass check
-            comps = [tuple(k if j == i else 0 for j in range(m)) for i in range(m)]
-            comps.append(tuple(k // m for _ in range(m - 1)) + (k - (m - 1) * (k // m),))
-        for comp in comps:
-            best = max(best, log_term(comp))
-    return best
+            quiet = 0
+    return acc.s, peak_log, False
 
 
 def _mp_sum_with_retry(label: str, peak_ln_guess: float, summer, rel_tol: float) -> float:
@@ -357,136 +412,13 @@ def _mp_sum_with_retry(label: str, peak_ln_guess: float, summer, rel_tol: float)
     raise AccuracyError(f"{label}: extended-precision retries exhausted")
 
 
-def _ml2_mp(alpha: float, beta: float, z: float, rel_tol: float) -> float:
-    peak_guess = _log_peak_scan(beta, (alpha,), (z,), 25000) if beta > 0 else 700.0
-
-    def summer(mp, dps):
-        malpha, mbeta, mz = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
-        total = mp.mpf(0)
-        power = mp.mpf(1)
-        peak = mp.mpf(0)
-        quiet = 0
-        floor = mp.mpf(10) ** (-(dps - 4))
-        for k in range(25001):
-            arg = malpha * k + mbeta
-            if arg <= 0 and arg == mp.floor(arg):
-                term = mp.mpf(0)
-            else:
-                term = power / mp.gamma(arg)
-            total += term
-            power *= mz
-            mag = abs(term)
-            if mag > peak:
-                peak = mag
-            if mag <= floor * max(peak, mp.mpf(1e-300)):
-                quiet += 1
-                if quiet >= 2:
-                    return total, mp.log(max(peak, mp.mpf(1e-300))), True
-            else:
-                quiet = 0
-        return total, mp.log(max(peak, mp.mpf(1e-300))), False
-
-    return _mp_sum_with_retry(
-        f"ml2(alpha={alpha}, beta={beta}, z={z})", peak_guess, summer, rel_tol
-    )
-
-
-def ml2(alpha: float, beta: float, z: float, *, rel_tol: float = 1e-10, kmax: int = 400) -> float:
-    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for z <= 0."""
-    if not 0.0 < alpha < 2.0:
-        raise DomainError(f"alpha must lie in (0, 2), got {alpha}")
-    if z > 0.0:
-        raise DomainError(f"only z <= 0 is supported, got {z}")
-    if abs(z) > Z_MAX:
-        raise DomainError(f"|z| = {abs(z)} exceeds Z_MAX = {Z_MAX}; series unreliable")
-    if z == 0.0:
-        logr, sgn = _log_rgamma(beta)
-        return sgn * math.exp(logr) if sgn != 0.0 else 0.0
-    if alpha == 1.0 and beta == 1.0:
-        # exact classical limit; the raw series cancels hopelessly for large |z|
-        return math.exp(z)
-    value, peak_log, converged = _ml2_double(alpha, beta, z, kmax)
-    if converged and _certified(value, peak_log, rel_tol):
-        return value
-    return _ml2_mp(alpha, beta, z, rel_tol)
-
-
-def _compositions(k: int, m: int):
-    """All m-tuples of non-negative integers summing to k, lexicographic."""
-    if m == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in _compositions(k - first, m - 1):
-            yield (first, *rest)
-
-
-def _mml_double(args: MLArgs, kmax: int):
-    b0, bs, zs = args.beta0, args.betas, args.zs
-    m = args.m
-    ln_az = [math.log(-z) if z < 0.0 else None for z in zs]
-    acc = _Kahan()
-    peak_log = -math.inf
-    quiet = 0
-    converged = False
-    for k in range(kmax + 1):
-        lgk = log_gamma(k + 1.0)
-        terms: list[float] = []
-        overflow = False
-        for comp in _compositions(k, m):
-            # the multinomial log coefficient is assembled separately so the
-            # m = 1 case cancels exactly and matches the two-parameter series
-            coef_log = lgk
-            pow_log = 0.0
-            skip = False
-            for kj, lz in zip(comp, ln_az):
-                if kj == 0:
-                    continue
-                if lz is None:
-                    skip = True
-                    break
-                coef_log -= log_gamma(kj + 1.0)
-                pow_log += kj * lz
-            if skip:
-                continue
-            x = b0 + sum(bj * kj for bj, kj in zip(bs, comp))
-            logr, sgn = _log_rgamma(x)
-            if sgn == 0.0:
-                continue
-            tlog = coef_log + pow_log + logr
-            peak_log = max(peak_log, tlog)
-            if tlog > 700.0:
-                overflow = True
-                break
-            terms.append(math.exp(tlog) * sgn)
-        if overflow:
-            return math.nan, peak_log, False
-        shell = math.fsum(terms)
-        acc.add(shell if k % 2 == 0 else -shell)
-        if abs(shell) <= 1e-17 * max(abs(acc.s), 1e-300):
-            quiet += 1
-            if quiet >= 2:
-                converged = True
-                break
-        else:
-            quiet = 0
-    return acc.s, peak_log, converged
-
-
-def _mml_mp(args: MLArgs, rel_tol: float) -> float:
-    b0, bs, zs = args.beta0, args.betas, args.zs
-    m = args.m
+def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float) -> float:
+    m = len(betas)
     shell_cap = 30000 if m == 1 else (2000 if m == 2 else 600)
-    peak_guess = _log_peak_scan(b0, bs, zs, shell_cap)
-    # every double is a dyadic rational, so with unit = 2**scale the Gamma
-    # argument beta0 + sum beta_j k_j is exactly the integer key
-    # key0 + sum bkey_j k_j over unit, and its unit-offset recurrence partners
-    # sit at key -+ unit
-    ratios = [b.as_integer_ratio() for b in (b0, *bs)]
-    scale = max(d.bit_length() - 1 for _, d in ratios)
+    series = _ShellTerms(beta0, betas, zs)
+    peak_guess = _log_peak_scan(series, shell_cap)
+    scale = series.scale
     unit = 1 << scale
-    key0, *bkeys = (n * (unit // d) for n, d in ratios)
-    ln_az = [math.log(-z) if z < 0.0 else -math.inf for z in zs]
 
     def summer(mp, dps):
         # arithmetic on raw libmp values: at these precisions the mpf wrapper
@@ -500,8 +432,6 @@ def _mml_mp(args: MLArgs, rel_tol: float) -> float:
         # multiplies the shell sum once
         zpow = [[lib.fone] for _ in range(m)]
         kfact = lib.fone
-        # the same per-index factors as log magnitudes for the double prepass
-        wlog = [[0.0] for _ in range(m)]
         # per-call memo of 1/Gamma on the exact argument lattice; arguments
         # are all positive, and a neighbour at unit offset is served by the
         # recurrence 1/Gamma(x) = x/Gamma(x+1) = 1/((x-1) Gamma(x-1))
@@ -530,23 +460,10 @@ def _mml_mp(args: MLArgs, rel_tol: float) -> float:
                 for j in range(m):
                     zk = mul(zpow[j][-1], mzs[j], prec, rnd)
                     zpow[j].append(lib.mpf_div(zk, mk, prec, rnd))
-                    wlog[j].append(k * ln_az[j] - log_gamma(k + 1.0))
             # double-precision log magnitudes decide which terms matter at
             # the working precision; only those are computed in mp
-            lgk = log_gamma(k + 1.0)
-            comp_logs: list[tuple[tuple[int, ...], float, int]] = []
-            shell_max_ln = -math.inf
-            for comp in _compositions(k, m):
-                tlog = lgk
-                key = key0
-                for j, kj in enumerate(comp):
-                    tlog += wlog[j][kj]
-                    key += bkeys[j] * kj
-                if tlog == -math.inf:
-                    continue
-                tlog -= log_gamma(key / unit)
-                comp_logs.append((comp, tlog, key))
-                shell_max_ln = max(shell_max_ln, tlog)
+            comp_logs = series.shell(k)
+            shell_max_ln = max((tlog for _, tlog, _ in comp_logs), default=-math.inf)
             peak_ln = max(peak_ln, shell_max_ln)
             # terms below the working-precision noise floor (relative to the
             # largest term seen) cannot move the certified result; a tighter,
@@ -573,7 +490,39 @@ def _mml_mp(args: MLArgs, rel_tol: float) -> float:
             total = add(total, mul(shell, kfact, prec, rnd), prec, rnd)
         return mp.make_mpf(total), peak_ln, False
 
-    return _mp_sum_with_retry(f"mml(beta0={b0}, zs={zs})", peak_guess, summer, rel_tol)
+    return _mp_sum_with_retry(
+        f"mml(beta0={beta0}, betas={betas}, zs={zs})", peak_guess, summer, rel_tol
+    )
+
+
+def _mml_value(
+    beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float, kmax: int
+) -> float:
+    """The double-precision sum when it certifies itself, else the
+    extended-precision one."""
+    value, peak_log, converged = _mml_double(beta0, betas, zs, kmax)
+    if converged and _certified(value, peak_log, rel_tol):
+        return value
+    return _mml_mp(beta0, betas, zs, rel_tol)
+
+
+def ml2(alpha: float, beta: float, z: float, *, rel_tol: float = 1e-10, kmax: int = 400) -> float:
+    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for z <= 0 and
+    beta > 0: the multinomial series with the one argument (beta, z)."""
+    if not 0.0 < alpha < 2.0:
+        raise DomainError(f"alpha must lie in (0, 2), got {alpha}")
+    if not beta > 0.0:
+        raise DomainError(f"beta must be positive, got {beta}")
+    if z > 0.0:
+        raise DomainError(f"only z <= 0 is supported, got {z}")
+    if abs(z) > Z_MAX:
+        raise DomainError(f"|z| = {abs(z)} exceeds Z_MAX = {Z_MAX}; series unreliable")
+    if z == 0.0:
+        return math.exp(-log_gamma(beta))
+    if alpha == 1.0 and beta == 1.0:
+        # exact classical limit; the raw series cancels hopelessly for large |z|
+        return math.exp(z)
+    return _mml_value(beta, (alpha,), (z,), rel_tol, kmax)
 
 
 def mml(args: MLArgs, *, rel_tol: float = 1e-10, kmax: int = DEFAULT_SHELL_CAP) -> float:
@@ -584,13 +533,8 @@ def mml(args: MLArgs, *, rel_tol: float = 1e-10, kmax: int = DEFAULT_SHELL_CAP) 
     extended precision when the cancellation certificate fails.
     """
     if all(z == 0.0 for z in args.zs):
-        logr, sgn = _log_rgamma(args.beta0)
-        return sgn * math.exp(logr) if sgn != 0.0 else 0.0
-    value, peak_log, converged = _mml_double(args, kmax)
-    if converged and _certified(value, peak_log, rel_tol):
-        return value
-    return _mml_mp(args, rel_tol)
-
+        return math.exp(-log_gamma(args.beta0))
+    return _mml_value(args.beta0, args.betas, args.zs, rel_tol, kmax)
 
 # ---------------------------------------------------------------------------
 # relaxation kernels, series route
@@ -759,41 +703,3 @@ def s2_kernel_contour(
     if contour is None:
         contour = default_contour(t)
     return _contour_integral(lam, spec, t, contour, "s2")
-
-
-def series_tail_log(args: MLArgs, k: int = DEFAULT_SHELL_CAP) -> float:
-    """Log magnitude of the largest term in shell k (coarse sample).
-
-    A strongly negative value means the truncated series has converged well
-    before shell k; used to route evaluations to the contour kernels when
-    the series would still be live at the truncation index.
-    """
-    b0, bs, zs = args.beta0, args.betas, args.zs
-    m = args.m
-    lnz = [math.log(-z) if z < 0.0 else -math.inf for z in zs]
-    if m == 1:
-        comps = [(k,)]
-    elif m == 2:
-        comps = [(k1, k - k1) for k1 in sorted({round(k * i / 16.0) for i in range(17)})]
-    else:
-        comps = [tuple(k if j == i else 0 for j in range(m)) for i in range(m)]
-        comps.append(tuple(k // m for _ in range(m - 1)) + (k - (m - 1) * (k // m),))
-    best = -math.inf
-    lgk = log_gamma(k + 1.0)
-    for comp in comps:
-        tlog = lgk
-        dead = False
-        for kj, lz in zip(comp, lnz):
-            if kj == 0:
-                continue
-            if lz == -math.inf:
-                dead = True
-                break
-            tlog += kj * lz - log_gamma(kj + 1.0)
-        if dead:
-            continue
-        logr, sgn = _log_rgamma(b0 + sum(bj * kj for bj, kj in zip(bs, comp)))
-        if sgn == 0.0:
-            continue
-        best = max(best, tlog + logr)
-    return best

@@ -8,6 +8,8 @@ from pathlib import Path
 import fracorder.specfun as specfun
 from fracorder.cli import (
     ExperimentConfig,
+    _build_parser,
+    _config_from_args,
     cmd_check,
     cmd_fit,
     cmd_simulate,
@@ -152,6 +154,23 @@ class TestMainEntry:
         assert main(["fit", "--config", str(cfgfile)]) == 0
         rows = _read_csv(tmp_path / "out" / "table1a.csv")
         assert len(rows) == 1 and rows[0]["kind"] == "fr"
+
+    def test_explicit_flags_override_config_file(self, tmp_path):
+        # a flag given with its default value still wins over the file
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(
+            json.dumps({"experiment": "table1a", "out": "elsewhere", "jobs": 3, "kinds": ["fr"]})
+        )
+
+        def config(*argv):
+            cfg = _config_from_args(_build_parser().parse_args(["fit", *argv]))
+            return cfg.out_dir, cfg.jobs, cfg.kinds
+
+        both = ("fp", "fr")
+        flags = ("--out", "out", "--jobs", "1", "--kind", "both")
+        assert config("--config", str(cfgfile), *flags) == (Path("out"), 1, both)
+        assert config("--config", str(cfgfile)) == (Path("elsewhere"), 3, ("fr",))
+        assert config("--experiment", "table1a") == (Path("out"), 1, both)
 
 
 class TestCheckSuite:

@@ -221,3 +221,12 @@ class TestTraceSampleCsv:
             TraceSample(np.array([2.0, 1.0]), np.array([1.0, 2.0]), T0=2.0)
         with pytest.raises(DomainError):
             TraceSample(np.array([1.0]), np.array([1.0, 2.0]), T0=1.0)
+
+    def test_empty_and_header_only_files(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        header_only = tmp_path / "header.csv"
+        header_only.write_text("t,g\n")
+        for path in (empty, header_only):
+            with pytest.raises(DomainError, match=path.name):
+                TraceSample.from_csv(path)

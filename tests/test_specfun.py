@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracorder import specfun
 from fracorder.specfun import (
     AccuracyError,
     ContourSpec,
@@ -90,6 +91,22 @@ class TestMl2:
             ml2(0.7, 1.0, -41.0)
         with pytest.raises(DomainError):
             ml2(2.0, 1.0, -1.0)
+
+    def test_nonpositive_beta_rejected(self):
+        # for beta <= 0 some Gamma arguments of the series are poles or
+        # negative; E_{1,-2}(-30) = z^3 e^z is about -2.5e-9, not 0
+        for beta in (0.0, -0.5, -2.0):
+            with pytest.raises(DomainError):
+                ml2(1.0, beta, -30.0)
+
+    def test_alpha_at_least_one_extended_precision(self, monkeypatch):
+        # alpha in [1, 2) puts a series beta at or above 1, which MLArgs never
+        # allows; both points cancel past what double precision certifies
+        real, calls = specfun._mml_mp, []
+        monkeypatch.setattr(specfun, "_mml_mp", lambda *a: calls.append(a) or real(*a))
+        for alpha, beta, z in ((1.5, 1.2, -30.0), (1.9, 0.3, -39.0)):
+            assert rel_err(ml2(alpha, beta, z), mp_ml2(alpha, beta, z)) < 1e-10
+        assert len(calls) == 2
 
 
 class TestMml:
