@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
 import json
 import logging
 import math
@@ -29,6 +30,7 @@ import numpy as np
 from fracorder import models, specfun
 from fracorder.fit import (
     FitConfig,
+    FitResult,
     beta_init_from_alphas,
     objective,
     objective_grad,
@@ -66,11 +68,17 @@ __all__ = ["main", "run_checks", "experiment_rows", "ExperimentConfig", "CheckRe
 
 log = logging.getLogger("fracorder")
 
-EXPERIMENTS = ("table1a", "table1b", "table2", "table3", "fig1", "fig2")
-
+# the two-term tables do not state r1; the figures do
+R1 = 0.5
 _R1_ASSUMED = (
-    "true r1 not stated for the two-term tables; adopting r1 = 0.5 "
+    f"true r1 not stated for the two-term tables; adopting r1 = {R1} "
     "(the figure-caption value)"
+)
+
+# the columns of a result row after its label column
+RESULT_COLUMNS = (
+    "kind", "alpha1", "alpha2", "amplitude", "r1", "constant",
+    "objective", "iterations", "converged", "status",
 )
 
 _KIND_BY_FLAG = {"fp": Kind.POLYNOMIAL, "fr": Kind.RATIONAL}
@@ -104,19 +112,17 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class FitRow:
-    """One recovery task: a (sub)table row before kind expansion."""
+    """One recovery task: a (sub)table row for one model kind."""
 
     table: str
     label: str  # leading CSV cell, e.g. the T0 or the true alpha
     label_column: str
     problem: SpectralProblem
     orders: OrderSpec
-    case: Case
     T0: float
     kind: Kind
     beta_init: tuple[float, ...]
     n_terms: int
-    source_exponent: float = 0.0
     assumptions: tuple[str, ...] = ()
 
 
@@ -124,129 +130,79 @@ class FitRow:
 # experiment registry
 # ---------------------------------------------------------------------------
 
+_EX_4_1 = build_example_4_1()
 
-def _default_t0(experiment: str) -> tuple[float, ...]:
-    if experiment == "table1a":
-        return (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
-    if experiment == "table2":
-        return (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
-    if experiment == "table3":
-        return (1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
-    return (1e-6,)
+# experiment -> (label column, default T0 list, sub-tables); a sub-table is
+# (table name, example problem, true orders, order guess), and everything else
+# about its rows follows from those: one order means one term, two orders two
+# terms, the weights (R1, 1) and the assumption that names R1
+TABLES = {
+    "table1a": ("T0", (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1), (
+        ("table1a", _EX_4_1, (0.7,), (0.5,)),
+    )),
+    "table1b": ("alpha_true", (1e-6,), tuple(
+        ("table1b", _EX_4_1, (alpha,), (0.5,)) for alpha in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    )),
+    "table2": ("T0", (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2), (
+        ("table2a", _EX_4_1, (0.6, 0.9), (0.4, 0.8)),
+        ("table2b", _EX_4_1, (0.5, 0.7), (0.2, 0.6)),
+    )),
+    "table3": ("T0", (1e-8, 1e-7, 1e-6, 1e-5, 1e-4), (
+        ("table3a", build_example_4_2("i"), (0.5, 0.8), (0.3, 0.7)),
+        ("table3b", build_example_4_2("ii"), (0.5, 0.7), (0.3, 0.6)),
+    )),
+}
+
+
+# figure -> (panel name, orders) per panel
+FIGURES = {
+    "fig1": tuple((f"alpha{alpha:.2f}", (alpha,)) for alpha in (0.25, 0.5, 0.75, 1.0)),
+    "fig2": tuple((f"alpha0.2_{alpha}", (0.2, alpha)) for alpha in (0.3, 0.5, 0.7, 0.9)),
+}
+
+EXPERIMENTS = (*TABLES, *FIGURES)
+
+
+def _weights(alphas: tuple[float, ...]) -> tuple[float, ...]:
+    """Order weights with the leading weight one: (1,) or (R1, 1)."""
+    return (R1, 1.0) if len(alphas) == 2 else (1.0,)
 
 
 def experiment_rows(cfg: ExperimentConfig) -> list[FitRow]:
     """Expand an experiment into recovery tasks (tables only)."""
-    kinds = [_KIND_BY_FLAG[k] for k in cfg.kinds]
-    t0s = cfg.t0_list or _default_t0(cfg.experiment)
+    if cfg.experiment not in TABLES:
+        raise DomainError(f"experiment {cfg.experiment!r} has no fit rows (figure only)")
+    label_column, default_t0, subtables = TABLES[cfg.experiment]
+    t0s = cfg.t0_list or default_t0
+    if label_column != "T0":
+        t0s = t0s[:1]  # rows labelled by their order hold one horizon
     rows: list[FitRow] = []
-    if cfg.experiment == "table1a":
-        orders = OrderSpec((0.7,), (1.0,))
-        problem = build_example_4_1(orders)
+    for table, problem, alphas, guess in subtables:
+        orders = OrderSpec(alphas, _weights(alphas))
+        beta_init = beta_init_from_alphas(guess, problem.source_exponent, problem.case)
         for t0 in t0s:
-            for kind in kinds:
+            for flag in cfg.kinds:
                 rows.append(
                     FitRow(
-                        table="table1a",
-                        label=repr(t0),
-                        label_column="T0",
+                        table=table,
+                        label=repr(t0 if label_column == "T0" else alphas[-1]),
+                        label_column=label_column,
                         problem=problem,
                         orders=orders,
-                        case=Case.INITIAL_DATA,
                         T0=t0,
-                        kind=kind,
-                        beta_init=(0.5,),
-                        n_terms=1,
+                        kind=_KIND_BY_FLAG[flag],
+                        beta_init=beta_init,
+                        n_terms=orders.n,
+                        assumptions=(_R1_ASSUMED,) if orders.n == 2 else (),
                     )
                 )
-        return rows
-    if cfg.experiment == "table1b":
-        t0 = t0s[0]
-        for alpha in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-            orders = OrderSpec((alpha,), (1.0,))
-            problem = build_example_4_1(orders)
-            for kind in kinds:
-                rows.append(
-                    FitRow(
-                        table="table1b",
-                        label=repr(alpha),
-                        label_column="alpha_true",
-                        problem=problem,
-                        orders=orders,
-                        case=Case.INITIAL_DATA,
-                        T0=t0,
-                        kind=kind,
-                        beta_init=(0.5,),
-                        n_terms=1,
-                    )
-                )
-        return rows
-    if cfg.experiment == "table2":
-        subtables = (
-            ("table2a", (0.6, 0.9), (0.4, 0.8)),
-            ("table2b", (0.5, 0.7), (0.2, 0.6)),
-        )
-        for name, alphas, init in subtables:
-            orders = OrderSpec(alphas, (0.5, 1.0))
-            problem = build_example_4_1(orders)
-            for t0 in t0s:
-                for kind in kinds:
-                    rows.append(
-                        FitRow(
-                            table=name,
-                            label=repr(t0),
-                            label_column="T0",
-                            problem=problem,
-                            orders=orders,
-                            case=Case.INITIAL_DATA,
-                            T0=t0,
-                            kind=kind,
-                            beta_init=beta_init_from_alphas(init),
-                            n_terms=2,
-                            assumptions=(_R1_ASSUMED,),
-                        )
-                    )
-        return rows
-    if cfg.experiment == "table3":
-        subtables = (
-            ("table3a", "i", (0.5, 0.8), (0.3, 0.7), Case.INITIAL_DATA),
-            ("table3b", "ii", (0.5, 0.7), (0.3, 0.6), Case.SOURCE),
-        )
-        for name, ex_case, alphas, init, case in subtables:
-            orders = OrderSpec(alphas, (0.5, 1.0))
-            problem = build_example_4_2(ex_case)
-            for t0 in t0s:
-                for kind in kinds:
-                    rows.append(
-                        FitRow(
-                            table=name,
-                            label=repr(t0),
-                            label_column="T0",
-                            problem=problem,
-                            orders=orders,
-                            case=case,
-                            T0=t0,
-                            kind=kind,
-                            beta_init=beta_init_from_alphas(init, 0.0, case),
-                            n_terms=2,
-                            source_exponent=0.0,
-                            assumptions=(_R1_ASSUMED,),
-                        )
-                    )
-        return rows
-    raise DomainError(f"experiment {cfg.experiment!r} has no fit rows (figure only)")
+    return rows
 
 
-def _fig_panels(cfg: ExperimentConfig):
-    """(panel name, orders, r1) per figure panel."""
-    if cfg.experiment == "fig1":
-        return [("alpha0.25", (0.25,)), ("alpha0.50", (0.5,)), ("alpha0.75", (0.75,)), ("alpha1.00", (1.0,))]
-    return [
-        ("alpha0.2_0.3", (0.2, 0.3)),
-        ("alpha0.2_0.5", (0.2, 0.5)),
-        ("alpha0.2_0.7", (0.2, 0.7)),
-        ("alpha0.2_0.9", (0.2, 0.9)),
-    ]
+def _sample_groups(rows: list[FitRow]) -> list[list[FitRow]]:
+    """Runs of consecutive rows that share one trace sample."""
+    key = lambda row: (row.problem, row.orders, row.T0)
+    return [list(group) for _, group in itertools.groupby(rows, key)]
 
 
 # ---------------------------------------------------------------------------
@@ -258,52 +214,76 @@ def make_sample(row: FitRow, n_points: int) -> TraceSample:
     return sample_trace(row.problem, row.orders, row.T0, n_points)
 
 
-def fit_config_for_row(row: FitRow) -> FitConfig:
-    return FitConfig(
-        kind=row.kind,
-        case=row.case,
-        n_terms=row.n_terms,
-        beta_init=row.beta_init,
-        source_exponent=row.source_exponent,
-    )
+def _inadmissible(phys: PhysicalParams) -> list[str]:
+    """The physical constraints that the recovered values break."""
+    a1, a2, r1 = phys.alphas[0], phys.alphas[-1], phys.weights[0]
+    two_term = len(phys.alphas) == 2
+    broken = {
+        "alpha2 <= 0 or >= 1": not 0.0 < a2 < 1.0,
+        "amplitude <= 0": not phys.amplitude > 0.0,
+        "alpha1 <= 0 or > alpha2": two_term and not 0.0 < a1 <= a2,
+        "r1 < 0": two_term and not r1 >= 0.0,
+    }
+    return [what for what, is_broken in broken.items() if is_broken]
+
+
+def _fill_result(out: dict, result: FitResult) -> None:
+    out["objective"] = repr(result.objective)
+    out["iterations"] = repr(result.iterations)
+    out["converged"] = repr(result.converged)
+    phys = result.physical
+    if phys is None:
+        out["status"] = "identifiability: " + "; ".join(
+            a for a in result.assumptions if a.startswith("identifiability")
+        )
+        return
+    if len(phys.alphas) == 2:
+        out["alpha1"] = repr(phys.alphas[0])
+        out["r1"] = repr(phys.weights[0])
+    out["alpha2"] = repr(phys.alphas[-1])
+    out["amplitude"] = repr(phys.amplitude)
+    if phys.constant is not None:
+        out["constant"] = repr(phys.constant)
+    if broken := _inadmissible(phys):
+        out["status"] = "inadmissible: " + "; ".join(broken)
+
+
+def _error_status(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def run_fit_group(rows: list[FitRow], n_points: int) -> list[dict]:
+    """Result rows of recovery tasks that share one trace sample: the trace
+    is sampled once and each row fitted to it.  Failures are recorded per row
+    and the run continues; a sampling failure is the status of every row."""
+    outs = [
+        {row.label_column: row.label, **dict.fromkeys(RESULT_COLUMNS, ""),
+         "kind": _FLAG_BY_KIND[row.kind], "status": "ok"}
+        for row in rows
+    ]
+    try:
+        sample = make_sample(rows[0], n_points)
+    except Exception as exc:
+        for out in outs:
+            out["status"] = _error_status(exc)
+        return outs
+    for row, out in zip(rows, outs):
+        config = FitConfig(
+            kind=row.kind,
+            case=row.problem.case,
+            n_terms=row.n_terms,
+            beta_init=row.beta_init,
+            source_exponent=row.problem.source_exponent,
+        )
+        try:
+            _fill_result(out, recover(sample, config))
+        except Exception as exc:
+            out["status"] = _error_status(exc)
+    return outs
 
 
 def run_fit_row(row: FitRow, n_points: int) -> dict:
-    out = {
-        row.label_column: row.label,
-        "kind": _FLAG_BY_KIND[row.kind],
-        "alpha1": "",
-        "alpha2": "",
-        "amplitude": "",
-        "r1": "",
-        "constant": "",
-        "objective": "",
-        "iterations": "",
-        "converged": "",
-        "status": "ok",
-    }
-    try:
-        sample = make_sample(row, n_points)
-        result = recover(sample, fit_config_for_row(row))
-        out["objective"] = repr(result.objective)
-        out["iterations"] = repr(result.iterations)
-        out["converged"] = repr(result.converged)
-        phys = result.physical
-        if phys is None:
-            out["status"] = "identifiability: " + "; ".join(
-                a for a in result.assumptions if a.startswith("identifiability")
-            )
-        else:
-            if len(phys.alphas) == 2:
-                out["alpha1"] = repr(phys.alphas[0])
-                out["r1"] = repr(phys.weights[0])
-            out["alpha2"] = repr(phys.alphas[-1])
-            out["amplitude"] = repr(phys.amplitude)
-            if phys.constant is not None:
-                out["constant"] = repr(phys.constant)
-    except Exception as exc:  # per-row failures recorded, run continues
-        out["status"] = f"{type(exc).__name__}: {exc}"
-    return out
+    return run_fit_group([row], n_points)[0]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
@@ -313,10 +293,16 @@ def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
             fh.write(",".join(str(row.get(h, "")) for h in header) + "\n")
 
 
+def _write_json(path: Path, obj: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _row_metadata(row: FitRow, n_points: int) -> dict:
     return {
         "table": row.table,
-        "case": row.case.value,
+        "case": row.problem.case.value,
         "alphas": list(row.orders.alphas),
         "weights": list(row.orders.weights),
         "modes": [list(m) for m in row.problem.modes],
@@ -328,35 +314,25 @@ def _row_metadata(row: FitRow, n_points: int) -> dict:
 
 def cmd_fit(cfg: ExperimentConfig) -> int:
     rows = experiment_rows(cfg)
+    groups = _sample_groups(rows)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    run = lambda group: run_fit_group(group, cfg.n_points)
     if cfg.jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(lambda r: run_fit_row(r, cfg.n_points), rows))
+            grouped = list(pool.map(run, groups))
     else:
-        results = [run_fit_row(r, cfg.n_points) for r in rows]
+        grouped = [run(group) for group in groups]
+    results = [out for outs in grouped for out in outs]
 
     failures = sum(1 for r in results if r["status"] != "ok")
     tables = sorted({r.table for r in rows})
     for table in tables:
         picked = [(row, res) for row, res in zip(rows, results) if row.table == table]
-        header = [picked[0][0].label_column] + [
-            "kind",
-            "alpha1",
-            "alpha2",
-            "amplitude",
-            "r1",
-            "constant",
-            "objective",
-            "iterations",
-            "converged",
-            "status",
-        ]
+        header = [picked[0][0].label_column, *RESULT_COLUMNS]
         _write_csv(cfg.out_dir / f"{table}.csv", header, [res for _, res in picked])
         meta = _row_metadata(picked[0][0], cfg.n_points)
         meta["T0_list"] = sorted({row.T0 for row, _ in picked})
-        with open(cfg.out_dir / f"{table}.meta.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(cfg.out_dir / f"{table}.meta.json", meta)
     log.info("fit: wrote %d tables to %s (%d row failures)", len(tables), cfg.out_dir, failures)
     return 0 if failures == 0 else 1
 
@@ -366,16 +342,13 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_fig_panel(path: Path, orders_alphas: tuple[float, ...], cfg: ExperimentConfig, r1: float | None) -> None:
+def _write_fig_panel(path: Path, alphas: tuple[float, ...], cfg: ExperimentConfig) -> None:
     lam = PI2 + 1.0
     tgrid = np.geomspace(cfg.t_max * 1e-6, cfg.t_max, cfg.fig_points)
-    if len(orders_alphas) == 1:
-        alpha = orders_alphas[0]
-        phys = PhysicalParams((alpha,), (1.0,), amplitude=lam, constant=1.0)
-        orders = None if alpha == 1.0 else OrderSpec((alpha,), (1.0,))
-    else:
-        phys = PhysicalParams(orders_alphas, (r1, 1.0), amplitude=lam, constant=1.0)
-        orders = OrderSpec(orders_alphas, (r1, 1.0))
+    phys = PhysicalParams(alphas, _weights(alphas), amplitude=lam, constant=1.0)
+    # order one is the classical limit, outside the fractional order range
+    orders = None if alphas == (1.0,) else OrderSpec(alphas, _weights(alphas))
+    problem = SpectralProblem(((lam, 1.0),), Case.INITIAL_DATA)
     fp = from_physical(phys, Kind.POLYNOMIAL, Case.INITIAL_DATA)
     fr = from_physical(phys, Kind.RATIONAL, Case.INITIAL_DATA)
     with open(path, "w", newline="") as fh:
@@ -384,12 +357,7 @@ def _write_fig_panel(path: Path, orders_alphas: tuple[float, ...], cfg: Experime
             if orders is None:
                 g = math.exp(-lam * t)
             else:
-                g = trace_initial(
-                    SpectralProblem(((lam, 1.0),), Case.INITIAL_DATA),
-                    orders,
-                    float(t),
-                    method="auto",
-                )
+                g = trace_initial(problem, orders, float(t), method="auto")
             vp = models.eval_model(fp, float(t))
             vr = models.eval_model(fr, float(t))
             fh.write(f"{t:.17g},{g:.17g},{vp:.17g},{vr:.17g}\n")
@@ -398,12 +366,11 @@ def _write_fig_panel(path: Path, orders_alphas: tuple[float, ...], cfg: Experime
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
-    if cfg.experiment in ("fig1", "fig2"):
-        r1 = 0.5 if cfg.experiment == "fig2" else None
-        for name, alphas in _fig_panels(cfg):
+    if cfg.experiment in FIGURES:
+        for name, alphas in FIGURES[cfg.experiment]:
             path = cfg.out_dir / f"{cfg.experiment}_{name}.csv"
             try:
-                _write_fig_panel(path, alphas, cfg, r1)
+                _write_fig_panel(path, alphas, cfg)
             except Exception as exc:
                 failures += 1
                 log.error("panel %s failed: %s", name, exc)
@@ -414,27 +381,19 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             "points": cfg.fig_points,
             "assumptions": [_R1_ASSUMED] if cfg.experiment == "fig2" else [],
         }
-        with open(cfg.out_dir / f"{cfg.experiment}.meta.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(cfg.out_dir / f"{cfg.experiment}.meta.json", meta)
         return 0 if failures == 0 else 1
 
-    rows = experiment_rows(cfg)
-    seen: set[tuple[str, float]] = set()
-    for row in rows:
-        key = (row.table, row.T0)
-        if key in seen:
-            continue
-        seen.add(key)
-        stem = f"{row.table}_T0_{row.T0:.0e}"
+    for group in _sample_groups(experiment_rows(cfg)):
+        row = group[0]
+        order = "" if row.label_column == "T0" else f"_alpha{row.label}"
+        stem = f"{row.table}{order}_T0_{row.T0:.0e}"
         try:
             sample = make_sample(row, cfg.n_points)
             sample.to_csv(cfg.out_dir / f"{stem}.csv")
             meta = _row_metadata(row, cfg.n_points)
             meta["T0"] = row.T0
-            with open(cfg.out_dir / f"{stem}.meta.json", "w") as fh:
-                json.dump(meta, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(cfg.out_dir / f"{stem}.meta.json", meta)
         except Exception as exc:
             failures += 1
             log.error("trace %s failed: %s", stem, exc)
@@ -752,16 +711,11 @@ def cmd_check(_cfg: ExperimentConfig | None = None) -> int:
 
 
 def _parse_t0_list(text: str) -> tuple[float, ...]:
-    items = [s for s in text.split(",") if s.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("empty T0 list")
+    """Comma-separated T0 values; ExperimentConfig rejects an empty list."""
     try:
-        values = tuple(float(s) for s in items)
+        return tuple(float(s) for s in text.split(",") if s.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad T0 list {text!r}: {exc}")
-    if any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError("T0 values must be positive")
-    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -805,7 +759,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         experiment=experiment or "table1a",
         out_dir=Path(args.out if args.out is not None else raw.get("out", "out")),
-        t0_list=tuple(t0) if t0 else None,
+        t0_list=None if t0 is None else tuple(t0),
         kinds=kinds,
         jobs=args.jobs if args.jobs is not None else int(raw.get("jobs", 1)),
         n_points=int(raw.get("n_points", 100)),

@@ -60,6 +60,14 @@ _LS_MAX = 40
 # exponent drift (per coordinate) that triggers a linear re-solve of c
 _REINIT_DRIFT = 0.05
 _COND_LIMIT = 1e12
+# L-BFGS memory, projected-gradient stopping tolerance, and the smallest gap
+# kept between exponents
+_MEMORY = 10
+_GRAD_TOL = 1e-10
+_MIN_GAP = 1e-3
+# smallest peak contribution of the trailing term, relative to the leading
+# term, for the trailing term to count as resolved by the data
+_SECOND_TERM_MIN_REL = 0.03
 
 
 class RankDeficiencyError(ValueError):
@@ -78,14 +86,8 @@ class FitConfig:
     beta_init: tuple[float, ...]
     beta_bounds: tuple[tuple[float, float], ...] | None = None
     max_iter: int = 200
-    memory: int = 10
-    grad_tol: float = 1e-10
-    min_gap: float = 1e-3
     multi_start: int = 0
     source_exponent: float = 0.0
-    # smallest peak contribution of the trailing term, relative to the leading
-    # term, for the trailing term to count as resolved by the data
-    second_term_min_rel: float = 0.03
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta_init", tuple(float(b) for b in self.beta_init))
@@ -106,8 +108,8 @@ class FitConfig:
                 raise DomainError(f"bounds must satisfy 0 < lo <= hi < 2, got ({lo}, {hi})")
             if not lo <= b <= hi:
                 raise DomainError(f"beta_init {b} outside bounds ({lo}, {hi})")
-        if self.max_iter < 1 or self.memory < 1:
-            raise DomainError("max_iter and memory must be positive")
+        if self.max_iter < 1:
+            raise DomainError("max_iter must be positive")
         if not 0.0 <= self.source_exponent <= 1.0:
             raise DomainError("source_exponent must lie in [0, 1]")
 
@@ -120,7 +122,6 @@ class FitResult:
     objective: float
     iterations: int
     converged: bool
-    grad_norm: float
     history: tuple[float, ...] = ()
     assumptions: tuple[str, ...] = ()
 
@@ -179,16 +180,16 @@ def objective_grad(sample: TraceSample, params: ModelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _lstsq_columns(columns: list[np.ndarray], y: np.ndarray, beta, min_gap: float):
+def _lstsq_columns(columns: list[np.ndarray], y: np.ndarray, beta):
     design = np.column_stack(columns)
     norms = np.sqrt(np.sum(design * design, axis=0))
     norms[norms == 0.0] = 1.0
     scaled = design / norms
     cond = float(np.linalg.cond(scaled))
     gaps = np.diff(np.asarray(beta, dtype=float))
-    if cond > _COND_LIMIT and len(gaps) and float(np.min(gaps)) < min_gap:
+    if cond > _COND_LIMIT and len(gaps) and float(np.min(gaps)) < _MIN_GAP:
         raise RankDeficiencyError(
-            f"exponents {tuple(beta)} closer than {min_gap} give condition "
+            f"exponents {tuple(beta)} closer than {_MIN_GAP} give condition "
             f"number {cond:.3e}"
         )
     coef, *_ = np.linalg.lstsq(scaled, y, rcond=None)
@@ -202,8 +203,6 @@ def linear_init(
     beta: tuple[float, ...],
     kind: Kind,
     case: Case,
-    *,
-    min_gap: float = 1e-3,
 ) -> LinearInit:
     """Amplitudes for fixed exponents by (linearized) linear least squares.
 
@@ -219,25 +218,25 @@ def linear_init(
         cols = list(powers)
         if case is Case.INITIAL_DATA:
             cols = [np.ones_like(t)] + cols
-        c, resid, cond = _lstsq_columns(cols, g, beta, min_gap)
+        c, resid, cond = _lstsq_columns(cols, g, beta)
         return LinearInit(c, resid, cond)
     if case is Case.INITIAL_DATA:
         c0 = float(g[0])
         if c0 == 0.0 or np.any(g == 0.0):
             raise RankDeficiencyError("rational initial-data regression needs g != 0")
         y = 1.0 / g - 1.0 / c0
-        d, resid, cond = _lstsq_columns(powers, y, beta, min_gap)
+        d, resid, cond = _lstsq_columns(powers, y, beta)
         # the regression fits D / c0, so rescale to the stored denominators
         return LinearInit(np.concatenate(([c0], c0 * d)), resid, cond)
     # rational source: amplitude scale from a preliminary polynomial fit
-    cpoly, _, _ = _lstsq_columns(list(powers), g, beta, min_gap)
+    cpoly, _, _ = _lstsq_columns(list(powers), g, beta)
     ca = float(cpoly[0]) * math.gamma(beta[0] + 1.0)
     gmax = float(np.max(np.abs(g)))
     if gmax == 0.0:
         raise RankDeficiencyError("rational source regression needs nonzero data")
     ca = max(ca, (1.0 + 1e-3) * gmax)
     y = g / (ca - g)
-    d, resid, cond = _lstsq_columns(powers, y, beta, min_gap)
+    d, resid, cond = _lstsq_columns(powers, y, beta)
     return LinearInit(np.concatenate(([ca], d)), resid, cond)
 
 
@@ -264,9 +263,7 @@ def _two_loop(grad: np.ndarray, s_list, y_list) -> np.ndarray:
     return q
 
 
-def _sorted_exit_params(
-    kind: Kind, case: Case, c: np.ndarray, beta: np.ndarray, config: FitConfig
-) -> ModelParams:
+def _sorted_exit_params(kind: Kind, case: Case, c: np.ndarray, beta: np.ndarray) -> ModelParams:
     """Sort exponents ascending (permuting their amplitudes), enforce the
     minimum gap, and clip into the open (0, 2) range required of the model."""
     nb = len(beta)
@@ -277,8 +274,8 @@ def _sorted_exit_params(
     beta_sorted = [float(beta[i]) for i in order]
     amps_sorted = [float(amps[i]) for i in order]
     for i in range(1, nb):
-        if beta_sorted[i] < beta_sorted[i - 1] + config.min_gap:
-            beta_sorted[i] = beta_sorted[i - 1] + config.min_gap
+        if beta_sorted[i] < beta_sorted[i - 1] + _MIN_GAP:
+            beta_sorted[i] = beta_sorted[i - 1] + _MIN_GAP
     beta_sorted = [min(max(b, 1e-6), 2.0 - 1e-6) for b in beta_sorted]
     return ModelParams(kind, case, tuple(head + amps_sorted), tuple(beta_sorted))
 
@@ -312,7 +309,7 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
         [lo for lo, _ in config.beta_bounds],
         [hi for _, hi in config.beta_bounds],
     )
-    c0 = linear_init(sample, tuple(beta0), kind, case, min_gap=config.min_gap).c
+    c0 = linear_init(sample, tuple(beta0), kind, case).c
     x = np.concatenate([c0, beta0])
 
     lo = np.concatenate([np.full(nc, -np.inf), [b[0] for b in config.beta_bounds]])
@@ -333,7 +330,6 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
 
     y = x * scale
     lo_y, hi_y = lo * scale, hi * scale
-    # -inf * 0 guards (scale is strictly positive, so this is just paranoia)
     gy = gx / scale
 
     def proj_grad(yv: np.ndarray, gv: np.ndarray) -> np.ndarray:
@@ -349,7 +345,7 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
 
     while iterations < config.max_iter:
         pg = proj_grad(y, gy)
-        if float(np.max(np.abs(pg))) < config.grad_tol:
+        if float(np.max(np.abs(pg))) < _GRAD_TOL:
             converged = True
             break
         d = -_two_loop(gy, s_mem, y_mem)
@@ -383,7 +379,7 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
         if sy > 1e-12 * float(np.linalg.norm(s_vec) * np.linalg.norm(y_vec)):
             s_mem.append(s_vec)
             y_mem.append(y_vec)
-            if len(s_mem) > config.memory:
+            if len(s_mem) > _MEMORY:
                 s_mem.pop(0)
                 y_mem.pop(0)
         y, jt, gy = y_new, jt_new, gy_new
@@ -396,9 +392,7 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
         beta_cur = (y / scale)[nc:]
         if float(np.max(np.abs(beta_cur - beta_ref))) > _REINIT_DRIFT:
             try:
-                c_cand = linear_init(
-                    sample, tuple(beta_cur), kind, case, min_gap=config.min_gap
-                ).c
+                c_cand = linear_init(sample, tuple(beta_cur), kind, case).c
             except RankDeficiencyError:
                 c_cand = None
             if c_cand is not None and np.all(np.isfinite(c_cand)):
@@ -413,12 +407,10 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
                     history.append(jt)
             beta_ref = beta_cur.copy()
 
-    pg = proj_grad(y, gy)
-    grad_norm = float(np.max(np.abs(pg)))
-    if line_search_failed and grad_norm < max(config.grad_tol, 1e2 * config.grad_tol):
+    if line_search_failed and float(np.max(np.abs(proj_grad(y, gy)))) < 1e2 * _GRAD_TOL:
         converged = True
     x_final = y / scale
-    params = _sorted_exit_params(kind, case, x_final[:nc], x_final[nc:], config)
+    params = _sorted_exit_params(kind, case, x_final[:nc], x_final[nc:])
     return FitResult(
         params=params,
         physical=None,
@@ -426,7 +418,6 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
         objective=objective(sample, params),
         iterations=iterations,
         converged=converged,
-        grad_norm=grad_norm,
         history=tuple(j * j_scale for j in history),
     )
 
@@ -470,8 +461,8 @@ def _embed_single_term(res1: FitResult, config: FitConfig) -> ModelParams:
     and the trailing exponent held at its initialization."""
     p1 = res1.params
     beta2 = config.beta_init[1]
-    if beta2 < p1.beta[0] + config.min_gap:
-        beta2 = p1.beta[0] + config.min_gap
+    if beta2 < p1.beta[0] + _MIN_GAP:
+        beta2 = p1.beta[0] + _MIN_GAP
     return ModelParams(p1.kind, p1.case, (*p1.c, 0.0), (p1.beta[0], beta2))
 
 
@@ -503,7 +494,7 @@ def _recover_single(sample: TraceSample, config: FitConfig) -> FitResult:
     res2 = minimize(sample, config)
     rel = second_term_relative(sample, res2.params)
     improved = res2.objective <= res1.objective * (1.0 + 1e-12)
-    if improved and rel >= config.second_term_min_rel:
+    if improved and rel >= _SECOND_TERM_MIN_REL:
         note = (
             f"model-order check: second term resolved "
             f"(relative contribution {rel:.3e}; J1={res1.objective!r}, "
@@ -526,7 +517,6 @@ def _recover_single(sample: TraceSample, config: FitConfig) -> FitResult:
         objective=objective(sample, params),
         iterations=res1.iterations + res2.iterations,
         converged=res1.converged,
-        grad_norm=res1.grad_norm,
         history=res1.history,
         assumptions=res1.assumptions + (note,),
     )
@@ -547,7 +537,7 @@ def _lattice_inits(config: FitConfig) -> list[tuple[float, ...]]:
         (b1, b2)
         for b1 in axes[0]
         for b2 in axes[1]
-        if b2 > b1 + config.min_gap
+        if b2 > b1 + _MIN_GAP
     ]
     return inits[:count] if inits else [config.beta_init]
 

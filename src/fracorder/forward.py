@@ -21,11 +21,13 @@ import numpy as np
 from fracorder.specfun import (
     AccuracyError,
     DomainError,
+    MLArgs,
     OrderSpec,
-    _kernel_ml_args,
+    _kernel_terms,
     normalize_spec,
     s1_kernel_contour,
     s1_kernel_series,
+    s2_kernel_int_contour,
     s2_kernel_int_series,
     series_tail_log,
     tight_contour,
@@ -133,34 +135,47 @@ class TraceSample:
 # ---------------------------------------------------------------------------
 
 
-def _s1_value(lam: float, spec: OrderSpec, t: float, method: str) -> float:
+def _kernel(lam: float, spec: OrderSpec, t: float, a: float | None, method: str) -> float:
+    """One mode's kernel: S1 when a is None, else the convolution of S2 with
+    s^a / Gamma(a+1).
+
+    method "series" sums the certified double series.  "auto" takes the
+    series only where it is cheap and mildly cancelling, judged from the raw
+    series arguments, and the contour quadrature (about 1e-7 accurate) for
+    the rest, at a fraction of the cost of an extended-precision series.
+    """
+    if a is None:
+        beta0 = 1.0 + spec.alphas[-1]
+        series = lambda: s1_kernel_series(lam, spec, t)
+        contour = lambda: s1_kernel_contour(lam, spec, t, tight_contour(t, 1600))
+    else:
+        beta0 = spec.alphas[-1] + a + 1.0
+        series = lambda: s2_kernel_int_series(lam, spec, a, t)
+        contour = lambda: s2_kernel_int_contour(lam, spec, a, t, tight_contour(t, 1600))
     if method == "series":
-        return s1_kernel_series(lam, spec, t)
-    if method == "auto":
-        # series only where it is cheap and mildly cancelling; the contour
-        # quadrature covers the rest at ~1e-7 accuracy for a fraction of the
-        # cost of an extended-precision series
-        args = _kernel_ml_args(lam, spec, t, 1.0 + spec.alphas[-1])
-        small = sum(-z for z in args.zs) <= 3.0
-        if small and series_tail_log(args) < -40.0:
-            try:
-                return s1_kernel_series(lam, spec, t)
-            except AccuracyError:
-                pass
-        return s1_kernel_contour(lam, spec, t, tight_contour(t, 1600))
-    raise DomainError(f"unknown method {method!r}")
+        return series()
+    if method != "auto":
+        raise DomainError(f"unknown method {method!r}; expected 'series' or 'auto'")
+    betas, zs = _kernel_terms(lam, spec, t)
+    if sum(-z for z in zs) <= 3.0 and series_tail_log(MLArgs(beta0, betas, zs)) < -40.0:
+        try:
+            return series()
+        except AccuracyError:
+            pass
+    return contour()
 
 
 def trace_initial(
     problem: SpectralProblem, spec: OrderSpec, t: float, *, method: str = "series"
 ) -> float:
-    """g(t) for the initial-datum case: sum of w_n S1(t; lambda_n)."""
+    """g(t) for the initial-datum case: sum of w_n S1(t; lambda_n).  method
+    is "series" or "auto" (see _kernel)."""
     if problem.case is not Case.INITIAL_DATA:
         raise DomainError("trace_initial requires an initial-data problem")
     rn = spec.weights[-1]
     nspec = normalize_spec(spec, 1.0).spec
     return math.fsum(
-        w * _s1_value(lam / rn, nspec, t, method) for lam, w in problem.modes
+        w * _kernel(lam / rn, nspec, t, None, method) for lam, w in problem.modes
     )
 
 
@@ -168,14 +183,15 @@ def trace_source(
     problem: SpectralProblem, spec: OrderSpec, t: float, *, method: str = "series"
 ) -> float:
     """g(t) for the source case with power-law time factor
-    sigma(s) = c0 s^a / Gamma(a+1)."""
+    sigma(s) = c0 s^a / Gamma(a+1).  method is "series" or "auto" (see
+    _kernel)."""
     if problem.case is not Case.SOURCE:
         raise DomainError("trace_source requires a source problem")
     rn = spec.weights[-1]
     nspec = normalize_spec(spec, 1.0).spec
     a = problem.source_exponent
     total = math.fsum(
-        w * s2_kernel_int_series(lam / rn, nspec, a, t) / rn
+        w * _kernel(lam / rn, nspec, t, a, method) / rn
         for lam, w in problem.modes
     )
     return problem.source_scale * total

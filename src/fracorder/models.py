@@ -95,11 +95,6 @@ class PhysicalParams:
     amplitude: float
     constant: float | None = None
 
-    def to_order_spec(self):
-        from fracorder.specfun import OrderSpec
-
-        return OrderSpec(self.alphas, self.weights)
-
 
 # ---------------------------------------------------------------------------
 # evaluation and gradients on raw arrays (used by the optimizer mid-flight,

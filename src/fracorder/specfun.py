@@ -9,8 +9,8 @@ two-parameter function E_{alpha,beta}(z) is its one-argument case, and like
 beta0 of the multinomial function it needs beta > 0, so every Gamma argument
 of a term is positive.
 
-The series is summed with compensated (Kahan) accumulation
-and certify their own rounding envelope: the worst term magnitude is tracked
+The series is summed with compensated (Kahan) accumulation and certifies
+its own rounding envelope: the worst term magnitude is tracked
 in log space, and when alternating-term cancellation would eat the requested
 accuracy in double precision the evaluation transparently retries in bounded
 extended precision.  When even that cannot be certified, AccuracyError is
@@ -49,6 +49,7 @@ __all__ = [
     "s2_kernel_int_series",
     "s1_kernel_contour",
     "s2_kernel_contour",
+    "s2_kernel_int_contour",
     "default_contour",
     "tight_contour",
 ]
@@ -549,14 +550,20 @@ def _require_normalized(spec: OrderSpec) -> None:
         )
 
 
-def _kernel_ml_args(lam: float, spec: OrderSpec, t: float, beta0: float) -> MLArgs:
+def _kernel_terms(lam: float, spec: OrderSpec, t: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(betas, zs) of the kernels' multinomial Mittag-Leffler function, before
+    any range check."""
     an = spec.alphas[-1]
     betas = [an]
     zs = [-lam * t**an]
     for ai, ri in zip(spec.alphas[:-1], spec.weights[:-1]):
         betas.append(an - ai)
         zs.append(-ri * t ** (an - ai))
-    return MLArgs(beta0, tuple(betas), tuple(zs))
+    return tuple(betas), tuple(zs)
+
+
+def _kernel_ml_args(lam: float, spec: OrderSpec, t: float, beta0: float) -> MLArgs:
+    return MLArgs(beta0, *_kernel_terms(lam, spec, t))
 
 
 def _check_kernel_inputs(lam: float, t: float) -> None:
@@ -651,12 +658,12 @@ def _sum_powers(p: np.ndarray, spec: OrderSpec, shift: float) -> np.ndarray:
     return acc
 
 
-def _contour_integral(lam, spec, t, contour, which: str) -> float:
+def _contour_integral(lam, spec, t, contour, numerator) -> float:
+    """Inverse Laplace transform at t of numerator(p) / (lam + sum r p^alpha)."""
+
     def integrand(p: np.ndarray) -> np.ndarray:
         den = lam + _sum_powers(p, spec, 0.0)
-        if which == "s1":
-            return np.exp(t * p) * _sum_powers(p, spec, -1.0) / den
-        return np.exp(t * p) / den
+        return np.exp(t * p) * numerator(p) / den
 
     theta, delta, n, r_max = contour.theta, contour.delta, contour.n_radial, contour.r_max
     eith = complex(math.cos(theta), math.sin(theta))
@@ -692,7 +699,7 @@ def s1_kernel_contour(
     _check_kernel_inputs(lam, t)
     if contour is None:
         contour = default_contour(t)
-    return _contour_integral(lam, spec, t, contour, "s1")
+    return _contour_integral(lam, spec, t, contour, lambda p: _sum_powers(p, spec, -1.0))
 
 
 def s2_kernel_contour(
@@ -702,4 +709,17 @@ def s2_kernel_contour(
     _check_kernel_inputs(lam, t)
     if contour is None:
         contour = default_contour(t)
-    return _contour_integral(lam, spec, t, contour, "s2")
+    return _contour_integral(lam, spec, t, contour, lambda p: 1.0)
+
+
+def s2_kernel_int_contour(
+    lam: float, spec: OrderSpec, a: float, t: float, contour: ContourSpec | None = None
+) -> float:
+    """Contour quadrature of the convolution of S2 with s^a / Gamma(a+1), the
+    twin of s2_kernel_int_series."""
+    if not 0.0 <= a <= 1.0:
+        raise DomainError(f"a must lie in [0, 1], got {a}")
+    _check_kernel_inputs(lam, t)
+    if contour is None:
+        contour = default_contour(t)
+    return _contour_integral(lam, spec, t, contour, lambda p: p ** (-a - 1.0))

@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import fracorder.cli as cli
 import fracorder.specfun as specfun
 from fracorder.cli import (
     ExperimentConfig,
@@ -16,6 +17,7 @@ from fracorder.cli import (
     experiment_rows,
     main,
     run_checks,
+    run_fit_row,
 )
 
 
@@ -88,6 +90,28 @@ class TestCmdFit:
         assert statuses["1e-06"] == "ok"
         assert "DomainError" in statuses["1000000.0"]
 
+    def test_each_sample_is_drawn_once(self, tmp_path, monkeypatch):
+        # both model kinds of a row are fitted to one trace sample
+        calls = []
+        real = cli.sample_trace
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_trace", counted)
+        assert cmd_fit(ExperimentConfig("table1a", tmp_path, t0_list=(1e-6,))) == 0
+        assert len(calls) == 1
+        assert len(_read_csv(tmp_path / "table1a.csv")) == 2
+
+    def test_inadmissible_row_is_not_ok(self):
+        # the two-term rational fit at T0 = 1e-3 lands on r1 < 0
+        rows = experiment_rows(ExperimentConfig("table2", Path("unused"), t0_list=(1e-3,), kinds=("fr",)))
+        row = next(r for r in rows if r.table == "table2a")
+        out = run_fit_row(row, 100)
+        assert float(out["r1"]) < 0.0
+        assert out["status"] == "inadmissible: r1 < 0"
+
     def test_jobs_parallel_matches_serial(self, tmp_path):
         cfg1 = ExperimentConfig("table1a", tmp_path / "s", t0_list=(1e-6, 1e-5))
         cfg2 = ExperimentConfig("table1a", tmp_path / "p", t0_list=(1e-6, 1e-5), jobs=4)
@@ -107,6 +131,16 @@ class TestCmdSimulate:
         assert len(lines) == 101
         first_t = float(lines[1].split(",")[0])
         assert first_t == 1e-8
+
+    def test_table1b_one_trace_per_order(self, tmp_path):
+        assert cmd_simulate(ExperimentConfig("table1b", tmp_path)) == 0
+        alphas = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+        assert len(list(tmp_path.glob("table1b_*.csv"))) == len(alphas)
+        for alpha in alphas:
+            stem = f"table1b_alpha{alpha}_T0_1e-06"
+            meta = json.loads((tmp_path / f"{stem}.meta.json").read_text())
+            assert meta["alphas"] == [alpha]
+            assert len((tmp_path / f"{stem}.csv").read_text().splitlines()) == 101
 
     def test_fig1_columns(self, tmp_path):
         cfg = ExperimentConfig("fig1", tmp_path, fig_points=40)
@@ -133,6 +167,10 @@ class TestMainEntry:
         assert main(["fit", "--experiment", "table1a", "--t0", "", "--out", str(tmp_path)]) == 2
         assert main(["fit", "--out", str(tmp_path)]) == 2
         assert main(["nonsense"]) == 2
+        # an empty T0 list from the config file is an error, not the defaults
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"experiment": "table1a", "t0": []}))
+        assert main(["fit", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
 
     def test_fit_via_flags(self, tmp_path):
         rc = main(

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -124,6 +125,53 @@ class TestTraceSource:
             a = trace_source(p, orders, t)
             b = 2.0 * 0.5 * t**0.5 * ml2(0.5, 1.5, -3.0 * t**0.5)
             assert rel_err(a, b) < 1e-12
+
+
+class TestAutoMethod:
+    @staticmethod
+    def _talbot(problem, orders, t):
+        """Laplace inversion of the trace at 30 digits, apart from the package."""
+        a = [mpmath.mpf(x) for x in orders.alphas]
+        r = [mpmath.mpf(x) for x in orders.weights]
+        modes = [(mpmath.mpf(l), mpmath.mpf(w)) for l, w in problem.modes]
+
+        def F(p):
+            q = sum(ri * p**ai for ai, ri in zip(a, r))
+            if problem.case is Case.SOURCE:
+                return sum(w / (l + q) for l, w in modes) / p
+            num = sum(ri * p ** (ai - 1) for ai, ri in zip(a, r))
+            return sum(w * num / (l + q) for l, w in modes)
+
+        with mpmath.workdps(30):
+            return float(mpmath.invertlaplace(F, t, method="talbot"))
+
+    def test_source_beyond_series_envelope(self):
+        # at t = 0.3 the series arguments exceed Z_MAX for the large modes
+        problem = build_example_4_2("ii")
+        orders = OrderSpec((0.5, 0.7), (0.5, 1.0))
+        g = trace_source(problem, orders, 0.3, method="auto")
+        assert rel_err(g, self._talbot(problem, orders, 0.3)) < 1e-6
+
+    def test_initial_beyond_series_envelope(self):
+        # |z| = 45.3 > Z_MAX for the 8 pi^2 mode; auto decides before building
+        # the series arguments
+        problem = build_example_4_2("i")
+        orders = OrderSpec((0.5, 0.8), (0.5, 1.0))
+        g = trace_initial(problem, orders, 0.5, method="auto")
+        assert rel_err(g, self._talbot(problem, orders, 0.5)) < 1e-6
+
+    def test_auto_keeps_the_series_where_it_is_cheap(self):
+        problem = build_example_4_2("ii")
+        orders = OrderSpec((0.5, 0.7), (0.5, 1.0))
+        t = 1e-4
+        assert trace_source(problem, orders, t, method="auto") == trace_source(problem, orders, t)
+
+    def test_unknown_method(self):
+        orders = OrderSpec((0.5, 0.7), (0.5, 1.0))
+        with pytest.raises(DomainError):
+            trace_initial(build_example_4_1(orders), orders, 0.01, method="contour")
+        with pytest.raises(DomainError):
+            trace_source(build_example_4_2("ii"), orders, 0.01, method="contour")
 
 
 class TestLaplaceTrace:

@@ -20,6 +20,7 @@ from fracorder.specfun import (
     s1_kernel_contour,
     s1_kernel_series,
     s2_kernel_contour,
+    s2_kernel_int_contour,
     s2_kernel_int_series,
     s2_kernel_series,
     tight_contour,
@@ -329,6 +330,17 @@ class TestContourKernels:
             assert rel_err(
                 s2_kernel_series(lam, spec, t), s2_kernel_contour(lam, spec, t, c)
             ) < 1e-6
+
+    def test_s2_int_series_match(self):
+        spec = OrderSpec((0.3, 0.7), (0.5, 1.0))
+        lam = PI2 + 1.0
+        for a in (0.0, 0.5):
+            for t in (1e-3, 1e-1):
+                c = tight_contour(t, 4000)
+                assert rel_err(
+                    s2_kernel_int_series(lam, spec, a, t),
+                    s2_kernel_int_contour(lam, spec, a, t, c),
+                ) < 1e-6
 
     def test_default_contour_shape(self):
         c = default_contour(0.01)
