@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import itertools
 import json
 import logging
@@ -233,9 +234,7 @@ def _fill_result(out: dict, result: FitResult) -> None:
     out["converged"] = repr(result.converged)
     phys = result.physical
     if phys is None:
-        out["status"] = "identifiability: " + "; ".join(
-            a for a in result.assumptions if a.startswith("identifiability")
-        )
+        out["status"] = "; ".join(a for a in result.assumptions if a.startswith("identifiability"))
         return
     if len(phys.alphas) == 2:
         out["alpha1"] = repr(phys.alphas[0])
@@ -288,9 +287,9 @@ def run_fit_row(row: FitRow, n_points: int) -> dict:
 
 def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row.get(h, "")) for h in header) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([row.get(h, "") for h in header] for row in rows)
 
 
 def _write_json(path: Path, obj: dict) -> None:

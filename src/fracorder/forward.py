@@ -19,18 +19,19 @@ from pathlib import Path
 import numpy as np
 
 from fracorder.specfun import (
+    DEFAULT_SHELL_CAP,
     AccuracyError,
     DomainError,
-    MLArgs,
     OrderSpec,
+    _hyperbola_integral,
+    _kernel_args,
+    _kernel_from_ml,
     _kernel_terms,
+    _laplace_numerator,
+    _mml_double_value,
+    mml,
     normalize_spec,
-    s1_kernel_contour,
-    s1_kernel_series,
-    s2_kernel_int_contour,
-    s2_kernel_int_series,
     series_tail_log,
-    tight_contour,
 )
 
 __all__ = [
@@ -135,48 +136,68 @@ class TraceSample:
 # ---------------------------------------------------------------------------
 
 
-def _kernel(lam: float, spec: OrderSpec, t: float, a: float | None, method: str) -> float:
-    """One mode's kernel: S1 when a is None, else the convolution of S2 with
-    s^a / Gamma(a+1).
+def _auto_kernel(lam: float, spec: OrderSpec, t: float, a: float | None) -> float:
+    """One mode's kernel (S1 when a is None, else the convolution of S2 with
+    s^a / Gamma(a+1)) by the cheaper of two independent routes.
 
-    method "series" sums the certified double series.  "auto" takes the
-    series only where it is cheap and mildly cancelling, judged from the raw
-    series arguments, and the contour quadrature (about 1e-7 accurate) for
-    the rest, at a fraction of the cost of an extended-precision series.
+    The double series serves where it is cheap and mildly cancelling, judged
+    from the raw series arguments, and only while it certifies itself in
+    double precision.  The hyperbola quadrature (about 1e-10 accurate) serves
+    the rest, at a small fraction of the cost of an extended-precision series.
     """
-    if a is None:
-        beta0 = 1.0 + spec.alphas[-1]
-        series = lambda: s1_kernel_series(lam, spec, t)
-        contour = lambda: s1_kernel_contour(lam, spec, t, tight_contour(t, 1600))
-    else:
-        beta0 = spec.alphas[-1] + a + 1.0
-        series = lambda: s2_kernel_int_series(lam, spec, a, t)
-        contour = lambda: s2_kernel_int_contour(lam, spec, a, t, tight_contour(t, 1600))
+    if sum(-z for z in _kernel_terms(lam, spec, t)[1]) <= 3.0:
+        args = _kernel_args(lam, spec, t, a)
+        if series_tail_log(args) < -40.0:
+            try:
+                # at mml's default tolerance and truncation
+                e = _mml_double_value(args.beta0, args.betas, args.zs, 1e-10, DEFAULT_SHELL_CAP)
+            except AccuracyError:
+                pass
+            else:
+                return _kernel_from_ml(lam, spec, t, a, e)
+    return _hyperbola_integral(lam, spec, t, _laplace_numerator(spec, a))
+
+
+def _normalized_modes(
+    problem: SpectralProblem, spec: OrderSpec
+) -> tuple[list[float], OrderSpec, float | None]:
+    """The eigenvalues and orders divided by the leading weight, and the
+    source exponent (None for initial data)."""
+    rn = spec.weights[-1]
+    lams = [lam / rn for lam, _ in problem.modes]
+    a = None if problem.case is Case.INITIAL_DATA else problem.source_exponent
+    return lams, normalize_spec(spec, 1.0).spec, a
+
+
+def _mode_kernels(
+    problem: SpectralProblem, spec: OrderSpec, t: float, method: str
+) -> list[float]:
+    """Each mode's kernel at t, for the normalized modes and orders.
+
+    method "series" sums the certified series; the series arguments of every
+    mode are built, and range-checked, before any is summed, so an argument
+    beyond Z_MAX fails at once.  "auto" is _auto_kernel.
+    """
+    if not t > 0.0:
+        raise DomainError(f"t must be positive, got {t}")
+    lams, nspec, a = _normalized_modes(problem, spec)
     if method == "series":
-        return series()
-    if method != "auto":
-        raise DomainError(f"unknown method {method!r}; expected 'series' or 'auto'")
-    betas, zs = _kernel_terms(lam, spec, t)
-    if sum(-z for z in zs) <= 3.0 and series_tail_log(MLArgs(beta0, betas, zs)) < -40.0:
-        try:
-            return series()
-        except AccuracyError:
-            pass
-    return contour()
+        args = [_kernel_args(lam, nspec, t, a) for lam in lams]
+        return [_kernel_from_ml(lam, nspec, t, a, mml(x)) for lam, x in zip(lams, args)]
+    if method == "auto":
+        return [_auto_kernel(lam, nspec, t, a) for lam in lams]
+    raise DomainError(f"unknown method {method!r}; expected 'series' or 'auto'")
 
 
 def trace_initial(
     problem: SpectralProblem, spec: OrderSpec, t: float, *, method: str = "series"
 ) -> float:
     """g(t) for the initial-datum case: sum of w_n S1(t; lambda_n).  method
-    is "series" or "auto" (see _kernel)."""
+    is "series" or "auto" (see _mode_kernels)."""
     if problem.case is not Case.INITIAL_DATA:
         raise DomainError("trace_initial requires an initial-data problem")
-    rn = spec.weights[-1]
-    nspec = normalize_spec(spec, 1.0).spec
-    return math.fsum(
-        w * _kernel(lam / rn, nspec, t, None, method) for lam, w in problem.modes
-    )
+    kernels = _mode_kernels(problem, spec, t, method)
+    return math.fsum(w * k for (_, w), k in zip(problem.modes, kernels))
 
 
 def trace_source(
@@ -184,16 +205,12 @@ def trace_source(
 ) -> float:
     """g(t) for the source case with power-law time factor
     sigma(s) = c0 s^a / Gamma(a+1).  method is "series" or "auto" (see
-    _kernel)."""
+    _mode_kernels)."""
     if problem.case is not Case.SOURCE:
         raise DomainError("trace_source requires a source problem")
     rn = spec.weights[-1]
-    nspec = normalize_spec(spec, 1.0).spec
-    a = problem.source_exponent
-    total = math.fsum(
-        w * _kernel(lam / rn, nspec, t, a, method) / rn
-        for lam, w in problem.modes
-    )
+    kernels = _mode_kernels(problem, spec, t, method)
+    total = math.fsum(w * k / rn for (_, w), k in zip(problem.modes, kernels))
     return problem.source_scale * total
 
 
@@ -281,6 +298,11 @@ def sample_trace(
         raise DomainError(f"need n >= 2 grid points, got {n}")
     if not T0 > 0.0:
         raise DomainError(f"T0 must be positive, got {T0}")
+    if method == "series":
+        # |z| grows with t, so the series arguments at T0 are the worst ones
+        lams, nspec, a = _normalized_modes(problem, spec)
+        for lam in lams:
+            _kernel_args(lam, nspec, T0, a)
     times = np.arange(1, n + 1) * (T0 / n)
     if problem.case is Case.INITIAL_DATA:
         values = np.array([trace_initial(problem, spec, t, method=method) for t in times])

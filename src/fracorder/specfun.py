@@ -1,8 +1,11 @@
 """Special-function kernel layer.
 
-Gamma, the two-parameter and multinomial Mittag-Leffler functions, and the
-contour-integral relaxation kernels that serve as an independent cross-check
-of the series evaluations.
+Gamma, the two-parameter and multinomial Mittag-Leffler functions, and two
+quadratures of the relaxation kernels' Laplace transforms that share no code
+with the series: the arc-plus-rays contour kernels (s*_kernel_contour), the
+independent cross-check of the series evaluations, and the Weideman-Trefethen
+hyperbola (_hyperbola_integral), the cheap route that forward's "auto" method
+takes wherever the double series does not serve.
 
 There is one series: the multinomial one, summed shell by shell.  The
 two-parameter function E_{alpha,beta}(z) is its one-argument case, and like
@@ -349,7 +352,7 @@ def series_tail_log(args: MLArgs, k: int = DEFAULT_SHELL_CAP) -> float:
     """Log magnitude of the largest term in shell k (coarse sample).
 
     A strongly negative value means the truncated series has converged well
-    before shell k; used to route evaluations to the contour kernels when
+    before shell k; used to route evaluations to a quadrature when
     the series would still be live at the truncation index.
     """
     return _sampled_shell_log(_ShellTerms(args.beta0, args.betas, args.zs), k)
@@ -496,15 +499,26 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
     )
 
 
+def _mml_double_value(
+    beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float, kmax: int
+) -> float:
+    """The double-precision sum; AccuracyError when it does not certify
+    itself."""
+    value, peak_log, converged = _mml_double(beta0, betas, zs, kmax)
+    if converged and _certified(value, peak_log, rel_tol):
+        return value
+    raise AccuracyError(f"mml(beta0={beta0}, betas={betas}, zs={zs}): double sum not certified")
+
+
 def _mml_value(
     beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float, kmax: int
 ) -> float:
     """The double-precision sum when it certifies itself, else the
     extended-precision one."""
-    value, peak_log, converged = _mml_double(beta0, betas, zs, kmax)
-    if converged and _certified(value, peak_log, rel_tol):
-        return value
-    return _mml_mp(beta0, betas, zs, rel_tol)
+    try:
+        return _mml_double_value(beta0, betas, zs, rel_tol, kmax)
+    except AccuracyError:
+        return _mml_mp(beta0, betas, zs, rel_tol)
 
 
 def ml2(alpha: float, beta: float, z: float, *, rel_tol: float = 1e-10, kmax: int = 400) -> float:
@@ -573,6 +587,31 @@ def _check_kernel_inputs(lam: float, t: float) -> None:
         raise DomainError(f"t must be positive, got {t}")
 
 
+def _check_source_exponent(a: float) -> None:
+    if not 0.0 <= a <= 1.0:
+        raise DomainError(f"a must lie in [0, 1], got {a}")
+
+
+def _kernel_args(lam: float, spec: OrderSpec, t: float, a: float | None) -> MLArgs:
+    """Checked series arguments of S1 (a is None) or of the convolution of S2
+    with s^a / Gamma(a+1)."""
+    if a is not None:
+        _check_source_exponent(a)
+    _check_kernel_inputs(lam, t)
+    _require_normalized(spec)
+    an = spec.alphas[-1]
+    return _kernel_ml_args(lam, spec, t, 1.0 + an if a is None else an + a + 1.0)
+
+
+def _kernel_from_ml(lam: float, spec: OrderSpec, t: float, a: float | None, e: float) -> float:
+    """The kernel of _kernel_args from the value e of its Mittag-Leffler
+    function."""
+    an = spec.alphas[-1]
+    if a is None:
+        return 1.0 - lam * t**an * e
+    return t ** (an + a) * e
+
+
 def s1_kernel_series(
     lam: float,
     spec: OrderSpec,
@@ -582,11 +621,8 @@ def s1_kernel_series(
     kmax: int = DEFAULT_SHELL_CAP,
 ) -> float:
     """Mode relaxation factor S1(t): response of a unit initial datum."""
-    _check_kernel_inputs(lam, t)
-    _require_normalized(spec)
-    an = spec.alphas[-1]
-    e = mml(_kernel_ml_args(lam, spec, t, 1.0 + an), rel_tol=rel_tol, kmax=kmax)
-    return 1.0 - lam * t**an * e
+    e = mml(_kernel_args(lam, spec, t, None), rel_tol=rel_tol, kmax=kmax)
+    return _kernel_from_ml(lam, spec, t, None, e)
 
 
 def s2_kernel_series(
@@ -618,13 +654,8 @@ def s2_kernel_int_series(
 
     For a = 0 this is the running integral of S2.
     """
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"a must lie in [0, 1], got {a}")
-    _check_kernel_inputs(lam, t)
-    _require_normalized(spec)
-    an = spec.alphas[-1]
-    e = mml(_kernel_ml_args(lam, spec, t, an + a + 1.0), rel_tol=rel_tol, kmax=kmax)
-    return t ** (an + a) * e
+    e = mml(_kernel_args(lam, spec, t, a), rel_tol=rel_tol, kmax=kmax)
+    return _kernel_from_ml(lam, spec, t, a, e)
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +687,15 @@ def _sum_powers(p: np.ndarray, spec: OrderSpec, shift: float) -> np.ndarray:
     for ak, rk in zip(spec.alphas, spec.weights):
         acc = acc + rk * p ** (ak + shift)
     return acc
+
+
+def _laplace_numerator(spec: OrderSpec, a: float | None):
+    """Numerator of the Laplace transform of S1 (a is None) or of the
+    convolution of S2 with s^a / Gamma(a+1); the denominator of both is
+    lam + sum r p^alpha."""
+    if a is None:
+        return lambda p: _sum_powers(p, spec, -1.0)
+    return lambda p: p ** (-a - 1.0)
 
 
 def _contour_integral(lam, spec, t, contour, numerator) -> float:
@@ -699,7 +739,7 @@ def s1_kernel_contour(
     _check_kernel_inputs(lam, t)
     if contour is None:
         contour = default_contour(t)
-    return _contour_integral(lam, spec, t, contour, lambda p: _sum_powers(p, spec, -1.0))
+    return _contour_integral(lam, spec, t, contour, _laplace_numerator(spec, None))
 
 
 def s2_kernel_contour(
@@ -717,9 +757,42 @@ def s2_kernel_int_contour(
 ) -> float:
     """Contour quadrature of the convolution of S2 with s^a / Gamma(a+1), the
     twin of s2_kernel_int_series."""
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"a must lie in [0, 1], got {a}")
+    _check_source_exponent(a)
     _check_kernel_inputs(lam, t)
     if contour is None:
         contour = default_contour(t)
-    return _contour_integral(lam, spec, t, contour, lambda p: p ** (-a - 1.0))
+    return _contour_integral(lam, spec, t, contour, _laplace_numerator(spec, a))
+
+
+# ---------------------------------------------------------------------------
+# relaxation kernels, hyperbola route
+# ---------------------------------------------------------------------------
+
+# fixed-t parameters of the hyperbola p(u) = mu (1 + sin(iu - alpha)) from
+# Weideman & Trefethen, Math. Comp. 76 (2007): N = 20 trapezoid steps of
+# h = 1.0818/N and mu = 4.4921 N / t; rounding grows like
+# exp(mu t (1 - sin alpha)), so N stays small
+_HYP_N = 20
+_HYP_H = 1.0818 / _HYP_N
+_HYP_MU_T = 4.4921 * _HYP_N
+# iu - alpha at the nodes u = k h, k = 0..N
+_HYP_W = 1j * _HYP_H * np.arange(_HYP_N + 1) - 1.1721
+
+
+def _hyperbola_integral(lam, spec, t, numerator) -> float:
+    """Inverse Laplace transform at t of numerator(p) / (lam + sum r p^alpha)
+    by the trapezoid rule on a hyperbola around the branch cut.
+
+    The transform is real on the real axis, so the nodes u >= 0 stand for the
+    whole rule: the other half is their mirror image.  About 1e-10 accurate
+    for the relaxation kernels.
+    """
+    mu = _HYP_MU_T / t
+    p = mu * (1.0 + np.sin(_HYP_W))
+    den = lam + _sum_powers(p, spec, 0.0)
+    # dp/du = i mu cos(iu - alpha); its factor i turns Im into Re
+    f = np.exp(t * p) * numerator(p) / den * np.cos(_HYP_W)
+    total = mu * _HYP_H / math.pi * float(np.real(np.sum(f) - 0.5 * f[0]))
+    if not math.isfinite(total):
+        raise AccuracyError(f"hyperbola quadrature at t={t} gave {total}")
+    return total

@@ -5,6 +5,8 @@ import json
 import math
 from pathlib import Path
 
+from scipy.special import erfcx
+
 import fracorder.cli as cli
 import fracorder.specfun as specfun
 from fracorder.cli import (
@@ -19,6 +21,11 @@ from fracorder.cli import (
     run_checks,
     run_fit_row,
 )
+from fracorder.fit import FitConfig, FitResult, _attach_physical
+from fracorder.forward import Case
+from fracorder.models import Kind, ModelParams
+
+from conftest import count_calls
 
 
 def _read_csv(path: Path):
@@ -122,6 +129,28 @@ class TestCmdFit:
         ).read_bytes()
 
 
+class TestResultCsv:
+    def test_status_with_commas_and_quotes_round_trips(self, tmp_path):
+        header = ["T0", *cli.RESULT_COLUMNS]
+        status = 'identifiability: exponents beta=(0.88, 1.85) map to "alpha_1", not > 0'
+        cli._write_csv(tmp_path / "t.csv", header, [{"T0": "0.1", "kind": "fr", "status": status}])
+        (row,) = _read_csv(tmp_path / "t.csv")
+        assert list(row) == header
+        assert row["status"] == status
+        assert row["alpha1"] == ""
+
+    def test_identifiability_status_has_one_prefix(self):
+        # beta_2 > 2 beta_1 maps to a negative first order
+        params = ModelParams(Kind.POLYNOMIAL, Case.INITIAL_DATA, (1.0, -1.0, 0.1), (0.5, 1.2))
+        config = FitConfig(kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=2, beta_init=(0.5, 1.2))
+        result = _attach_physical(FitResult(params, None, 1e-3, 1.0, 5, True), config)
+        assert result.physical is None
+        out = {}
+        cli._fill_result(out, result)
+        assert out["status"].startswith("identifiability: ")
+        assert out["status"].count("identifiability") == 1
+
+
 class TestCmdSimulate:
     def test_trace_files(self, tmp_path):
         cfg = ExperimentConfig("table1a", tmp_path, t0_list=(1e-6,))
@@ -153,6 +182,28 @@ class TestCmdSimulate:
         last = (tmp_path / "fig1_alpha1.00.csv").read_text().splitlines()[-1]
         t, g, _, _ = (float(x) for x in last.split(","))
         assert abs(g - math.exp(-lam * t)) < 1e-12
+
+    def test_figure_traces(self, tmp_path, monkeypatch):
+        # the large-t points of the fractional panels leave the double series;
+        # none of them may fall back to extended precision
+        mp_calls = count_calls(monkeypatch, specfun, "_mml_mp")
+        config = tmp_path / "fig.json"
+        config.write_text(json.dumps({"fig_points": 60}))
+        for fig in ("fig1", "fig2"):
+            assert main(["simulate", "--experiment", fig, "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert mp_calls == []
+        panels = sorted(tmp_path.glob("fig*_alpha*.csv"))
+        assert len(panels) == 8
+        for path in panels:
+            g = [float(r["g"]) for r in _read_csv(path)]
+            assert len(g) == 60
+            assert all(v > 0.0 for v in g)
+            assert all(b <= a for a, b in zip(g, g[1:])), path.name
+        # S1 of the order 1/2 is E_{1/2}(-lam sqrt(t)) = erfcx(lam sqrt(t))
+        lam = math.pi**2 + 1.0
+        for r in _read_csv(tmp_path / "fig1_alpha0.50.csv"):
+            ref = erfcx(lam * math.sqrt(float(r["t"])))
+            assert abs(float(r["g"]) - ref) <= 1e-9 * ref
 
     def test_fig2_metadata_flags_r1(self, tmp_path):
         cfg = ExperimentConfig("fig2", tmp_path, fig_points=12)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fracorder import specfun
 from fracorder.forward import (
     Case,
     SpectralProblem,
@@ -27,7 +28,7 @@ from fracorder.specfun import (
     s1_kernel_contour,
 )
 
-from conftest import rel_err
+from conftest import count_calls, rel_err
 
 PI2 = math.pi * math.pi
 
@@ -145,12 +146,15 @@ class TestAutoMethod:
         with mpmath.workdps(30):
             return float(mpmath.invertlaplace(F, t, method="talbot"))
 
-    def test_source_beyond_series_envelope(self):
-        # at t = 0.3 the series arguments exceed Z_MAX for the large modes
+    def test_source_beyond_series_envelope(self, monkeypatch):
+        # at t = 0.3 the series arguments exceed Z_MAX for the large modes,
+        # and the small modes cancel too much for the double sum
+        mp_calls = count_calls(monkeypatch, specfun, "_mml_mp")
         problem = build_example_4_2("ii")
         orders = OrderSpec((0.5, 0.7), (0.5, 1.0))
         g = trace_source(problem, orders, 0.3, method="auto")
         assert rel_err(g, self._talbot(problem, orders, 0.3)) < 1e-6
+        assert mp_calls == []
 
     def test_initial_beyond_series_envelope(self):
         # |z| = 45.3 > Z_MAX for the 8 pi^2 mode; auto decides before building
@@ -172,6 +176,31 @@ class TestAutoMethod:
             trace_initial(build_example_4_1(orders), orders, 0.01, method="contour")
         with pytest.raises(DomainError):
             trace_source(build_example_4_2("ii"), orders, 0.01, method="contour")
+
+
+class TestSeriesFailsFast:
+    # on the table3b problem at t = 0.3 the 10 pi^2 modes have |z| > Z_MAX
+    PROBLEM = build_example_4_2("ii")
+    ORDERS = OrderSpec((0.5, 0.7), (0.5, 1.0))
+
+    def test_trace_checks_every_mode_before_summing(self, monkeypatch):
+        mp_calls = count_calls(monkeypatch, specfun, "_mml_mp")
+        with pytest.raises(DomainError, match="Z_MAX"):
+            trace_source(self.PROBLEM, self.ORDERS, 0.3)
+        assert mp_calls == []
+
+    def test_sample_checks_the_horizon_first(self, monkeypatch):
+        # the earlier grid points are inside the envelope, but none is summed
+        sums = count_calls(monkeypatch, specfun, "_mml_double")
+        with pytest.raises(DomainError, match="Z_MAX"):
+            sample_trace(self.PROBLEM, self.ORDERS, 0.3, 5)
+        assert sums == []
+
+    def test_non_positive_time(self):
+        for t in (0.0, -0.1):
+            for method in ("series", "auto"):
+                with pytest.raises(DomainError):
+                    trace_source(self.PROBLEM, self.ORDERS, t, method=method)
 
 
 class TestLaplaceTrace:

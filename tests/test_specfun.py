@@ -364,19 +364,58 @@ class TestContourKernels:
             s2_kernel_contour(1.0, spec, 1e-3, bad)
 
 
+GRID_LAMS = (1.0, PI2 + 1.0, 2.0 * PI2)
+GRID_SPECS = (
+    OrderSpec((0.5,), (1.0,)),
+    OrderSpec((0.3, 0.7), (0.5, 1.0)),
+    OrderSpec((0.2, 0.9), (1.0, 1.0)),
+)
+GRID_TIMES = (1e-4, 1e-2, 1e-1, 1.0)
+
+
+class TestHyperbola:
+    @staticmethod
+    def _hyperbola(kernel, lam, spec, t, a=None):
+        numerator = (lambda p: 1.0) if kernel == "s2" else specfun._laplace_numerator(spec, a)
+        return specfun._hyperbola_integral(lam, spec, t, numerator)
+
+    def test_grid_against_series(self):
+        # the series certified to 1e-10, through extended precision where the
+        # double sum cannot certify itself
+        worst = 0.0
+        for lam in GRID_LAMS:
+            for spec in GRID_SPECS:
+                for t in GRID_TIMES:
+                    worst = max(
+                        worst,
+                        rel_err(s1_kernel_series(lam, spec, t), self._hyperbola("s1", lam, spec, t)),
+                        rel_err(s2_kernel_series(lam, spec, t), self._hyperbola("s2", lam, spec, t)),
+                    )
+        assert worst < 1e-9
+
+    def test_three_orders_against_series(self):
+        spec = OrderSpec((0.2, 0.5, 0.8), (0.5, 0.5, 1.0))
+        for lam in GRID_LAMS:
+            for t in (1e-4, 1e-2, 1e-1):
+                assert rel_err(s1_kernel_series(lam, spec, t), self._hyperbola("s1", lam, spec, t)) < 1e-9
+                assert rel_err(s2_kernel_series(lam, spec, t), self._hyperbola("s2", lam, spec, t)) < 1e-9
+                for a in (0.0, 0.5):
+                    assert rel_err(
+                        s2_kernel_int_series(lam, spec, a, t), self._hyperbola("int", lam, spec, t, a)
+                    ) < 1e-9
+
+    def test_non_finite_sum_raises(self):
+        spec = OrderSpec((0.5,), (1.0,))
+        with pytest.raises(AccuracyError), np.errstate(invalid="ignore"):
+            specfun._hyperbola_integral(math.nan, spec, 0.1, lambda p: 1.0)
+
+
 class TestOracleGrid:
     def test_full_36_point_agreement(self):
-        lams = (1.0, PI2 + 1.0, 2.0 * PI2)
-        specs = (
-            OrderSpec((0.5,), (1.0,)),
-            OrderSpec((0.3, 0.7), (0.5, 1.0)),
-            OrderSpec((0.2, 0.9), (1.0, 1.0)),
-        )
-        times = (1e-4, 1e-2, 1e-1, 1.0)
         worst = 0.0
-        for lam in lams:
-            for spec in specs:
-                for t in times:
+        for lam in GRID_LAMS:
+            for spec in GRID_SPECS:
+                for t in GRID_TIMES:
                     c = tight_contour(t, 3000)
                     for series_fn, contour_fn in (
                         (s1_kernel_series, s1_kernel_contour),
