@@ -109,6 +109,10 @@ class ExperimentConfig:
                 raise DomainError("empty T0 list")
             if any(t <= 0 for t in self.t0_list):
                 raise DomainError("T0 values must be positive")
+        if not self.kinds or any(k not in _KIND_BY_FLAG for k in self.kinds):
+            raise DomainError(f"kinds must be a non-empty list of 'fp' and 'fr', got {self.kinds}")
+        if self.jobs < 1:
+            raise DomainError(f"jobs must be at least 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -750,6 +754,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     experiment = args.experiment or raw.get("experiment")
     if args.command != "check" and not experiment:
         raise DomainError("an experiment must be given via --experiment or --config")
+    if args.command == "fit" and experiment in FIGURES:
+        raise DomainError(f"experiment {experiment!r} has no fit rows; use simulate")
     t0 = args.t0 if args.t0 is not None else raw.get("t0")
     if args.kind is None:
         kinds = tuple(raw.get("kinds", ("fp", "fr")))

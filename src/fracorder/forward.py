@@ -19,19 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from fracorder.specfun import (
-    DEFAULT_SHELL_CAP,
-    AccuracyError,
     DomainError,
     OrderSpec,
     _hyperbola_integral,
     _kernel_args,
     _kernel_from_ml,
-    _kernel_terms,
     _laplace_numerator,
-    _mml_double_value,
     mml,
     normalize_spec,
-    series_tail_log,
 )
 
 __all__ = [
@@ -136,28 +131,6 @@ class TraceSample:
 # ---------------------------------------------------------------------------
 
 
-def _auto_kernel(lam: float, spec: OrderSpec, t: float, a: float | None) -> float:
-    """One mode's kernel (S1 when a is None, else the convolution of S2 with
-    s^a / Gamma(a+1)) by the cheaper of two independent routes.
-
-    The double series serves where it is cheap and mildly cancelling, judged
-    from the raw series arguments, and only while it certifies itself in
-    double precision.  The hyperbola quadrature (about 1e-10 accurate) serves
-    the rest, at a small fraction of the cost of an extended-precision series.
-    """
-    if sum(-z for z in _kernel_terms(lam, spec, t)[1]) <= 3.0:
-        args = _kernel_args(lam, spec, t, a)
-        if series_tail_log(args) < -40.0:
-            try:
-                # at mml's default tolerance and truncation
-                e = _mml_double_value(args.beta0, args.betas, args.zs, 1e-10, DEFAULT_SHELL_CAP)
-            except AccuracyError:
-                pass
-            else:
-                return _kernel_from_ml(lam, spec, t, a, e)
-    return _hyperbola_integral(lam, spec, t, _laplace_numerator(spec, a))
-
-
 def _normalized_modes(
     problem: SpectralProblem, spec: OrderSpec
 ) -> tuple[list[float], OrderSpec, float | None]:
@@ -172,11 +145,14 @@ def _normalized_modes(
 def _mode_kernels(
     problem: SpectralProblem, spec: OrderSpec, t: float, method: str
 ) -> list[float]:
-    """Each mode's kernel at t, for the normalized modes and orders.
+    """Each mode's kernel at t (S1 for initial data, else the convolution of
+    S2 with s^a / Gamma(a+1)), for the normalized modes and orders.
 
     method "series" sums the certified series; the series arguments of every
     mode are built, and range-checked, before any is summed, so an argument
-    beyond Z_MAX fails at once.  "auto" is _auto_kernel.
+    beyond Z_MAX fails at once.  "auto" takes every value from the
+    Weideman-Trefethen hyperbola quadrature of the Laplace transform (about
+    1e-10 relative, no series and no extended precision), at any t > 0.
     """
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
@@ -185,7 +161,8 @@ def _mode_kernels(
         args = [_kernel_args(lam, nspec, t, a) for lam in lams]
         return [_kernel_from_ml(lam, nspec, t, a, mml(x)) for lam, x in zip(lams, args)]
     if method == "auto":
-        return [_auto_kernel(lam, nspec, t, a) for lam in lams]
+        numerator = _laplace_numerator(nspec, a)
+        return [_hyperbola_integral(lam, nspec, t, numerator) for lam in lams]
     raise DomainError(f"unknown method {method!r}; expected 'series' or 'auto'")
 
 

@@ -4,8 +4,8 @@ Gamma, the two-parameter and multinomial Mittag-Leffler functions, and two
 quadratures of the relaxation kernels' Laplace transforms that share no code
 with the series: the arc-plus-rays contour kernels (s*_kernel_contour), the
 independent cross-check of the series evaluations, and the Weideman-Trefethen
-hyperbola (_hyperbola_integral), the cheap route that forward's "auto" method
-takes wherever the double series does not serve.
+hyperbola (_hyperbola_integral), which serves every value of forward's "auto"
+method.
 
 There is one series: the multinomial one, summed shell by shell.  The
 two-parameter function E_{alpha,beta}(z) is its one-argument case, and like
@@ -324,38 +324,26 @@ class _ShellTerms:
         return self.terms(k, _compositions(k, self.m))
 
 
-def _sampled_shell_log(series: _ShellTerms, k: int) -> float:
-    """Largest log term among a coarse sample of the compositions of k."""
-    m = series.m
-    if m == 1:
-        comps = [(k,)]
-    elif m == 2:
-        comps = [(k1, k - k1) for k1 in sorted({round(k * i / 16.0) for i in range(17)})]
-    else:
-        # axes plus the even split; backed up by the in-pass check
-        comps = [tuple(k if j == i else 0 for j in range(m)) for i in range(m)]
-        comps.append(tuple(k // m for _ in range(m - 1)) + (k - (m - 1) * (k // m),))
-    return max((tlog for _, tlog, _ in series.terms(k, comps)), default=-math.inf)
-
-
 def _log_peak_scan(series: _ShellTerms, kcap: int) -> float:
-    """Coarse scan of the largest log term of the series (double precision).
+    """Largest log term of the series (double precision), scanned over a
+    coarse sample of the compositions of geometrically spaced shells.
 
     Used to size the working precision of the extended path before summing;
     the summation itself re-verifies against the peak it actually saw.
     """
-    ks = {int(round(kcap ** (i / 59.0))) for i in range(60)} | {0, 1, kcap}
-    return max(_sampled_shell_log(series, k) for k in sorted(ks))
-
-
-def series_tail_log(args: MLArgs, k: int = DEFAULT_SHELL_CAP) -> float:
-    """Log magnitude of the largest term in shell k (coarse sample).
-
-    A strongly negative value means the truncated series has converged well
-    before shell k; used to route evaluations to a quadrature when
-    the series would still be live at the truncation index.
-    """
-    return _sampled_shell_log(_ShellTerms(args.beta0, args.betas, args.zs), k)
+    m = series.m
+    logs = [-math.inf]
+    for k in sorted({int(round(kcap ** (i / 59.0))) for i in range(60)} | {0, 1, kcap}):
+        if m == 1:
+            comps = [(k,)]
+        elif m == 2:
+            comps = [(k1, k - k1) for k1 in sorted({round(k * i / 16.0) for i in range(17)})]
+        else:
+            # axes plus the even split; backed up by the in-pass check
+            comps = [tuple(k if j == i else 0 for j in range(m)) for i in range(m)]
+            comps.append(tuple(k // m for _ in range(m - 1)) + (k - (m - 1) * (k // m),))
+        logs += (tlog for _, tlog, _ in series.terms(k, comps))
+    return max(logs)
 
 
 def _mml_double(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], kmax: int):
@@ -499,26 +487,15 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
     )
 
 
-def _mml_double_value(
-    beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float, kmax: int
-) -> float:
-    """The double-precision sum; AccuracyError when it does not certify
-    itself."""
-    value, peak_log, converged = _mml_double(beta0, betas, zs, kmax)
-    if converged and _certified(value, peak_log, rel_tol):
-        return value
-    raise AccuracyError(f"mml(beta0={beta0}, betas={betas}, zs={zs}): double sum not certified")
-
-
 def _mml_value(
     beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float, kmax: int
 ) -> float:
     """The double-precision sum when it certifies itself, else the
     extended-precision one."""
-    try:
-        return _mml_double_value(beta0, betas, zs, rel_tol, kmax)
-    except AccuracyError:
-        return _mml_mp(beta0, betas, zs, rel_tol)
+    value, peak_log, converged = _mml_double(beta0, betas, zs, kmax)
+    if converged and _certified(value, peak_log, rel_tol):
+        return value
+    return _mml_mp(beta0, betas, zs, rel_tol)
 
 
 def ml2(alpha: float, beta: float, z: float, *, rel_tol: float = 1e-10, kmax: int = 400) -> float:
@@ -564,20 +541,14 @@ def _require_normalized(spec: OrderSpec) -> None:
         )
 
 
-def _kernel_terms(lam: float, spec: OrderSpec, t: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(betas, zs) of the kernels' multinomial Mittag-Leffler function, before
-    any range check."""
+def _kernel_ml_args(lam: float, spec: OrderSpec, t: float, beta0: float) -> MLArgs:
     an = spec.alphas[-1]
     betas = [an]
     zs = [-lam * t**an]
     for ai, ri in zip(spec.alphas[:-1], spec.weights[:-1]):
         betas.append(an - ai)
         zs.append(-ri * t ** (an - ai))
-    return tuple(betas), tuple(zs)
-
-
-def _kernel_ml_args(lam: float, spec: OrderSpec, t: float, beta0: float) -> MLArgs:
-    return MLArgs(beta0, *_kernel_terms(lam, spec, t))
+    return MLArgs(beta0, tuple(betas), tuple(zs))
 
 
 def _check_kernel_inputs(lam: float, t: float) -> None:

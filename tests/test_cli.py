@@ -222,6 +222,18 @@ class TestMainEntry:
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"experiment": "table1a", "t0": []}))
         assert main(["fit", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+        # a figure has no fit rows
+        for fig in ("fig1", "fig2"):
+            assert main(["fit", "--experiment", fig, "--out", str(tmp_path)]) == 2
+        # fewer than one worker
+        for jobs in ("0", "-2"):
+            argv = ["fit", "--experiment", "table1a", "--t0", "1e-6", "--jobs", jobs]
+            assert main([*argv, "--out", str(tmp_path)]) == 2
+        # the same values from the config file, and a kind that is neither fp nor fr
+        for bad in ({"jobs": 0}, {"jobs": -2}, {"kinds": ["xx"]}, {"kinds": ["fp", "xx"]}, {"kinds": []}):
+            cfgfile.write_text(json.dumps({"experiment": "table1a", "t0": [1e-6], **bad}))
+            assert main(["fit", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+        assert list(tmp_path.glob("*.csv")) == []
 
     def test_fit_via_flags(self, tmp_path):
         rc = main(
