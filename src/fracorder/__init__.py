@@ -5,7 +5,8 @@ Layers:
     forward   spectral trace assembly and the benchmark problems
     models    small-time regressor families and the physical-parameter map
     fit       box-constrained quasi-Newton least-squares recovery
-    cli       batch experiment runner (simulate / fit / check)
+    cli       experiment runner (simulate / fit; check runs the battery)
+    checks    cross-module invariant battery behind `fracorder check`
 """
 
 from fracorder.fit import (

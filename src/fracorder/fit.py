@@ -19,7 +19,6 @@ seven decades: at T0 = 1e-8 the raw objective and its gradient are of order
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -125,32 +124,10 @@ class FitResult:
     history: tuple[float, ...] = ()
     assumptions: tuple[str, ...] = ()
 
-    def to_json_dict(self) -> dict:
-        phys = self.physical
-        return {
-            "kind": self.params.kind.value,
-            "case": self.params.case.value,
-            "T0": self.T0,
-            "beta": list(self.params.beta),
-            "c": list(self.params.c),
-            "alpha": list(phys.alphas) if phys else None,
-            "r": list(phys.weights) if phys else None,
-            "amplitude": phys.amplitude if phys else None,
-            "constant": phys.constant if phys else None,
-            "objective": self.objective,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "assumptions": list(self.assumptions),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 class LinearInit(NamedTuple):
     c: np.ndarray
     residual: float  # RMS misfit of the linearized regression
-    cond: float
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +172,7 @@ def _lstsq_columns(columns: list[np.ndarray], y: np.ndarray, beta):
     coef, *_ = np.linalg.lstsq(scaled, y, rcond=None)
     c = coef / norms
     resid = float(np.sqrt(np.mean((scaled @ coef - y) ** 2)))
-    return c, resid, cond
+    return c, resid
 
 
 def linear_init(
@@ -218,26 +195,25 @@ def linear_init(
         cols = list(powers)
         if case is Case.INITIAL_DATA:
             cols = [np.ones_like(t)] + cols
-        c, resid, cond = _lstsq_columns(cols, g, beta)
-        return LinearInit(c, resid, cond)
+        return LinearInit(*_lstsq_columns(cols, g, beta))
     if case is Case.INITIAL_DATA:
         c0 = float(g[0])
         if c0 == 0.0 or np.any(g == 0.0):
             raise RankDeficiencyError("rational initial-data regression needs g != 0")
         y = 1.0 / g - 1.0 / c0
-        d, resid, cond = _lstsq_columns(powers, y, beta)
+        d, resid = _lstsq_columns(powers, y, beta)
         # the regression fits D / c0, so rescale to the stored denominators
-        return LinearInit(np.concatenate(([c0], c0 * d)), resid, cond)
+        return LinearInit(np.concatenate(([c0], c0 * d)), resid)
     # rational source: amplitude scale from a preliminary polynomial fit
-    cpoly, _, _ = _lstsq_columns(list(powers), g, beta)
+    cpoly, _ = _lstsq_columns(list(powers), g, beta)
     ca = float(cpoly[0]) * math.gamma(beta[0] + 1.0)
     gmax = float(np.max(np.abs(g)))
     if gmax == 0.0:
         raise RankDeficiencyError("rational source regression needs nonzero data")
     ca = max(ca, (1.0 + 1e-3) * gmax)
     y = g / (ca - g)
-    d, resid, cond = _lstsq_columns(powers, y, beta)
-    return LinearInit(np.concatenate(([ca], d)), resid, cond)
+    d, resid = _lstsq_columns(powers, y, beta)
+    return LinearInit(np.concatenate(([ca], d)), resid)
 
 
 # ---------------------------------------------------------------------------

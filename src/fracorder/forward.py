@@ -148,22 +148,26 @@ def _mode_kernels(
     """Each mode's kernel at t (S1 for initial data, else the convolution of
     S2 with s^a / Gamma(a+1)), for the normalized modes and orders.
 
-    method "series" sums the certified series; the series arguments of every
-    mode are built, and range-checked, before any is summed, so an argument
-    beyond Z_MAX fails at once.  "auto" takes every value from the
-    Weideman-Trefethen hyperbola quadrature of the Laplace transform (about
-    1e-10 relative, no series and no extended precision), at any t > 0.
+    Each distinct eigenvalue is evaluated once.  method "series" sums the
+    certified series; the series arguments of every eigenvalue are built, and
+    range-checked, before any is summed, so an argument beyond Z_MAX fails at
+    once.  "auto" takes every value from the Weideman-Trefethen hyperbola
+    quadrature of the Laplace transform (about 1e-10 relative, no series and
+    no extended precision), at any t > 0.
     """
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
     lams, nspec, a = _normalized_modes(problem, spec)
+    distinct = dict.fromkeys(lams)
     if method == "series":
-        args = [_kernel_args(lam, nspec, t, a) for lam in lams]
-        return [_kernel_from_ml(lam, nspec, t, a, mml(x)) for lam, x in zip(lams, args)]
-    if method == "auto":
+        args = {lam: _kernel_args(lam, nspec, t, a) for lam in distinct}
+        kernel = {lam: _kernel_from_ml(lam, nspec, t, a, mml(x)) for lam, x in args.items()}
+    elif method == "auto":
         numerator = _laplace_numerator(nspec, a)
-        return [_hyperbola_integral(lam, nspec, t, numerator) for lam in lams]
-    raise DomainError(f"unknown method {method!r}; expected 'series' or 'auto'")
+        kernel = {lam: _hyperbola_integral(lam, nspec, t, numerator) for lam in distinct}
+    else:
+        raise DomainError(f"unknown method {method!r}; expected 'series' or 'auto'")
+    return [kernel[lam] for lam in lams]
 
 
 def trace_initial(

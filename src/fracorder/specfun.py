@@ -60,8 +60,10 @@ __all__ = [
 # Series evaluation envelope: beyond this argument size the alternating series
 # is never attempted, even in extended precision.
 Z_MAX = 40.0
-# Shell truncation of the multinomial series in the double-precision path.
+# Shell truncation of the multinomial series in the double-precision path;
+# ml2 alone allows more shells.
 DEFAULT_SHELL_CAP = 100
+_ML2_SHELL_CAP = 400
 # Cap on the number of Mittag-Leffler arguments (compositions blow up fast).
 MAX_ML_TERMS = 4
 
@@ -346,12 +348,12 @@ def _log_peak_scan(series: _ShellTerms, kcap: int) -> float:
     return max(logs)
 
 
-def _mml_double(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], kmax: int):
+def _mml_double(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], shell_cap: int):
     series = _ShellTerms(beta0, betas, zs)
     acc = _Kahan()
     peak_log = -math.inf
     quiet = 0
-    for k in range(kmax + 1):
+    for k in range(shell_cap + 1):
         logs = [tlog for _, tlog, _ in series.shell(k)]
         peak_log = max(peak_log, max(logs, default=-math.inf))
         if peak_log > 700.0:
@@ -488,17 +490,17 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
 
 
 def _mml_value(
-    beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float, kmax: int
+    beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float, shell_cap: int
 ) -> float:
-    """The double-precision sum when it certifies itself, else the
-    extended-precision one."""
-    value, peak_log, converged = _mml_double(beta0, betas, zs, kmax)
+    """The double-precision sum of at most shell_cap + 1 shells when it
+    certifies itself, else the extended-precision one."""
+    value, peak_log, converged = _mml_double(beta0, betas, zs, shell_cap)
     if converged and _certified(value, peak_log, rel_tol):
         return value
     return _mml_mp(beta0, betas, zs, rel_tol)
 
 
-def ml2(alpha: float, beta: float, z: float, *, rel_tol: float = 1e-10, kmax: int = 400) -> float:
+def ml2(alpha: float, beta: float, z: float, *, rel_tol: float = 1e-10) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for z <= 0 and
     beta > 0: the multinomial series with the one argument (beta, z)."""
     if not 0.0 < alpha < 2.0:
@@ -514,19 +516,19 @@ def ml2(alpha: float, beta: float, z: float, *, rel_tol: float = 1e-10, kmax: in
     if alpha == 1.0 and beta == 1.0:
         # exact classical limit; the raw series cancels hopelessly for large |z|
         return math.exp(z)
-    return _mml_value(beta, (alpha,), (z,), rel_tol, kmax)
+    return _mml_value(beta, (alpha,), (z,), rel_tol, _ML2_SHELL_CAP)
 
 
-def mml(args: MLArgs, *, rel_tol: float = 1e-10, kmax: int = DEFAULT_SHELL_CAP) -> float:
+def mml(args: MLArgs, *, rel_tol: float = 1e-10) -> float:
     """Multinomial Mittag-Leffler function for non-positive real arguments.
 
-    Double-precision k-shell summation truncated at kmax with early stop once
-    a whole shell contributes below 1e-16 of the partial sum; falls back to
-    extended precision when the cancellation certificate fails.
+    Double-precision k-shell summation truncated at DEFAULT_SHELL_CAP with
+    early stop once a whole shell contributes below 1e-16 of the partial sum;
+    falls back to extended precision when the cancellation certificate fails.
     """
     if all(z == 0.0 for z in args.zs):
         return math.exp(-log_gamma(args.beta0))
-    return _mml_value(args.beta0, args.betas, args.zs, rel_tol, kmax)
+    return _mml_value(args.beta0, args.betas, args.zs, rel_tol, DEFAULT_SHELL_CAP)
 
 # ---------------------------------------------------------------------------
 # relaxation kernels, series route
@@ -583,49 +585,29 @@ def _kernel_from_ml(lam: float, spec: OrderSpec, t: float, a: float | None, e: f
     return t ** (an + a) * e
 
 
-def s1_kernel_series(
-    lam: float,
-    spec: OrderSpec,
-    t: float,
-    *,
-    rel_tol: float = 1e-10,
-    kmax: int = DEFAULT_SHELL_CAP,
-) -> float:
+def s1_kernel_series(lam: float, spec: OrderSpec, t: float, *, rel_tol: float = 1e-10) -> float:
     """Mode relaxation factor S1(t): response of a unit initial datum."""
-    e = mml(_kernel_args(lam, spec, t, None), rel_tol=rel_tol, kmax=kmax)
+    e = mml(_kernel_args(lam, spec, t, None), rel_tol=rel_tol)
     return _kernel_from_ml(lam, spec, t, None, e)
 
 
-def s2_kernel_series(
-    lam: float,
-    spec: OrderSpec,
-    t: float,
-    *,
-    rel_tol: float = 1e-10,
-    kmax: int = DEFAULT_SHELL_CAP,
-) -> float:
+def s2_kernel_series(lam: float, spec: OrderSpec, t: float, *, rel_tol: float = 1e-10) -> float:
     """Impulse-response kernel S2(t) of the forced problem."""
     _check_kernel_inputs(lam, t)
     _require_normalized(spec)
     an = spec.alphas[-1]
-    e = mml(_kernel_ml_args(lam, spec, t, an), rel_tol=rel_tol, kmax=kmax)
+    e = mml(_kernel_ml_args(lam, spec, t, an), rel_tol=rel_tol)
     return t ** (an - 1.0) * e
 
 
 def s2_kernel_int_series(
-    lam: float,
-    spec: OrderSpec,
-    a: float,
-    t: float,
-    *,
-    rel_tol: float = 1e-10,
-    kmax: int = DEFAULT_SHELL_CAP,
+    lam: float, spec: OrderSpec, a: float, t: float, *, rel_tol: float = 1e-10
 ) -> float:
     """Convolution of S2 with the power-law factor s^a / Gamma(a+1).
 
     For a = 0 this is the running integral of S2.
     """
-    e = mml(_kernel_args(lam, spec, t, a), rel_tol=rel_tol, kmax=kmax)
+    e = mml(_kernel_args(lam, spec, t, a), rel_tol=rel_tol)
     return _kernel_from_ml(lam, spec, t, a, e)
 
 
@@ -703,35 +685,25 @@ def _contour_integral(lam, spec, t, contour, numerator) -> float:
     return total
 
 
-def s1_kernel_contour(
-    lam: float, spec: OrderSpec, t: float, contour: ContourSpec | None = None
-) -> float:
+def s1_kernel_contour(lam: float, spec: OrderSpec, t: float, contour: ContourSpec) -> float:
     """Contour quadrature of the S1 kernel (initial-datum response)."""
     _check_kernel_inputs(lam, t)
-    if contour is None:
-        contour = default_contour(t)
     return _contour_integral(lam, spec, t, contour, _laplace_numerator(spec, None))
 
 
-def s2_kernel_contour(
-    lam: float, spec: OrderSpec, t: float, contour: ContourSpec | None = None
-) -> float:
+def s2_kernel_contour(lam: float, spec: OrderSpec, t: float, contour: ContourSpec) -> float:
     """Contour quadrature of the S2 kernel (forcing response)."""
     _check_kernel_inputs(lam, t)
-    if contour is None:
-        contour = default_contour(t)
     return _contour_integral(lam, spec, t, contour, lambda p: 1.0)
 
 
 def s2_kernel_int_contour(
-    lam: float, spec: OrderSpec, a: float, t: float, contour: ContourSpec | None = None
+    lam: float, spec: OrderSpec, a: float, t: float, contour: ContourSpec
 ) -> float:
     """Contour quadrature of the convolution of S2 with s^a / Gamma(a+1), the
     twin of s2_kernel_int_series."""
     _check_source_exponent(a)
     _check_kernel_inputs(lam, t)
-    if contour is None:
-        contour = default_contour(t)
     return _contour_integral(lam, spec, t, contour, _laplace_numerator(spec, a))
 
 

@@ -10,7 +10,8 @@ import time
 
 import numpy as np
 
-from fracorder.cli import ExperimentConfig, cmd_fit, remainder_ratio_spread, step2_laplace_value
+from fracorder.checks import remainder_ratio_spread, step2_laplace_value
+from fracorder.cli import ExperimentConfig, cmd_fit
 from fracorder.fit import FitConfig, beta_init_from_alphas, objective, objective_grad, recover
 from fracorder.forward import Case, TraceSample, build_example_4_1, build_example_4_2, sample_trace
 from fracorder.models import Kind, ModelParams, eval_model

@@ -18,9 +18,9 @@ from fracorder.cli import (
     cmd_simulate,
     experiment_rows,
     main,
-    run_checks,
     run_fit_row,
 )
+from fracorder.checks import run_checks
 from fracorder.fit import FitConfig, FitResult, _attach_physical
 from fracorder.forward import Case
 from fracorder.models import Kind, ModelParams
@@ -119,15 +119,6 @@ class TestCmdFit:
         assert float(out["r1"]) < 0.0
         assert out["status"] == "inadmissible: r1 < 0"
 
-    def test_jobs_parallel_matches_serial(self, tmp_path):
-        cfg1 = ExperimentConfig("table1a", tmp_path / "s", t0_list=(1e-6, 1e-5))
-        cfg2 = ExperimentConfig("table1a", tmp_path / "p", t0_list=(1e-6, 1e-5), jobs=4)
-        cmd_fit(cfg1)
-        cmd_fit(cfg2)
-        assert (tmp_path / "s" / "table1a.csv").read_bytes() == (
-            tmp_path / "p" / "table1a.csv"
-        ).read_bytes()
-
 
 class TestResultCsv:
     def test_status_with_commas_and_quotes_round_trips(self, tmp_path):
@@ -225,14 +216,27 @@ class TestMainEntry:
         # a figure has no fit rows
         for fig in ("fig1", "fig2"):
             assert main(["fit", "--experiment", fig, "--out", str(tmp_path)]) == 2
-        # fewer than one worker
-        for jobs in ("0", "-2"):
+        # the runner is serial: --jobs takes only 1
+        for jobs in ("0", "-2", "2"):
             argv = ["fit", "--experiment", "table1a", "--t0", "1e-6", "--jobs", jobs]
             assert main([*argv, "--out", str(tmp_path)]) == 2
-        # the same values from the config file, and a kind that is neither fp nor fr
-        for bad in ({"jobs": 0}, {"jobs": -2}, {"kinds": ["xx"]}, {"kinds": ["fp", "xx"]}, {"kinds": []}):
+        # more than one T0 for a table whose rows are labelled by order
+        argv = ["fit", "--experiment", "table1b", "--t0", "1e-5,1e-4", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        # a non-positive figure time range
+        assert main(["simulate", "--experiment", "fig1", "--t-max", "-1", "--out", str(tmp_path)]) == 2
+        # bad values from the config file: other job counts, a kind that is
+        # neither fp nor fr, scalars where lists belong, an unknown key, too
+        # few points, a value of the wrong type
+        for bad in (
+            {"jobs": 0}, {"jobs": -2}, {"jobs": 2},
+            {"kinds": ["xx"]}, {"kinds": ["fp", "xx"]}, {"kinds": []}, {"kinds": "fp"},
+            {"t0": 1e-6}, {"t_0": [1e-6]}, {"n_points": 1}, {"n_points": None},
+        ):
             cfgfile.write_text(json.dumps({"experiment": "table1a", "t0": [1e-6], **bad}))
             assert main(["fit", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+        cfgfile.write_text(json.dumps({"experiment": "fig1", "fig_points": 0}))
+        assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
         assert list(tmp_path.glob("*.csv")) == []
 
     def test_fit_via_flags(self, tmp_path):
@@ -260,26 +264,44 @@ class TestMainEntry:
         # a flag given with its default value still wins over the file
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(
-            json.dumps({"experiment": "table1a", "out": "elsewhere", "jobs": 3, "kinds": ["fr"]})
+            json.dumps({"experiment": "table1a", "out": "elsewhere", "kinds": ["fr"]})
         )
 
         def config(*argv):
             cfg = _config_from_args(_build_parser().parse_args(["fit", *argv]))
-            return cfg.out_dir, cfg.jobs, cfg.kinds
+            return cfg.out_dir, cfg.kinds
 
         both = ("fp", "fr")
-        flags = ("--out", "out", "--jobs", "1", "--kind", "both")
-        assert config("--config", str(cfgfile), *flags) == (Path("out"), 1, both)
-        assert config("--config", str(cfgfile)) == (Path("elsewhere"), 3, ("fr",))
-        assert config("--experiment", "table1a") == (Path("out"), 1, both)
+        flags = ("--out", "out", "--kind", "both")
+        assert config("--config", str(cfgfile), *flags) == (Path("out"), both)
+        assert config("--config", str(cfgfile)) == (Path("elsewhere"), ("fr",))
+        assert config("--experiment", "table1a") == (Path("out"), both)
 
 
 class TestCheckSuite:
+    NAMES = (
+        "gamma-spot-values",
+        "ml-identity-e12",
+        "ml-identity-erfc",
+        "mml-m1-reduction",
+        "oracle-grid-series-vs-contour",
+        "kernel-small-time-limits",
+        "kernel-weight-rescaling",
+        "s2-derivative-identity",
+        "laplace-consistency",
+        "laplace-initial-value-recovery",
+        "laplace-step2-source-value",
+        "expansion-remainder-order-case-i",
+        "expansion-remainder-order-case-ii",
+        "model-asymptotic-tightness",
+        "objective-gradient-vs-fd",
+    )
+
     def test_fresh_build_passes(self, capsys):
-        assert cmd_check(None) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert "laplace-step2-source-value" in out
+        assert cmd_check() == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines[:-1]] == [["PASS", name] for name in self.NAMES]
+        assert lines[-1] == f"{len(self.NAMES)}/{len(self.NAMES)} checks passed"
 
     def test_corrupted_gamma_fails_ml_identities(self, monkeypatch):
         real = specfun.log_gamma

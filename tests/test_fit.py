@@ -1,6 +1,5 @@
 """Objective, linear initialization, projected quasi-Newton fit, recovery."""
 
-import json
 import math
 
 import numpy as np
@@ -342,19 +341,3 @@ class TestRecover:
         )
         res = recover(sample, cfg)
         assert abs(res.physical.alphas[0] - 0.6998) < 0.01
-
-    def test_json_serialization(self):
-        orders = OrderSpec((0.7,), (1.0,))
-        sample = sample_trace(build_example_4_1(orders), orders, 1e-6, 100)
-        cfg = FitConfig(
-            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1, beta_init=(0.5,)
-        )
-        res = recover(sample, cfg)
-        blob = json.loads(res.to_json())
-        assert set(blob) == {
-            "kind", "case", "T0", "beta", "c", "alpha", "r", "amplitude",
-            "constant", "objective", "iterations", "converged", "assumptions",
-        }
-        assert blob["kind"] == "polynomial"
-        assert blob["T0"] == 1e-6
-        assert len(blob["alpha"]) == 1

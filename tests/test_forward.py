@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracorder import specfun
+from fracorder import forward, specfun
 from fracorder.forward import (
     Case,
     SpectralProblem,
@@ -26,6 +26,8 @@ from fracorder.specfun import (
     OrderSpec,
     ml2,
     s1_kernel_contour,
+    s1_kernel_series,
+    s2_kernel_int_series,
 )
 
 from conftest import count_calls, rel_err
@@ -126,6 +128,29 @@ class TestTraceSource:
             a = trace_source(p, orders, t)
             b = 2.0 * 0.5 * t**0.5 * ml2(0.5, 1.5, -3.0 * t**0.5)
             assert rel_err(a, b) < 1e-12
+
+
+class TestRepeatedEigenvalues:
+    # case i repeats 5 pi^2 and case ii repeats 5 pi^2 and 10 pi^2; each
+    # distinct eigenvalue is summed once and the per-mode products keep their
+    # order inside fsum, so the trace is unchanged to the last bit
+    def test_initial_sums_each_eigenvalue_once(self, monkeypatch):
+        problem = build_example_4_2("i")
+        spec = OrderSpec((0.5, 0.8), (0.5, 1.0))
+        t = 1e-4
+        ref = math.fsum(w * s1_kernel_series(lam, spec, t) for lam, w in problem.modes)
+        calls = count_calls(monkeypatch, forward, "mml")
+        assert trace_initial(problem, spec, t) == ref
+        assert len(calls) == 3
+
+    def test_source_sums_each_eigenvalue_once(self, monkeypatch):
+        problem = build_example_4_2("ii")
+        spec = OrderSpec((0.5, 0.7), (0.5, 1.0))
+        t = 1e-4
+        ref = math.fsum(w * s2_kernel_int_series(lam, spec, 0.0, t) for lam, w in problem.modes)
+        calls = count_calls(monkeypatch, forward, "mml")
+        assert trace_source(problem, spec, t) == ref
+        assert len(calls) == 3
 
 
 class TestAutoMethod:
