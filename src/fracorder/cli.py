@@ -415,10 +415,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "problems and recover the orders by small-time model fitting.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # check runs a fixed battery and takes no experiment flags
+    sub.add_parser("check", help="run the invariant suite")
     for name, help_text in (
         ("simulate", "write trace CSV files"),
         ("fit", "run recoveries and write result tables"),
-        ("check", "run the invariant suite"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, help="JSON config file")
@@ -445,8 +446,12 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         for key in ("t0", "kinds"):
             if key in raw and not isinstance(raw[key], list):
                 raise DomainError(f"{args.config}: {key!r} must be a list, got {raw[key]!r}")
+        for key in ("n_points", "fig_points"):
+            # type, not isinstance: a bool is an int; and no float is truncated
+            if key in raw and type(raw[key]) is not int:
+                raise DomainError(f"{args.config}: {key!r} must be an integer, got {raw[key]!r}")
     experiment = args.experiment or raw.get("experiment")
-    if args.command != "check" and not experiment:
+    if not experiment:
         raise DomainError("an experiment must be given via --experiment or --config")
     if args.command == "fit" and experiment in FIGURES:
         raise DomainError(f"experiment {experiment!r} has no fit rows; use simulate")
@@ -459,13 +464,13 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     else:
         kinds = ("fp", "fr") if args.kind == "both" else (args.kind,)
     return ExperimentConfig(
-        experiment=experiment or "table1a",
+        experiment=experiment,
         out_dir=Path(args.out if args.out is not None else raw.get("out", "out")),
         t0_list=None if t0 is None else tuple(float(x) for x in t0),
         kinds=kinds,
-        n_points=int(raw.get("n_points", 100)),
+        n_points=raw.get("n_points", 100),
         t_max=float(args.t_max if args.t_max is not None else raw.get("t_max", 1.0)),
-        fig_points=int(raw.get("fig_points", 500)),
+        fig_points=raw.get("fig_points", 500),
     )
 
 
@@ -477,13 +482,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
+    if args.command == "check":
+        return cmd_check()
     try:
         cfg = _config_from_args(args)
     except (DomainError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "check":
-        return cmd_check()
     if args.command == "simulate":
         return cmd_simulate(cfg)
     return cmd_fit(cfg)

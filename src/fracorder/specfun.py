@@ -19,9 +19,14 @@ accuracy in double precision the evaluation transparently retries in bounded
 extended precision.  When even that cannot be certified, AccuracyError is
 raised instead of silently returning garbage.
 
-Everything here is a pure function of its arguments; there is no module
-state beyond constants, so concurrent calls are safe (the rare extended
-precision path serializes on a lock because mpmath's precision is global).
+Every public function is a pure function of its arguments.  The one piece
+of module state is a bounded memo of the series terms' z-independent parts
+(compositions, log coefficients, log-Gamma values) per (beta0, betas), which
+only saves their rebuilding.  It is safe under concurrent calls without a
+lock because nothing published in it is ever changed in place: a call that
+grows a table publishes a new table and a new dict by one assignment, so a
+reader sees one snapshot or the other.  The rare extended-precision path
+serializes on a lock because mpmath's precision is global.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from itertools import compress, pairwise
 
 import numpy as np
 
@@ -276,54 +282,171 @@ class _Table(dict):
         return v
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """The part of some series terms that does not depend on z, for a run of
+    consecutive shells, the i-th of which is rows starts[i]:starts[i + 1].
+    Per row: the composition (k_1, ..., k_m), the log coefficient
+    ln k! - sum ln k_j! and ln Gamma(beta0 + sum beta_j k_j)."""
+
+    comps: np.ndarray
+    coef: np.ndarray
+    lg: np.ndarray
+    starts: tuple[int, ...]
+
+    @property
+    def n_shells(self) -> int:
+        return len(self.starts) - 1
+
+    def run(self, a: int, b: int) -> _Rows:
+        """The rows of the shells a..b-1 of this run."""
+        lo, hi = self.starts[a], self.starts[b]
+        starts = tuple(s - lo for s in self.starts[a : b + 1])
+        return _Rows(self.comps[lo:hi], self.coef[lo:hi], self.lg[lo:hi], starts)
+
+
+def _concat(parts: list[_Rows]) -> _Rows:
+    starts = [0]
+    for part in parts:
+        starts += [starts[-1] + s for s in part.starts[1:]]
+    return _Rows(
+        np.concatenate([part.comps for part in parts]),
+        np.concatenate([part.coef for part in parts]),
+        np.concatenate([part.lg for part in parts]),
+        tuple(starts),
+    )
+
+
+# Bounds of the memo of leading shells: at most _MEMO_TABLES (beta0, betas)
+# pairs, each holding its shells 0, 1, ... while they total at most
+# _MEMO_TERMS terms.  The fits reach shell 42 at most, 946 terms at m = 2; a
+# three-order series can run to DEFAULT_SHELL_CAP, 176k terms, and past the
+# bound its shells are built per call and not kept.
+_MEMO_TABLES = 16
+_MEMO_TERMS = 2048
+# (log_gamma, beta0, betas) -> _Rows of the leading shells.  A published dict
+# or table is never changed in place: growing one publishes a new dict, so a
+# concurrent reader sees either snapshot whole, and at worst a lost update
+# rebuilds some shells.  log_gamma is in the key so that a replaced Gamma
+# routine never reads tables built by another.
+_memo: dict = {}
+
+
+def _publish(key, rows: _Rows) -> None:
+    global _memo
+    memo = {k: v for k, v in _memo.items() if k != key}
+    memo[key] = rows
+    if len(memo) > _MEMO_TABLES:
+        del memo[next(iter(memo))]
+    _memo = memo
+
+
 class _ShellTerms:
     """The terms of one multinomial series, listed shell by shell.
 
     Shell k of sum_k sum_{|comp| = k} k!/(k_1! ... k_m!) prod z_j**k_j
     / Gamma(beta0 + sum beta_j k_j) holds one term per composition of k;
-    the sign of every term in it is (-1)**k.  `terms` gives each term's log
-    magnitude and the exact lattice key of its Gamma argument.  The tables of
-    ln k! and k ln|z_j| fill as the shells reach new indices, through the
-    module's log_gamma, so one instance serves one call.
+    the sign of every term in it is (-1)**k.  A term's log magnitude is
+    (ln k! - sum ln k_j!) + sum k_j ln|z_j| - ln Gamma(beta0 + sum beta_j k_j):
+    `rows` builds the parts that do not depend on z, through the module's
+    log_gamma, and `logs` adds this call's powers.  The leading shells' rows
+    come from the module memo, which the calls grow as they reach new shells.
     """
 
     def __init__(self, beta0: float, betas: tuple[float, ...], zs: tuple[float, ...]) -> None:
         self.beta0, self.betas, self.m = beta0, betas, len(betas)
+        self.lnz = [math.log(-z) if z < 0.0 else -math.inf for z in zs]
         self.lnfact = _Table(lambda i: log_gamma(i + 1.0))
-        lnz = [math.log(-z) if z < 0.0 else -math.inf for z in zs]
-        self.powlog = [_Table(lambda i, lz=lz: i * lz) for lz in lnz]
-        # every double is a dyadic rational, so with unit = 2**scale the Gamma
-        # argument beta0 + sum beta_j k_j is exactly the integer key
-        # key0 + sum bkey_j k_j over unit
-        ratios = [b.as_integer_ratio() for b in (beta0, *betas)]
-        self.scale = max(d.bit_length() - 1 for _, d in ratios)
-        self.key0, *self.bkeys = (n * ((1 << self.scale) // d) for n, d in ratios)
+        self.key = (log_gamma, beta0, betas)
+        self.kept = _memo.get(self.key) or _Rows(
+            np.zeros((0, self.m), np.int64), np.zeros(0), np.zeros(0), (0,)
+        )
 
-    def terms(self, k: int, comps) -> list[tuple[tuple[int, ...], float, int]]:
-        """(comp, log |term|, key) for each composition of k in comps; terms
-        that vanish because some z_j = 0 are left out."""
-        lnfact, powlog, bs, bkeys = self.lnfact, self.powlog, self.betas, self.bkeys
+    def rows(self, k: int, comps) -> _Rows:
+        """The rows of the compositions comps of k, as one shell."""
+        lnfact, bs = self.lnfact, self.betas
         lgk = lnfact[k]
-        out = []
+        comps = list(comps)
+        coef, lg = [], []
         for comp in comps:
             # the multinomial log coefficient is assembled apart from the
             # powers so the m = 1 case cancels exactly, and the Gamma argument
             # is the float sum: the small-t fits hinge on the last bit of these
             # values
-            coef_log, pow_log, bsum, key = lgk, 0.0, 0.0, self.key0
-            for j, kj in enumerate(comp):
+            coef_log, bsum = lgk, 0.0
+            for b, kj in zip(bs, comp):
                 if kj:
                     coef_log -= lnfact[kj]
-                    pow_log += powlog[j][kj]
-                    bsum += bs[j] * kj
-                    key += bkeys[j] * kj
-            if pow_log == -math.inf:
-                continue
-            out.append((comp, coef_log + pow_log - log_gamma(self.beta0 + bsum), key))
-        return out
+                    bsum += b * kj
+            coef.append(coef_log)
+            lg.append(log_gamma(self.beta0 + bsum))
+        return _Rows(
+            np.array(comps, dtype=np.int64),
+            np.array(coef),
+            np.array(lg),
+            (0, len(comps)),
+        )
 
-    def shell(self, k: int) -> list[tuple[tuple[int, ...], float, int]]:
-        return self.terms(k, _compositions(k, self.m))
+    def logs(self, rows: _Rows) -> np.ndarray:
+        """log |term| of each row at this call's z; a term that vanishes
+        because some z_j = 0 has log -inf."""
+        pow_log = np.zeros(len(rows.coef))
+        dead = None
+        for j, lz in enumerate(self.lnz):
+            if lz == -math.inf:
+                hit = rows.comps[:, j] > 0
+                dead = hit if dead is None else dead | hit
+            else:
+                # k_j ln|z_j| added in j order, as a scalar sum would
+                pow_log += rows.comps[:, j] * lz
+        tlog = rows.coef + pow_log - rows.lg
+        if dead is not None:
+            tlog[dead] = -math.inf
+        return tlog
+
+    def _shells_from(self, k: int) -> _Rows:
+        """Rows of shell k and maybe some after it.  The memo's shells come in
+        runs that double in length, since most sums stop well before the
+        memo ends.  Where the memo ends at shell k, the shells it has room for
+        join it, at most k + 1 of them, so a table is republished only a
+        logarithmic number of times; otherwise shell k alone is built and not
+        kept."""
+        kept, m = self.kept, self.m
+        if k < kept.n_shells:
+            return kept.run(k, min(kept.n_shells, 2 * k + 8))
+        room = _MEMO_TERMS - kept.starts[-1] if k == kept.n_shells else 0
+        grow = []
+        for kk in range(k, 2 * k + 1):
+            room -= math.comb(kk + m - 1, m - 1)  # the number of compositions
+            if room < 0:
+                break
+            grow.append(kk)
+        if not grow:
+            return self.rows(k, _compositions(k, m))
+        block = _concat([self.rows(kk, _compositions(kk, m)) for kk in grow])
+        self.kept = _concat([kept, block])
+        _publish(self.key, self.kept)
+        return block
+
+    def shells(self, kmax: int, with_comps: bool = False):
+        """Shells 0..kmax in turn: the list of log |term| of each, or with
+        with_comps the pair (compositions, logs), as lists; terms that vanish
+        because some z_j = 0 are left out.  The logs of a run of shells are
+        formed in one pass."""
+        zero = -math.inf in self.lnz
+        k = 0
+        while k <= kmax:
+            rows = self._shells_from(k)
+            flat = self.logs(rows).tolist()
+            # without with_comps the sliced "compositions" are never yielded
+            comps = rows.comps.tolist() if with_comps else flat
+            for a, b in pairwise(rows.starts[: kmax + 2 - k]):
+                logs, cs = flat[a:b], comps[a:b]
+                if zero:
+                    live = [t > -math.inf for t in logs]
+                    logs, cs = list(compress(logs, live)), list(compress(cs, live))
+                yield (cs, logs) if with_comps else logs
+            k += rows.n_shells
 
 
 def _log_peak_scan(series: _ShellTerms, kcap: int) -> float:
@@ -334,7 +457,7 @@ def _log_peak_scan(series: _ShellTerms, kcap: int) -> float:
     the summation itself re-verifies against the peak it actually saw.
     """
     m = series.m
-    logs = [-math.inf]
+    peak = -math.inf
     for k in sorted({int(round(kcap ** (i / 59.0))) for i in range(60)} | {0, 1, kcap}):
         if m == 1:
             comps = [(k,)]
@@ -344,8 +467,8 @@ def _log_peak_scan(series: _ShellTerms, kcap: int) -> float:
             # axes plus the even split; backed up by the in-pass check
             comps = [tuple(k if j == i else 0 for j in range(m)) for i in range(m)]
             comps.append(tuple(k // m for _ in range(m - 1)) + (k - (m - 1) * (k // m),))
-        logs += (tlog for _, tlog, _ in series.terms(k, comps))
-    return max(logs)
+        peak = max(peak, float(series.logs(series.rows(k, comps)).max()))
+    return peak
 
 
 def _mml_double(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], shell_cap: int):
@@ -353,12 +476,11 @@ def _mml_double(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], s
     acc = _Kahan()
     peak_log = -math.inf
     quiet = 0
-    for k in range(shell_cap + 1):
-        logs = [tlog for _, tlog, _ in series.shell(k)]
+    for k, logs in enumerate(series.shells(shell_cap)):
         peak_log = max(peak_log, max(logs, default=-math.inf))
         if peak_log > 700.0:
             return math.nan, peak_log, False
-        shell = math.fsum([math.exp(tlog) for tlog in logs])
+        shell = math.fsum(map(math.exp, logs))
         acc.add(shell if k % 2 == 0 else -shell)
         if abs(shell) <= 1e-17 * max(abs(acc.s), 1e-300):
             quiet += 1
@@ -411,8 +533,13 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
     shell_cap = 30000 if m == 1 else (2000 if m == 2 else 600)
     series = _ShellTerms(beta0, betas, zs)
     peak_guess = _log_peak_scan(series, shell_cap)
-    scale = series.scale
+    # every double is a dyadic rational, so with unit = 2**scale the Gamma
+    # argument beta0 + sum beta_j k_j is exactly the integer key
+    # key0 + sum bkey_j k_j over unit
+    ratios = [b.as_integer_ratio() for b in (beta0, *betas)]
+    scale = max(d.bit_length() - 1 for _, d in ratios)
     unit = 1 << scale
+    key0, *bkeys = (n * (unit // d) for n, d in ratios)
 
     def summer(mp, dps):
         # arithmetic on raw libmp values: at these precisions the mpf wrapper
@@ -447,7 +574,7 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
         total = lib.fzero
         peak_ln = -math.inf
         quiet = 0
-        for k in range(shell_cap + 1):
+        for k, (comps, logs) in enumerate(series.shells(shell_cap, with_comps=True)):
             if k:
                 mk = lib.from_int(k)
                 kfact = mul(kfact, mk, prec, rnd)
@@ -456,15 +583,14 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
                     zpow[j].append(lib.mpf_div(zk, mk, prec, rnd))
             # double-precision log magnitudes decide which terms matter at
             # the working precision; only those are computed in mp
-            comp_logs = series.shell(k)
-            shell_max_ln = max((tlog for _, tlog, _ in comp_logs), default=-math.inf)
+            shell_max_ln = max(logs, default=-math.inf)
             peak_ln = max(peak_ln, shell_max_ln)
             # terms below the working-precision noise floor (relative to the
             # largest term seen) cannot move the certified result; a tighter,
             # result-scale cut is unsafe because the partial sum overstates
             # the result by many decades during the cancellation plateau
             noise_ln = peak_ln - (dps - 4) * _LN10
-            size_ln = math.log(max(len(comp_logs), 1))
+            size_ln = math.log(max(len(logs), 1))
             if shell_max_ln + size_ln < noise_ln:
                 quiet += 1
                 if quiet >= 2 and k >= 4:
@@ -473,10 +599,10 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
             quiet = 0
             shell = lib.fzero
             cut = noise_ln - size_ln - 8.0
-            for comp, tlog, key in comp_logs:
+            for comp, tlog in zip(comps, logs):
                 if tlog < cut:
                     continue
-                term = rgamma(key)
+                term = rgamma(key0 + sum(bk * kj for bk, kj in zip(bkeys, comp)))
                 for j, kj in enumerate(comp):
                     if kj:
                         term = mul(term, zpow[j][kj], prec, rnd)

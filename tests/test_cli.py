@@ -232,6 +232,9 @@ class TestMainEntry:
             {"jobs": 0}, {"jobs": -2}, {"jobs": 2},
             {"kinds": ["xx"]}, {"kinds": ["fp", "xx"]}, {"kinds": []}, {"kinds": "fp"},
             {"t0": 1e-6}, {"t_0": [1e-6]}, {"n_points": 1}, {"n_points": None},
+            # point counts must be integers: no truncated float, no bool
+            {"n_points": 2.9}, {"n_points": 100.0}, {"n_points": True}, {"n_points": "100"},
+            {"fig_points": 2.5}, {"fig_points": True},
         ):
             cfgfile.write_text(json.dumps({"experiment": "table1a", "t0": [1e-6], **bad}))
             assert main(["fit", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
@@ -302,6 +305,14 @@ class TestCheckSuite:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[:2] for line in lines[:-1]] == [["PASS", name] for name in self.NAMES]
         assert lines[-1] == f"{len(self.NAMES)}/{len(self.NAMES)} checks passed"
+
+    def test_takes_no_experiment_flags(self, tmp_path, capsys):
+        for flags in (
+            ["--t0", "5"], ["--kind", "fp"], ["--t-max", "1"], ["--experiment", "table1a"],
+            ["--config", str(tmp_path / "cfg.json")], ["--out", str(tmp_path)], ["--jobs", "1"],
+        ):
+            assert main(["check", *flags]) == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_corrupted_gamma_fails_ml_identities(self, monkeypatch):
         real = specfun.log_gamma

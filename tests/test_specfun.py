@@ -26,7 +26,7 @@ from fracorder.specfun import (
     tight_contour,
 )
 
-from conftest import rel_err
+from conftest import count_calls, rel_err
 from oracles import mp_ml2, trapezoid_convolution
 
 PI2 = math.pi * math.pi
@@ -157,6 +157,95 @@ class TestMml:
             MLArgs(1.0, (0.5,) * 5, (-1.0,) * 5)
         with pytest.raises(DomainError):
             MLArgs(1.0, (0.5, 0.6), (-1.0,))
+
+
+# repr of mml values taken from the series before its z-independent terms were
+# memoized, at (beta0, betas, zs): the S1 (beta0 = 1 + alpha_N) and S2
+# (beta0 = alpha_N) arguments of lam = pi^2 + 1 at t = 1e-6 and 1e-2 for
+# orders (0.7), (0.5, 0.7) and (0.2, 0.5, 0.8) with weights (1), (0.5, 1) and
+# (0.5, 0.5, 1); three points with a z = 0, the last of which _mml_mp
+# sums; and a three-order argument that sums 96 shells, past the memo's term
+# limit
+GOLDEN_MML = {
+    (1.7, (0.7,), (-0.0006858256728461567,)): "1.0999955001819277",
+    (0.7, (0.7,), (-0.0006858256728461567,)): "0.7696106661130243",
+    (1.7, (0.7,), (-0.43272674531535266,)): "0.822735140517084",
+    (0.7, (0.7,), (-0.43272674531535266,)): "0.4221473783685314",
+    (1.7, (0.7, 0.19999999999999996), (-0.0006858256728461567, -0.03154786722400968)):
+        "1.0681474185019573",
+    (0.7, (0.7, 0.19999999999999996), (-0.0006858256728461567, -0.03154786722400968)):
+        "0.7411473830503346",
+    (1.7, (0.7, 0.19999999999999996), (-0.43272674531535266, -0.19905358527674866)):
+        "0.7185310244513048",
+    (0.7, (0.7, 0.19999999999999996), (-0.43272674531535266, -0.19905358527674866)):
+        "0.3667321342365332",
+    (1.8, (0.8, 0.6000000000000001, 0.30000000000000004),
+     (-0.00017227162020031872, -0.00012559432157547884, -0.007924465962305562)):
+        "1.0659302369044663",
+    (0.8, (0.8, 0.6000000000000001, 0.30000000000000004),
+     (-0.00017227162020031872, -0.00012559432157547884, -0.007924465962305562)):
+        "0.8503482520504375",
+    (1.8, (0.8, 0.6000000000000001, 0.30000000000000004),
+     (-0.2730321181097317, -0.03154786722400965, -0.12559432157547898)):
+        "0.8085770903080566",
+    (0.8, (0.8, 0.6000000000000001, 0.30000000000000004),
+     (-0.2730321181097317, -0.03154786722400965, -0.12559432157547898)):
+        "0.5195030943473002",
+    (1.7, (0.7, 0.4), (-1.5, 0.0)): "0.4774393535855073",
+    (1.8, (0.8, 0.6, 0.3), (-0.5, 0.0, -0.1)): "0.7422788573755242",
+    (1.7, (0.7, 0.4), (-15.0, 0.0)): "0.065099903981464",
+    (1.8, (0.8, 0.6, 0.3), (-4.7, -0.5, -0.5)): "0.17081647454317483",
+}
+# the same for ml2 at (alpha, beta, z); the z = -19.5 value comes from _mml_mp
+GOLDEN_ML2 = {
+    (0.5, 1.0, -1.0): "0.4275835761558072",
+    (0.7, 1.3, -3.0): "0.22302362942487866",
+    (0.5, 0.5, -19.5): "0.0007389592149610425",
+}
+
+
+class TestShellMemo:
+    """The z-independent part of each series term is memoized per
+    (beta0, betas); the values keep every bit."""
+
+    def values(self):
+        return [repr(mml(MLArgs(*key))) for key in GOLDEN_MML] + [
+            repr(ml2(*key)) for key in GOLDEN_ML2
+        ]
+
+    def test_golden_bits_cold_and_warm(self, monkeypatch):
+        golden = [*GOLDEN_MML.values(), *GOLDEN_ML2.values()]
+        monkeypatch.setattr(specfun, "_memo", {})
+        mp_calls = count_calls(monkeypatch, specfun, "_mml_mp")
+        assert self.values() == golden
+        assert mp_calls == [(1.7, (0.7, 0.4), (-15.0, 0.0), 1e-10), (0.5, (0.5,), (-19.5,), 1e-10)]
+        assert specfun._memo
+        assert self.values() == golden
+        monkeypatch.setattr(specfun, "_memo", {})
+        assert self.values() == golden
+
+    def test_term_limit_holds_to_the_shell_cap(self, monkeypatch):
+        # the double sum runs all DEFAULT_SHELL_CAP + 1 shells (176k terms)
+        # without converging; the memo keeps only the leading ones
+        monkeypatch.setattr(specfun, "_memo", {})
+        args = (1.8, (0.8, 0.6, 0.3), (-6.0, -0.5, -0.5))
+        _, _, converged = specfun._mml_double(*args, specfun.DEFAULT_SHELL_CAP)
+        assert not converged
+        (table,) = specfun._memo.values()
+        assert 0 < table.starts[-1] <= specfun._MEMO_TERMS
+
+    def test_table_limit(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_memo", {})
+        for i in range(specfun._MEMO_TABLES + 4):
+            mml(MLArgs(1.0 + 0.01 * i, (0.5,), (-0.1,)))
+        assert len(specfun._memo) == specfun._MEMO_TABLES
+
+    def test_replaced_gamma_reads_no_other_table(self, monkeypatch):
+        args = MLArgs(1.7, (0.7, 0.4), (-1.5, -0.2))
+        value = mml(args)
+        real = specfun.log_gamma
+        monkeypatch.setattr(specfun, "log_gamma", lambda x: real(x) + 1e-6)
+        assert mml(args) != value
 
 
 class TestOrderSpecAndNormalize:
