@@ -446,10 +446,13 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         for key in ("t0", "kinds"):
             if key in raw and not isinstance(raw[key], list):
                 raise DomainError(f"{args.config}: {key!r} must be a list, got {raw[key]!r}")
-        for key in ("n_points", "fig_points"):
+        for key in ("n_points", "fig_points", "jobs"):
             # type, not isinstance: a bool is an int; and no float is truncated
             if key in raw and type(raw[key]) is not int:
                 raise DomainError(f"{args.config}: {key!r} must be an integer, got {raw[key]!r}")
+        for key, values in (("t_max", [raw.get("t_max", 1.0)]), ("t0", raw.get("t0", []))):
+            if any(type(x) not in (int, float) for x in values):
+                raise DomainError(f"{args.config}: {key!r} must hold numbers, got {raw[key]!r}")
     experiment = args.experiment or raw.get("experiment")
     if not experiment:
         raise DomainError("an experiment must be given via --experiment or --config")

@@ -16,8 +16,14 @@ The series is summed with compensated (Kahan) accumulation and certifies
 its own rounding envelope: the worst term magnitude is tracked
 in log space, and when alternating-term cancellation would eat the requested
 accuracy in double precision the evaluation transparently retries in bounded
-extended precision.  When even that cannot be certified, AccuracyError is
-raised instead of silently returning garbage.
+extended precision.  When even that cannot be certified, or a coarse scan says
+the sum would need more than _MAX_SERIES_TERMS terms, AccuracyError is raised
+instead of silently returning garbage or summing for minutes.  The extended
+sum is integer fixed point: the factors of each term (1/Gamma, z_j**k_j/k_j!,
+k!) are mpmath mantissas, their exact product is shifted once into a running
+Python integer that counts a fixed quantum far below the noise floor, and no
+term costs an mpf multiply, add or normalization.  A shell's compositions and
+the z-independent parts of its terms are built as numpy columns.
 
 Every public function is a pure function of its arguments.  The one piece
 of module state is a bounded memo of the series terms' z-independent parts
@@ -78,6 +84,8 @@ _EPS = float(np.finfo(float).eps)
 # error of terms assembled as exp(log-expressions) whose logs reach O(300).
 _CERT_FACTOR = 400.0
 _MAX_MP_DPS = 400
+# Most terms an extended-precision sum may need (see _mp_plan)
+_MAX_SERIES_TERMS = 500_000
 _MP_LOCK = threading.Lock()
 _LN10 = math.log(10.0)
 
@@ -257,29 +265,18 @@ def _certified(value: float, peak_log: float, rel_tol: float) -> bool:
     return lhs <= rhs
 
 
-def _compositions(k: int, m: int):
-    """All m-tuples of non-negative integers summing to k, lexicographic."""
+def _compositions(k: int, m: int) -> np.ndarray:
+    """All m-tuples of non-negative integers summing to k, lexicographic, as
+    the rows of an int64 array."""
     if m == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in _compositions(k - first, m - 1):
-            yield (first, *rest)
-
-
-class _Table(dict):
-    """Per-index table filled on first lookup: the shell sums fill it one
-    shell at a time, the coarse sampler only at the indices it visits."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn) -> None:
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, i: int) -> float:
-        v = self[i] = self.fn(i)
-        return v
+        return np.array([[k]], dtype=np.int64)
+    head = np.arange(k + 1, dtype=np.int64)
+    if m == 2:
+        return np.column_stack([head, k - head])
+    return np.vstack(
+        [np.column_stack([np.full(math.comb(k - f + m - 2, m - 2), f), _compositions(k - f, m - 1)])
+         for f in range(k + 1)]
+    )
 
 
 @dataclass(frozen=True)
@@ -356,36 +353,34 @@ class _ShellTerms:
     def __init__(self, beta0: float, betas: tuple[float, ...], zs: tuple[float, ...]) -> None:
         self.beta0, self.betas, self.m = beta0, betas, len(betas)
         self.lnz = [math.log(-z) if z < 0.0 else -math.inf for z in zs]
-        self.lnfact = _Table(lambda i: log_gamma(i + 1.0))
+        # ln k! for k = 0, 1, ..., grown as the shells need it; ln 0! = 0
+        # exactly, so a zero part of a composition changes no coefficient bit
+        self.lnfact = np.zeros(1)
         self.key = (log_gamma, beta0, betas)
         self.kept = _memo.get(self.key) or _Rows(
             np.zeros((0, self.m), np.int64), np.zeros(0), np.zeros(0), (0,)
         )
 
-    def rows(self, k: int, comps) -> _Rows:
-        """The rows of the compositions comps of k, as one shell."""
-        lnfact, bs = self.lnfact, self.betas
-        lgk = lnfact[k]
-        comps = list(comps)
-        coef, lg = [], []
-        for comp in comps:
-            # the multinomial log coefficient is assembled apart from the
-            # powers so the m = 1 case cancels exactly, and the Gamma argument
-            # is the float sum: the small-t fits hinge on the last bit of these
-            # values
-            coef_log, bsum = lgk, 0.0
-            for b, kj in zip(bs, comp):
-                if kj:
-                    coef_log -= lnfact[kj]
-                    bsum += b * kj
-            coef.append(coef_log)
-            lg.append(log_gamma(self.beta0 + bsum))
-        return _Rows(
-            np.array(comps, dtype=np.int64),
-            np.array(coef),
-            np.array(lg),
-            (0, len(comps)),
-        )
+    def rows(self, k: int, comps: np.ndarray | None = None) -> _Rows:
+        """The rows of the compositions comps of k (an int64 array, all of
+        them by default), as one shell."""
+        comps = _compositions(k, self.m) if comps is None else comps
+        # the multinomial log coefficient is assembled apart from the powers
+        # so that at m = 1 it is exactly 0 (ln k! - ln k!, no table needed),
+        # and the Gamma argument is the float sum: the small-t fits hinge on
+        # the last bit of these values, so both are formed in j order
+        coef, bsum = np.zeros(len(comps)), np.zeros(len(comps))
+        if self.m > 1:
+            if len(self.lnfact) <= k:
+                grown = [log_gamma(i + 1.0) for i in range(len(self.lnfact), k + 1)]
+                self.lnfact = np.concatenate([self.lnfact, grown])
+            coef += self.lnfact[k]
+            for col in comps.T:
+                coef -= self.lnfact[col]
+        for b, col in zip(self.betas, comps.T):
+            bsum += b * col
+        lg = np.array([log_gamma(x) for x in (self.beta0 + bsum).tolist()])
+        return _Rows(comps, coef, lg, (0, len(comps)))
 
     def logs(self, rows: _Rows) -> np.ndarray:
         """log |term| of each row at this call's z; a term that vanishes
@@ -422,8 +417,8 @@ class _ShellTerms:
                 break
             grow.append(kk)
         if not grow:
-            return self.rows(k, _compositions(k, m))
-        block = _concat([self.rows(kk, _compositions(kk, m)) for kk in grow])
+            return self.rows(k)
+        block = _concat([self.rows(kk) for kk in grow])
         self.kept = _concat([kept, block])
         _publish(self.key, self.kept)
         return block
@@ -449,15 +444,17 @@ class _ShellTerms:
             k += rows.n_shells
 
 
-def _log_peak_scan(series: _ShellTerms, kcap: int) -> float:
-    """Largest log term of the series (double precision), scanned over a
-    coarse sample of the compositions of geometrically spaced shells.
+def _log_peak_scan(series: _ShellTerms, kcap: int) -> list[tuple[int, float]]:
+    """Largest log term (double precision) of geometrically spaced shells up
+    to kcap, each scanned over a coarse sample of its compositions: the pairs
+    (k, largest sampled log term of shell k).
 
-    Used to size the working precision of the extended path before summing;
-    the summation itself re-verifies against the peak it actually saw.
+    Used to size the working precision of the extended path, and the work it
+    would do, before summing; the summation itself re-verifies against the
+    peak it actually saw.
     """
     m = series.m
-    peak = -math.inf
+    samples = []
     for k in sorted({int(round(kcap ** (i / 59.0))) for i in range(60)} | {0, 1, kcap}):
         if m == 1:
             comps = [(k,)]
@@ -467,8 +464,8 @@ def _log_peak_scan(series: _ShellTerms, kcap: int) -> float:
             # axes plus the even split; backed up by the in-pass check
             comps = [tuple(k if j == i else 0 for j in range(m)) for i in range(m)]
             comps.append(tuple(k // m for _ in range(m - 1)) + (k - (m - 1) * (k // m),))
-        peak = max(peak, float(series.logs(series.rows(k, comps)).max()))
-    return peak
+        samples.append((k, float(series.logs(series.rows(k, np.array(comps))).max())))
+    return samples
 
 
 def _mml_double(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], shell_cap: int):
@@ -491,6 +488,11 @@ def _mml_double(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], s
     return acc.s, peak_log, False
 
 
+def _mp_digits(rel_tol: float, peak_ln: float) -> int:
+    """Digits for rel_tol plus those lost to cancellation from e**peak_ln."""
+    return max(6, int(math.ceil(-math.log10(rel_tol)))) + max(0, int(peak_ln / _LN10) + 1)
+
+
 def _mp_sum_with_retry(label: str, peak_ln_guess: float, summer, rel_tol: float) -> float:
     """Run an extended-precision summation, escalating the working precision
     until the observed peak magnitude certifies the result to rel_tol.
@@ -498,8 +500,7 @@ def _mp_sum_with_retry(label: str, peak_ln_guess: float, summer, rel_tol: float)
     summer(mp, dps) must return (total, peak_ln_observed, converged).
     """
     mp = _mpmath().mp
-    tol_digits = max(6, int(math.ceil(-math.log10(rel_tol))))
-    dps = tol_digits + 12 + max(0, int(peak_ln_guess / _LN10) + 1)
+    dps = _mp_digits(rel_tol, peak_ln_guess) + 12
     if dps > _MAX_MP_DPS:
         raise AccuracyError(f"{label} needs ~{dps} digits; outside the series envelope")
     with _MP_LOCK:
@@ -512,12 +513,7 @@ def _mp_sum_with_retry(label: str, peak_ln_guess: float, summer, rel_tol: float)
                     raise AccuracyError(f"{label}: series did not converge")
                 if total == 0:
                     return 0.0
-                need = (
-                    tol_digits
-                    + 8
-                    + max(0, int(peak_ln / _LN10) + 1)
-                    - int(mp.log10(abs(total)))
-                )
+                need = _mp_digits(rel_tol, peak_ln) + 8 - int(mp.log10(abs(total)))
                 if need <= dps:
                     return float(total)
                 if need > _MAX_MP_DPS:
@@ -528,11 +524,35 @@ def _mp_sum_with_retry(label: str, peak_ln_guess: float, summer, rel_tol: float)
     raise AccuracyError(f"{label}: extended-precision retries exhausted")
 
 
-def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float) -> float:
+def _mp_plan(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float):
+    """The series, shell cap and peak guess of an extended-precision sum;
+    AccuracyError, before any full shell is built, where the scan puts the
+    first shell K below the first attempt's noise floor so far out that
+    shells 0..K hold more than _MAX_SERIES_TERMS terms, C(K + m, m).  Few
+    compositions are sampled per shell, so K runs low (terms by about 2x at
+    m = 3)."""
     m = len(betas)
     shell_cap = 30000 if m == 1 else (2000 if m == 2 else 600)
     series = _ShellTerms(beta0, betas, zs)
-    peak_guess = _log_peak_scan(series, shell_cap)
+    samples = _log_peak_scan(series, shell_cap)
+    peak_guess = max(ln for _, ln in samples)
+    noise_guess = peak_guess - (_mp_digits(rel_tol, peak_guess) + 8) * _LN10
+    reach = next(
+        (k for k, ln in samples if ln + math.log(math.comb(k + m - 1, m - 1)) < noise_guess),
+        shell_cap,
+    )
+    if (n_terms := math.comb(reach + m, m)) > _MAX_SERIES_TERMS:
+        raise AccuracyError(
+            f"mml(beta0={beta0}, betas={betas}, zs={zs}) needs about {n_terms} terms "
+            f"(shells 0..{reach}) in extended precision, more than the "
+            f"{_MAX_SERIES_TERMS} allowed"
+        )
+    return series, shell_cap, peak_guess
+
+
+def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float) -> float:
+    m = len(betas)
+    series, shell_cap, peak_guess = _mp_plan(beta0, betas, zs, rel_tol)
     # every double is a dyadic rational, so with unit = 2**scale the Gamma
     # argument beta0 + sum beta_j k_j is exactly the integer key
     # key0 + sum bkey_j k_j over unit
@@ -542,45 +562,48 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
     key0, *bkeys = (n * (unit // d) for n, d in ratios)
 
     def summer(mp, dps):
-        # arithmetic on raw libmp values: at these precisions the mpf wrapper
-        # costs several times the multiplication it wraps
+        # the sum is one integer counting quanta 2**-fbits, 12 digits and 32
+        # bits below the noise floor that the cut below keeps to
         lib = _mpmath().libmp
         prec, rnd = mp.prec, lib.round_nearest
-        mul, add = lib.mpf_mul, lib.mpf_add
-        mzs = [lib.from_float(z) for z in zs]
+        fbits = math.ceil(((dps + 8) * _LN10 - peak_guess) / math.log(2.0)) + 32
         # a term is k!/(k_1! ... k_m!) prod z_j**k_j / Gamma(x): the factors
-        # z_j**k_j / k_j! are tabulated per index and the shell's common k!
-        # multiplies the shell sum once
-        zpow = [[lib.fone] for _ in range(m)]
-        kfact = lib.fone
-        # per-call memo of 1/Gamma on the exact argument lattice; arguments
-        # are all positive, and a neighbour at unit offset is served by the
-        # recurrence 1/Gamma(x) = x/Gamma(x+1) = 1/((x-1) Gamma(x-1))
+        # |z_j|**k_j / k_j! are tabulated per index as (man, exp), and
+        # k! = kman * 2**kexp is kept to 64 bits more than prec
+        mzs = [lib.from_float(-z) for z in zs]
+        zlast, zpow = [lib.fone] * m, [[(1, 0)] for _ in range(m)]
+        kman, kexp = 1, 0
+        # per-call memo of 1/Gamma on the exact argument lattice, as raw libmp
+        # values (sign, man, exp, bits); arguments are all positive, and a
+        # neighbour at unit offset is served by the recurrence
+        # 1/Gamma(x) = x/Gamma(x+1) = 1/((x-1) Gamma(x-1))
         rgam: dict[int, tuple] = {}
 
         def rgamma(key: int) -> tuple:
             r = rgam.get(key)
             if r is None:
-                x = lib.from_man_exp(key, -scale)
                 if (up := rgam.get(key + unit)) is not None:
-                    r = mul(x, up, prec, rnd)
+                    man = up[1] * key  # x times up, rounded once as mpf_mul does
+                    r = lib.normalize(0, man, up[2] - scale, man.bit_length(), prec, rnd)
                 elif (down := rgam.get(key - unit)) is not None:
                     r = lib.mpf_div(down, lib.from_man_exp(key - unit, -scale), prec, rnd)
                 else:
-                    r = lib.mpf_rgamma(x, prec, rnd)
+                    r = lib.mpf_rgamma(lib.from_man_exp(key, -scale), prec, rnd)
                 rgam[key] = r
             return r
 
-        total = lib.fzero
+        total = 0
         peak_ln = -math.inf
         quiet = 0
         for k, (comps, logs) in enumerate(series.shells(shell_cap, with_comps=True)):
             if k:
+                kman *= k
+                if (drop := kman.bit_length() - prec - 64) > 0:
+                    kman, kexp = kman >> drop, kexp + drop
                 mk = lib.from_int(k)
-                kfact = mul(kfact, mk, prec, rnd)
                 for j in range(m):
-                    zk = mul(zpow[j][-1], mzs[j], prec, rnd)
-                    zpow[j].append(lib.mpf_div(zk, mk, prec, rnd))
+                    zlast[j] = lib.mpf_div(lib.mpf_mul(zlast[j], mzs[j], prec, rnd), mk, prec, rnd)
+                    zpow[j].append(zlast[j][1:3])
             # double-precision log magnitudes decide which terms matter at
             # the working precision; only those are computed in mp
             shell_max_ln = max(logs, default=-math.inf)
@@ -594,21 +617,30 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
             if shell_max_ln + size_ln < noise_ln:
                 quiet += 1
                 if quiet >= 2 and k >= 4:
-                    return mp.make_mpf(total), peak_ln, True
+                    return mp.make_mpf(lib.from_man_exp(total, -fbits, prec, rnd)), peak_ln, True
                 continue
             quiet = 0
-            shell = lib.fzero
+            # every term of shell k has the sign (-1)**k; the exact products
+            # of their mantissas are summed in quanta 2**-(fbits + kbits), so
+            # that times k! each has lost less than one quantum 2**-fbits
+            kbits = kexp + kman.bit_length()
+            shell = 0
             cut = noise_ln - size_ln - 8.0
             for comp, tlog in zip(comps, logs):
                 if tlog < cut:
                     continue
-                term = rgamma(key0 + sum(bk * kj for bk, kj in zip(bkeys, comp)))
-                for j, kj in enumerate(comp):
-                    if kj:
-                        term = mul(term, zpow[j][kj], prec, rnd)
-                shell = add(shell, term, prec, rnd)
-            total = add(total, mul(shell, kfact, prec, rnd), prec, rnd)
-        return mp.make_mpf(total), peak_ln, False
+                key, man, exp = key0, 1, fbits + kbits
+                for bk, zj, kj in zip(bkeys, zpow, comp):
+                    key += bk * kj
+                    man *= zj[kj][0]
+                    exp += zj[kj][1]
+                _, rman, rexp, _ = rgamma(key)
+                man *= rman
+                exp += rexp
+                shell += man << exp if exp >= 0 else man >> -exp
+            shell = (shell * kman) >> kman.bit_length()
+            total += -shell if k % 2 else shell
+        return mp.make_mpf(lib.from_man_exp(total, -fbits, prec, rnd)), peak_ln, False
 
     return _mp_sum_with_retry(
         f"mml(beta0={beta0}, betas={betas}, zs={zs})", peak_guess, summer, rel_tol
@@ -620,6 +652,9 @@ def _mml_value(
 ) -> float:
     """The double-precision sum of at most shell_cap + 1 shells when it
     certifies itself, else the extended-precision one."""
+    m = len(betas)
+    if math.comb(shell_cap + m, m) > _MAX_SERIES_TERMS:
+        _mp_plan(beta0, betas, zs, rel_tol)  # the double sum alone could take long
     value, peak_log, converged = _mml_double(beta0, betas, zs, shell_cap)
     if converged and _certified(value, peak_log, rel_tol):
         return value

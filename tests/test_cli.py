@@ -235,12 +235,29 @@ class TestMainEntry:
             # point counts must be integers: no truncated float, no bool
             {"n_points": 2.9}, {"n_points": 100.0}, {"n_points": True}, {"n_points": "100"},
             {"fig_points": 2.5}, {"fig_points": True},
+            # a job count is an integer, a time range and each T0 a number:
+            # no bool, no float job count, no string
+            {"jobs": True}, {"jobs": 1.0}, {"t_max": True}, {"t_max": "1"},
+            {"t0": [True]}, {"t0": [1e-6, False]}, {"t0": ["1e-6"]},
+            {"jobs": True, "t_max": True},
         ):
             cfgfile.write_text(json.dumps({"experiment": "table1a", "t0": [1e-6], **bad}))
             assert main(["fit", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
         cfgfile.write_text(json.dumps({"experiment": "fig1", "fig_points": 0}))
         assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
         assert list(tmp_path.glob("*.csv")) == []
+
+    def test_numbers_accepted(self, tmp_path):
+        # integers and floats where numbers belong, and the one job count
+        # there is, from the file or from the flag
+        def config(*argv):
+            cfg = _config_from_args(_build_parser().parse_args(["fit", *argv]))
+            return cfg.t0_list, cfg.t_max
+
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"experiment": "table1a", "t0": [1e-6, 1], "jobs": 1, "t_max": 2}))
+        assert config("--config", str(cfgfile)) == ((1e-6, 1.0), 2.0)
+        assert config("--experiment", "table1a", "--jobs", "1") == (None, 1.0)
 
     def test_fit_via_flags(self, tmp_path):
         rc = main(

@@ -1,6 +1,7 @@
 """Special-function layer: Gamma, Mittag-Leffler family, contour kernels."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from fracorder.specfun import (
 )
 
 from conftest import count_calls, rel_err
-from oracles import mp_ml2, trapezoid_convolution
+from oracles import mp_ml2, mp_mml, trapezoid_convolution
 
 PI2 = math.pi * math.pi
 
@@ -246,6 +247,55 @@ class TestShellMemo:
         real = specfun.log_gamma
         monkeypatch.setattr(specfun, "log_gamma", lambda x: real(x) + 1e-6)
         assert mml(args) != value
+
+
+# repr of values that the extended-precision series (_mml_mp) gave before it
+# summed in integer fixed point, at (beta0, betas, zs, rel_tol): the S2
+# argument of the kernels benchmark's three-order point (lam = 2 pi^2, t = 0.2,
+# orders (0.2, 0.5, 0.8), weights (0.5, 0.5, 1)), and the S1 and S2 arguments
+# of the 36-point grid's orders (0.3, 0.7) at lam = 2 pi^2, t = 1, |z_1| = 19.74
+GOLDEN_MP = {
+    (0.8, (0.8, 0.6000000000000001, 0.30000000000000004),
+     (-5.446954375628454, -0.19036539387158782, -0.3085169313600048), 1e-8):
+        "0.0133628708585403",
+    (1.7, (0.7, 0.39999999999999997), (-19.739208802178716, -0.5), 1e-8):
+        "0.04879681661366187",
+    (0.7, (0.7, 0.39999999999999997), (-19.739208802178716, -0.5), 1e-8):
+        "0.000932466235099053",
+}
+
+
+class TestExtendedPrecisionSeries:
+    def test_golden_bits_cold(self, monkeypatch):
+        # the three-order point sums about 114k terms (to shell 86), inside
+        # the term budget
+        monkeypatch.setattr(specfun, "_memo", {})
+        mp_calls = count_calls(monkeypatch, specfun, "_mml_mp")
+        for (b0, betas, zs, tol), golden in GOLDEN_MP.items():
+            assert repr(mml(MLArgs(b0, betas, zs), rel_tol=tol)) == golden
+        assert mp_calls == list(GOLDEN_MP)
+
+    def test_against_direct_series(self, monkeypatch):
+        # terms peak near e^7.3 against a value near 0.15, so the double
+        # series cannot certify 1e-12; the oracle sums shells 0..180 at 60
+        # digits, where the last is below 1e-60
+        mp_calls = count_calls(monkeypatch, specfun, "_mml_mp")
+        args = (1.8, (0.8, 0.3), (-6.0, -0.5))
+        value = mml(MLArgs(*args), rel_tol=1e-12)
+        assert len(mp_calls) == 1
+        assert rel_err(value, mp_mml(*args, shells=180)) < 1e-12
+
+    def test_hopeless_sums_fail_fast(self):
+        # the scan puts these past the term budget (about 2.0e6 and 8.8e6
+        # terms); summed anyway, the first takes seconds, the second minutes
+        for args in (
+            MLArgs(1.5, (0.8, 0.5, 0.3), (-15.0, -1.0, -0.5)),
+            MLArgs(0.3, (0.9, 0.6, 0.4, 0.1), (-3.0, -1.0, -0.5, -0.2)),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(AccuracyError, match=r"needs about \d+ terms"):
+                mml(args)
+            assert time.perf_counter() - start < 1.0
 
 
 class TestOrderSpecAndNormalize:
