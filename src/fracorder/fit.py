@@ -4,7 +4,9 @@ The driver is a hand-rolled projected limited-memory BFGS: two-loop recursion
 for the search direction, projection of trial points onto the exponent box,
 backtracking line search with sufficient decrease along the projected path,
 and an alternation step that re-solves the amplitudes by linear least squares
-whenever the exponents have drifted.
+whenever the exponents have drifted.  Trial points evaluate the objective only;
+the gradient is formed from the residual at the start, at each accepted point
+and at an accepted re-solve.  Each memory pair keeps its curvature scalars.
 
 The reported objective is the quadrature form
 
@@ -20,6 +22,7 @@ seven decades: at T0 = 1e-8 the raw objective and its gradient are of order
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -109,6 +112,10 @@ class FitConfig:
                 raise DomainError(f"beta_init {b} outside bounds ({lo}, {hi})")
         if self.max_iter < 1:
             raise DomainError("max_iter must be positive")
+        if type(self.multi_start) is not int or self.multi_start == 1 or self.multi_start < 0:
+            raise DomainError(
+                f"multi_start must be 0 (off) or an integer >= 2, got {self.multi_start!r}"
+            )
         if not 0.0 <= self.source_exponent <= 1.0:
             raise DomainError("source_exponent must lie in [0, 1]")
 
@@ -221,20 +228,19 @@ def linear_init(
 # ---------------------------------------------------------------------------
 
 
-def _two_loop(grad: np.ndarray, s_list, y_list) -> np.ndarray:
+def _two_loop(grad: np.ndarray, memory) -> np.ndarray:
+    """Two-loop recursion over pairs stored as (s, y, 1/(y.s), s.y, y.y)."""
     q = grad.copy()
     alphas = []
-    for s, y in zip(reversed(s_list), reversed(y_list)):
-        rho = 1.0 / float(y @ s)
-        a = rho * float(s @ q)
+    for s, y, rho, _, _ in reversed(memory):
+        a = rho * float(s.dot(q))
         alphas.append(a)
         q -= a * y
-    if s_list:
-        s, y = s_list[-1], y_list[-1]
-        q *= float(s @ y) / float(y @ y)
-    for (s, y), a in zip(zip(s_list, y_list), reversed(alphas)):
-        rho = 1.0 / float(y @ s)
-        b = rho * float(y @ q)
+    if memory:
+        _, _, _, sy, yy = memory[-1]
+        q *= sy / yy
+    for (s, y, rho, _, _), a in zip(memory, reversed(alphas)):
+        b = rho * float(y.dot(q))
         q += (a - b) * s
     return q
 
@@ -258,40 +264,36 @@ def _sorted_exit_params(kind: Kind, case: Case, c: np.ndarray, beta: np.ndarray)
 
 def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
     """Projected quasi-Newton fit of (c, beta) on the given sample."""
-    kind, case, m = config.kind, config.case, config.n_terms
-    t = sample.times
-    g = sample.values
-    n = len(sample)
-    nc = n_coeffs(kind, case, m)
+    kind, case = config.kind, config.case
+    t, g = sample.times, sample.values
+    nc = n_coeffs(kind, case, config.n_terms)
 
     gbar = float(np.mean(g))
     var = float(np.mean((g - gbar) ** 2))
     norm = var if var > 0.0 else max(1.0, gbar * gbar)
     # pinned objective = jtilde * T0 * norm
     j_scale = sample.T0 * norm
+    n_norm = len(sample) * norm
 
-    def f_and_g(x: np.ndarray) -> tuple[float, np.ndarray]:
-        c, beta = x[:nc], x[nc:]
-        f = _eval_arrays(kind, case, c, beta, t)
-        r = f - g
-        jt = 0.5 * float(r @ r) / (n * norm)
-        if not math.isfinite(jt):
-            return math.inf, np.full(nc + m, math.nan)
-        grad = _grad_arrays(kind, case, c, beta, t) @ r / (n * norm)
-        return jt, grad
+    def value(x: np.ndarray) -> tuple[float, np.ndarray]:
+        r = _eval_arrays(kind, case, x[:nc], x[nc:], t) - g
+        return 0.5 * float(r.dot(r)) / n_norm, r
 
-    beta0 = np.clip(
-        np.asarray(config.beta_init, dtype=float),
-        [lo for lo, _ in config.beta_bounds],
-        [hi for _, hi in config.beta_bounds],
-    )
+    def gradient(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return _grad_arrays(kind, case, x[:nc], x[nc:], t) @ r / n_norm
+
+    beta_lo, beta_hi = np.array(config.beta_bounds).T
+    beta0 = np.clip(np.asarray(config.beta_init, dtype=float), beta_lo, beta_hi)
     c0 = linear_init(sample, tuple(beta0), kind, case).c
     x = np.concatenate([c0, beta0])
 
-    lo = np.concatenate([np.full(nc, -np.inf), [b[0] for b in config.beta_bounds]])
-    hi = np.concatenate([np.full(nc, np.inf), [b[1] for b in config.beta_bounds]])
+    lo = np.concatenate([np.full(nc, -np.inf), beta_lo])
+    hi = np.concatenate([np.full(nc, np.inf), beta_hi])
 
-    jt, gx = f_and_g(x)
+    jt, r = value(x)
+    # this Jacobian also sets the diagonal scaling below
+    jac = _grad_arrays(kind, case, x[:nc], x[nc:], t)
+    gx = jac @ r / n_norm
     if not math.isfinite(jt) or not np.all(np.isfinite(gx)):
         raise NumericsError(
             f"objective not finite at the initial point (beta={tuple(beta0)})"
@@ -299,48 +301,51 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
 
     # freeze a diagonal scaling from the Gauss-Newton diagonal at the start;
     # without it the amplitude and exponent directions differ by many decades
-    gn = _grad_arrays(kind, case, x[:nc], x[nc:], t)
-    diag = np.sqrt(np.mean(gn * gn, axis=1) / norm)
+    diag = np.sqrt(np.mean(jac * jac, axis=1) / norm)
     dmax = float(np.max(diag)) if np.any(diag > 0.0) else 1.0
     scale = np.maximum(diag, max(1e-10 * dmax, 1e-12))
 
     y = x * scale
     lo_y, hi_y = lo * scale, hi * scale
     gy = gx / scale
+    # the scalar tests below run on Python floats, where they are exact
+    box = list(zip(lo_y.tolist(), hi_y.tolist()))
 
-    def proj_grad(yv: np.ndarray, gv: np.ndarray) -> np.ndarray:
-        return yv - np.clip(yv - gv, lo_y, hi_y)
+    def stationary(yv: np.ndarray, gv: np.ndarray, tol: float) -> bool:
+        """max |y - clip(y - g)| < tol, the projected-gradient test."""
+        return all(
+            abs(yi - min(max(yi - gi, a), b)) < tol
+            for yi, gi, (a, b) in zip(yv.tolist(), gv.tolist(), box)
+        )
 
-    s_mem: list[np.ndarray] = []
-    y_mem: list[np.ndarray] = []
+    memory = deque(maxlen=_MEMORY)
     history = [jt]
-    beta_ref = x[nc:].copy()
+    beta_ref = x[nc:].tolist()
     iterations = 0
     converged = False
     line_search_failed = False
 
     while iterations < config.max_iter:
-        pg = proj_grad(y, gy)
-        if float(np.max(np.abs(pg))) < _GRAD_TOL:
+        if stationary(y, gy, _GRAD_TOL):
             converged = True
             break
-        d = -_two_loop(gy, s_mem, y_mem)
-        dg = float(d @ gy)
-        if not math.isfinite(dg) or dg > -1e-14 * float(
-            np.linalg.norm(d) * np.linalg.norm(gy)
+        d = -_two_loop(gy, memory)
+        dg = float(d.dot(gy))
+        if not math.isfinite(dg) or dg > -1e-14 * (
+            math.sqrt(d.dot(d)) * math.sqrt(gy.dot(gy))
         ):
             d = -gy
-            s_mem.clear()
-            y_mem.clear()
+            memory.clear()
         alpha = 1.0
         accepted = False
         for _ in range(_LS_MAX):
             y_new = np.clip(y + alpha * d, lo_y, hi_y)
             step = y_new - y
-            if float(np.max(np.abs(step))) == 0.0:
+            if not any(step.tolist()):
                 break
-            jt_new, gx_new = f_and_g(y_new / scale)
-            slope = min(0.0, float(gy @ step))
+            x_new = y_new / scale
+            jt_new, r_new = value(x_new)
+            slope = min(0.0, float(gy.dot(step)))
             if math.isfinite(jt_new) and jt_new <= jt + _LS_C1 * slope:
                 accepted = True
                 break
@@ -348,42 +353,37 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
         if not accepted:
             line_search_failed = True
             break
-        gy_new = gx_new / scale
-        s_vec = y_new - y
+        gy_new = gradient(x_new, r_new) / scale
         y_vec = gy_new - gy
-        sy = float(s_vec @ y_vec)
-        if sy > 1e-12 * float(np.linalg.norm(s_vec) * np.linalg.norm(y_vec)):
-            s_mem.append(s_vec)
-            y_mem.append(y_vec)
-            if len(s_mem) > _MEMORY:
-                s_mem.pop(0)
-                y_mem.pop(0)
+        sy = float(step.dot(y_vec))
+        yy = float(y_vec.dot(y_vec))
+        if sy > 1e-12 * (math.sqrt(step.dot(step)) * math.sqrt(yy)):
+            memory.append((step, y_vec, 1.0 / sy, sy, yy))
         y, jt, gy = y_new, jt_new, gy_new
         iterations += 1
         history.append(jt)
-        assert np.all(y[nc:] >= lo_y[nc:] - 1e-12) and np.all(
-            y[nc:] <= hi_y[nc:] + 1e-12
+        assert all(
+            a - 1e-12 <= v <= b + 1e-12 for v, (a, b) in zip(y[nc:].tolist(), box[nc:])
         ), "exponent iterate escaped its box"
 
-        beta_cur = (y / scale)[nc:]
-        if float(np.max(np.abs(beta_cur - beta_ref))) > _REINIT_DRIFT:
+        beta_cur = x_new[nc:]
+        if any(abs(b - b0) > _REINIT_DRIFT for b, b0 in zip(beta_cur.tolist(), beta_ref)):
             try:
                 c_cand = linear_init(sample, tuple(beta_cur), kind, case).c
             except RankDeficiencyError:
                 c_cand = None
             if c_cand is not None and np.all(np.isfinite(c_cand)):
                 x_try = np.concatenate([c_cand, beta_cur])
-                jt_try, gx_try = f_and_g(x_try)
+                jt_try, r_try = value(x_try)
                 if math.isfinite(jt_try) and jt_try < jt:
                     y = x_try * scale
                     jt = jt_try
-                    gy = gx_try / scale
-                    s_mem.clear()
-                    y_mem.clear()
+                    gy = gradient(x_try, r_try) / scale
+                    memory.clear()
                     history.append(jt)
-            beta_ref = beta_cur.copy()
+            beta_ref = beta_cur.tolist()
 
-    if line_search_failed and float(np.max(np.abs(proj_grad(y, gy)))) < 1e2 * _GRAD_TOL:
+    if line_search_failed and stationary(y, gy, 1e2 * _GRAD_TOL):
         converged = True
     x_final = y / scale
     params = _sorted_exit_params(kind, case, x_final[:nc], x_final[nc:])
@@ -528,7 +528,7 @@ def recover(sample: TraceSample, config: FitConfig) -> FitResult:
     two-term form: zero trailing amplitude, trailing exponent left at its
     initialization, recorded in the assumptions list.
     """
-    if config.multi_start and config.multi_start > 1:
+    if config.multi_start:
         results = []
         for binit in _lattice_inits(config):
             cfg = replace(config, beta_init=binit, multi_start=0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracorder import fit
 from fracorder.fit import (
     FitConfig,
     NumericsError,
@@ -244,6 +245,94 @@ class TestMinimize:
                 kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1,
                 beta_init=(0.5,), beta_bounds=((0.6, 0.9),),
             )
+        # multi_start is either off (0) or a lattice of at least two starts
+        for bad in (1, -1, -3, True, 2.0, 2.5):
+            with pytest.raises(DomainError):
+                FitConfig(
+                    kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1,
+                    beta_init=(0.5,), multi_start=bad,
+                )
+        for good in (0, 2, 5):
+            cfg = FitConfig(
+                kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1,
+                beta_init=(0.5,), multi_start=good,
+            )
+            assert cfg.multi_start == good
+
+    def test_gradient_formed_only_at_accepted_points(self, monkeypatch):
+        # a fit that backtracks and re-solves its amplitudes: trial points
+        # evaluate the objective only, so the Jacobian is built once at the
+        # start, once per accepted step and once per accepted re-solve
+        orders = OrderSpec((0.7,), (1.0,))
+        sample = sample_trace(build_example_4_1(orders), orders, 1e-4, 100)
+        calls = {"eval": 0, "grad": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(fit, "_eval_arrays", counted("eval", fit._eval_arrays))
+        monkeypatch.setattr(fit, "_grad_arrays", counted("grad", fit._grad_arrays))
+        cfg = FitConfig(
+            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1, beta_init=(0.4,)
+        )
+        res = minimize(sample, cfg)
+        # the history holds the start, each accepted step and each accepted
+        # re-solve
+        resolves = len(res.history) - 1 - res.iterations
+        assert res.iterations > 0 and resolves > 0
+        assert calls["grad"] == 1 + res.iterations + resolves
+        # one evaluation at the start, one per trial point and re-solve
+        # attempt, one for the reported objective: some trials were rejected
+        assert calls["eval"] > 2 + res.iterations + resolves
+        assert calls["grad"] < calls["eval"]
+
+
+def _textbook_two_loop(grad, s_list, y_list):
+    """Nocedal's two-loop recursion, recomputing every curvature scalar."""
+    q = grad.copy()
+    alphas = []
+    for s, y in zip(reversed(s_list), reversed(y_list)):
+        rho = 1.0 / float(y @ s)
+        a = rho * float(s @ q)
+        alphas.append(a)
+        q -= a * y
+    if s_list:
+        q *= float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
+    for s, y, a in zip(s_list, y_list, reversed(alphas)):
+        rho = 1.0 / float(y @ s)
+        q += (a - rho * float(y @ q)) * s
+    return q
+
+
+class TestTwoLoop:
+    def test_cached_pairs_match_textbook_bits(self):
+        # both sides run here, on this machine's BLAS: the cached scalars must
+        # not change a single bit of the search direction
+        rng = np.random.default_rng(20261019)
+        cases = 0
+        for n_pairs in range(11):
+            for dim in range(2, 7):
+                for _ in range(20):
+                    mags = 10.0 ** rng.uniform(-8, 8, size=dim)
+                    s_list, y_list, memory = [], [], []
+                    for _ in range(n_pairs):
+                        s = rng.normal(size=dim) * mags
+                        y = rng.normal(size=dim) / mags
+                        if s.dot(y) <= 0.0:
+                            y = -y
+                        sy = float(s.dot(y))
+                        s_list.append(s)
+                        y_list.append(y)
+                        memory.append((s, y, 1.0 / sy, sy, float(y.dot(y))))
+                    grad = rng.normal(size=dim) / mags
+                    got = fit._two_loop(grad, memory)
+                    want = _textbook_two_loop(grad, s_list, y_list)
+                    assert got.tobytes() == want.tobytes(), (n_pairs, dim, got, want)
+                    cases += 1
+        assert cases == 11 * 5 * 20
 
 
 class TestRecover:
