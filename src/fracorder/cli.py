@@ -82,8 +82,8 @@ class ExperimentConfig:
         if self.t0_list is not None:
             if len(self.t0_list) == 0:
                 raise DomainError("empty T0 list")
-            if not all(t > 0 for t in self.t0_list):
-                raise DomainError("T0 values must be positive")
+            if not all(0.0 < t < math.inf for t in self.t0_list):
+                raise DomainError(f"T0 values must be positive and finite, got {self.t0_list}")
             by_order = self.experiment in TABLES and TABLES[self.experiment][0] != "T0"
             if by_order and len(self.t0_list) > 1:
                 raise DomainError(

@@ -92,6 +92,10 @@ class FitConfig:
     source_exponent: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, Kind) or not isinstance(self.case, Case):
+            raise DomainError(
+                f"kind must be a Kind and case a Case, got {self.kind!r}, {self.case!r}"
+            )
         object.__setattr__(self, "beta_init", tuple(float(b) for b in self.beta_init))
         if self.n_terms not in (1, 2):
             raise DomainError("n_terms must be 1 or 2")

@@ -62,6 +62,8 @@ class SpectralProblem:
     ref_f_x0: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.case, Case):
+            raise DomainError(f"case must be a Case, got {self.case!r}")
         object.__setattr__(
             self, "modes", tuple((float(l), float(w)) for l, w in self.modes)
         )
@@ -118,7 +120,12 @@ class TraceSample:
                 raise DomainError(f"{path}: empty trace file")
             if header[:2] != ["t", "g"]:
                 raise DomainError(f"unexpected trace header {header}")
-            rows = [(float(a), float(b)) for a, b in reader]
+            # the t and g columns; a figure CSV has more after them
+            rows = []
+            for cells in reader:
+                if len(cells) < 2:
+                    raise DomainError(f"{path}, line {reader.line_num}: expected t,g, got {cells}")
+                rows.append((float(cells[0]), float(cells[1])))
         if not rows:
             raise DomainError(f"{path}: trace file has no samples")
         t = np.array([r[0] for r in rows])

@@ -60,6 +60,10 @@ class ModelParams:
     beta: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, Kind) or not isinstance(self.case, Case):
+            raise DomainError(
+                f"kind must be a Kind and case a Case, got {self.kind!r}, {self.case!r}"
+            )
         object.__setattr__(self, "c", tuple(float(x) for x in self.c))
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         b = self.beta

@@ -26,21 +26,21 @@ term costs an mpf multiply, add or normalization.  A shell's compositions and
 the z-independent parts of its terms are built as numpy columns.
 
 Every public function is a pure function of its arguments.  The one piece
-of module state is a bounded memo of the series terms' z-independent parts
-(compositions, log coefficients, log-Gamma values) per (beta0, betas), which
-only saves their rebuilding.  It is safe under concurrent calls without a
-lock because nothing published in it is ever changed in place: a call that
-grows a table publishes a new table and a new dict by one assignment, so a
-reader sees one snapshot or the other.  The rare extended-precision path
-serializes on a lock because mpmath's precision is global.
+of module state is a bounded LRU cache (_leading_shells) of the series
+terms' z-independent parts (compositions, log coefficients, log-Gamma values)
+for the leading shells per (beta0, betas), which only saves their rebuilding.
+It needs no lock: lru_cache is thread-safe, and a cached table is never
+written after it is built.  The rare extended-precision path serializes on a
+lock because mpmath's precision is global.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
-from itertools import compress, pairwise
+from itertools import compress, count, pairwise
 
 import numpy as np
 
@@ -302,40 +302,31 @@ class _Rows:
         return _Rows(self.comps[lo:hi], self.coef[lo:hi], self.lg[lo:hi], starts)
 
 
-def _concat(parts: list[_Rows]) -> _Rows:
-    starts = [0]
-    for part in parts:
-        starts += [starts[-1] + s for s in part.starts[1:]]
-    return _Rows(
-        np.concatenate([part.comps for part in parts]),
-        np.concatenate([part.coef for part in parts]),
-        np.concatenate([part.lg for part in parts]),
-        tuple(starts),
-    )
-
-
-# Bounds of the memo of leading shells: at most _MEMO_TABLES (beta0, betas)
+# Bounds of the cache of leading shells: at most _MEMO_TABLES (beta0, betas)
 # pairs, each holding its shells 0, 1, ... while they total at most
-# _MEMO_TERMS terms.  The fits reach shell 42 at most, 946 terms at m = 2; a
-# three-order series can run to DEFAULT_SHELL_CAP, 176k terms, and past the
-# bound its shells are built per call and not kept.
+# _MEMO_TERMS terms: 2048 shells at m = 1, 63 at m = 2, 22 at m = 3.  The
+# fits reach shell 42 at most, 946 terms at m = 2; a three-order series can
+# run to DEFAULT_SHELL_CAP, 176k terms, and past the table its shells are
+# built per call and not kept.
 _MEMO_TABLES = 16
 _MEMO_TERMS = 2048
-# (log_gamma, beta0, betas) -> _Rows of the leading shells.  A published dict
-# or table is never changed in place: growing one publishes a new dict, so a
-# concurrent reader sees either snapshot whole, and at worst a lost update
-# rebuilds some shells.  log_gamma is in the key so that a replaced Gamma
-# routine never reads tables built by another.
-_memo: dict = {}
 
 
-def _publish(key, rows: _Rows) -> None:
-    global _memo
-    memo = {k: v for k, v in _memo.items() if k != key}
-    memo[key] = rows
-    if len(memo) > _MEMO_TABLES:
-        del memo[next(iter(memo))]
-    _memo = memo
+@functools.lru_cache(maxsize=_MEMO_TABLES)
+def _leading_shells(gamma_fn, beta0: float, betas: tuple[float, ...]) -> _Rows:
+    """The rows of the shells 0..n-1 of the series of (beta0, betas), for the
+    largest n whose C(n - 1 + m, m) terms fit in _MEMO_TERMS, built in one
+    pass.  gamma_fn is the module's log_gamma, which builds them; it is in the
+    key so that a replaced Gamma routine never reads tables built by another."""
+    m = len(betas)
+    n = next(n for n in count() if math.comb(n + m, m) > _MEMO_TERMS)
+    starts = tuple(math.comb(k - 1 + m, m) for k in range(n + 1))
+    ks = np.repeat(np.arange(n, dtype=np.int64), np.diff(starts))
+    comps = ks[:, None] if m == 1 else np.vstack([_compositions(k, m) for k in range(n)])
+    rows = _ShellTerms(beta0, betas, (0.0,) * m).rows(ks, comps)
+    for a in (comps, rows.coef, rows.lg):
+        a.flags.writeable = False  # every caller shares them
+    return _Rows(comps, rows.coef, rows.lg, starts)
 
 
 class _ShellTerms:
@@ -347,7 +338,7 @@ class _ShellTerms:
     (ln k! - sum ln k_j!) + sum k_j ln|z_j| - ln Gamma(beta0 + sum beta_j k_j):
     `rows` builds the parts that do not depend on z, through the module's
     log_gamma, and `logs` adds this call's powers.  The leading shells' rows
-    come from the module memo, which the calls grow as they reach new shells.
+    come from the cached table of _leading_shells.
     """
 
     def __init__(self, beta0: float, betas: tuple[float, ...], zs: tuple[float, ...]) -> None:
@@ -356,14 +347,12 @@ class _ShellTerms:
         # ln k! for k = 0, 1, ..., grown as the shells need it; ln 0! = 0
         # exactly, so a zero part of a composition changes no coefficient bit
         self.lnfact = np.zeros(1)
-        self.key = (log_gamma, beta0, betas)
-        self.kept = _memo.get(self.key) or _Rows(
-            np.zeros((0, self.m), np.int64), np.zeros(0), np.zeros(0), (0,)
-        )
 
-    def rows(self, k: int, comps: np.ndarray | None = None) -> _Rows:
+    def rows(self, k, comps: np.ndarray | None = None) -> _Rows:
         """The rows of the compositions comps of k (an int64 array, all of
-        them by default), as one shell."""
+        them by default), as one shell.  k may instead be the ascending int64
+        array of each row's shell, for the rows of many shells in one pass;
+        one shell reads its ln k! as a scalar."""
         comps = _compositions(k, self.m) if comps is None else comps
         # the multinomial log coefficient is assembled apart from the powers
         # so that at m = 1 it is exactly 0 (ln k! - ln k!, no table needed),
@@ -371,8 +360,9 @@ class _ShellTerms:
         # the last bit of these values, so both are formed in j order
         coef, bsum = np.zeros(len(comps)), np.zeros(len(comps))
         if self.m > 1:
-            if len(self.lnfact) <= k:
-                grown = [log_gamma(i + 1.0) for i in range(len(self.lnfact), k + 1)]
+            top = int(k[-1]) if isinstance(k, np.ndarray) else k
+            if len(self.lnfact) <= top:
+                grown = [log_gamma(i + 1.0) for i in range(len(self.lnfact), top + 1)]
                 self.lnfact = np.concatenate([self.lnfact, grown])
             coef += self.lnfact[k]
             for col in comps.T:
@@ -400,28 +390,13 @@ class _ShellTerms:
         return tlog
 
     def _shells_from(self, k: int) -> _Rows:
-        """Rows of shell k and maybe some after it.  The memo's shells come in
-        runs that double in length, since most sums stop well before the
-        memo ends.  Where the memo ends at shell k, the shells it has room for
-        join it, at most k + 1 of them, so a table is republished only a
-        logarithmic number of times; otherwise shell k alone is built and not
-        kept."""
-        kept, m = self.kept, self.m
+        """Rows of shell k and maybe some after it.  The cached leading shells
+        come in runs that double in length, since most sums stop well before
+        the table ends; past it, shell k alone is built and not kept."""
+        kept = _leading_shells(log_gamma, self.beta0, self.betas)
         if k < kept.n_shells:
             return kept.run(k, min(kept.n_shells, 2 * k + 8))
-        room = _MEMO_TERMS - kept.starts[-1] if k == kept.n_shells else 0
-        grow = []
-        for kk in range(k, 2 * k + 1):
-            room -= math.comb(kk + m - 1, m - 1)  # the number of compositions
-            if room < 0:
-                break
-            grow.append(kk)
-        if not grow:
-            return self.rows(k)
-        block = _concat([self.rows(kk) for kk in grow])
-        self.kept = _concat([kept, block])
-        _publish(self.key, self.kept)
-        return block
+        return self.rows(k)
 
     def shells(self, kmax: int, with_comps: bool = False):
         """Shells 0..kmax in turn: the list of log |term| of each, or with
@@ -493,37 +468,6 @@ def _mp_digits(rel_tol: float, peak_ln: float) -> int:
     return max(6, int(math.ceil(-math.log10(rel_tol)))) + max(0, int(peak_ln / _LN10) + 1)
 
 
-def _mp_sum_with_retry(label: str, peak_ln_guess: float, summer, rel_tol: float) -> float:
-    """Run an extended-precision summation, escalating the working precision
-    until the observed peak magnitude certifies the result to rel_tol.
-
-    summer(mp, dps) must return (total, peak_ln_observed, converged).
-    """
-    mp = _mpmath().mp
-    dps = _mp_digits(rel_tol, peak_ln_guess) + 12
-    if dps > _MAX_MP_DPS:
-        raise AccuracyError(f"{label} needs ~{dps} digits; outside the series envelope")
-    with _MP_LOCK:
-        old = mp.dps
-        try:
-            for _ in range(4):
-                mp.dps = dps
-                total, peak_ln, converged = summer(mp, dps)
-                if not converged:
-                    raise AccuracyError(f"{label}: series did not converge")
-                if total == 0:
-                    return 0.0
-                need = _mp_digits(rel_tol, peak_ln) + 8 - int(mp.log10(abs(total)))
-                if need <= dps:
-                    return float(total)
-                if need > _MAX_MP_DPS:
-                    raise AccuracyError(f"{label} needs ~{need} digits")
-                dps = need + 10
-        finally:
-            mp.dps = old
-    raise AccuracyError(f"{label}: extended-precision retries exhausted")
-
-
 def _mp_plan(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float):
     """The series, shell cap and peak guess of an extended-precision sum;
     AccuracyError, before any full shell is built, where the scan puts the
@@ -551,8 +495,14 @@ def _mp_plan(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_
 
 
 def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float) -> float:
+    """The extended-precision sum, retried at more digits until the peak
+    magnitude it observed certifies the result to rel_tol."""
     m = len(betas)
+    label = f"mml(beta0={beta0}, betas={betas}, zs={zs})"
     series, shell_cap, peak_guess = _mp_plan(beta0, betas, zs, rel_tol)
+    dps = _mp_digits(rel_tol, peak_guess) + 12
+    if dps > _MAX_MP_DPS:
+        raise AccuracyError(f"{label} needs ~{dps} digits; outside the series envelope")
     # every double is a dyadic rational, so with unit = 2**scale the Gamma
     # argument beta0 + sum beta_j k_j is exactly the integer key
     # key0 + sum bkey_j k_j over unit
@@ -561,7 +511,9 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
     unit = 1 << scale
     key0, *bkeys = (n * (unit // d) for n, d in ratios)
 
-    def summer(mp, dps):
+    mp = _mpmath().mp
+
+    def summed(dps):
         # the sum is one integer counting quanta 2**-fbits, 12 digits and 32
         # bits below the noise floor that the cut below keeps to
         lib = _mpmath().libmp
@@ -642,9 +594,21 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
             total += -shell if k % 2 else shell
         return mp.make_mpf(lib.from_man_exp(total, -fbits, prec, rnd)), peak_ln, False
 
-    return _mp_sum_with_retry(
-        f"mml(beta0={beta0}, betas={betas}, zs={zs})", peak_guess, summer, rel_tol
-    )
+    with _MP_LOCK:
+        for _ in range(4):
+            with mp.workdps(dps):
+                total, peak_ln, converged = summed(dps)
+                if not converged:
+                    raise AccuracyError(f"{label}: series did not converge")
+                if total == 0:
+                    return 0.0
+                need = _mp_digits(rel_tol, peak_ln) + 8 - int(mp.log10(abs(total)))
+                if need <= dps:
+                    return float(total)
+            if need > _MAX_MP_DPS:
+                raise AccuracyError(f"{label} needs ~{need} digits")
+            dps = need + 10
+    raise AccuracyError(f"{label}: extended-precision retries exhausted")
 
 
 def _mml_value(

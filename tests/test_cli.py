@@ -225,6 +225,9 @@ class TestMainEntry:
         assert main(argv) == 2
         # a non-positive figure time range
         assert main(["simulate", "--experiment", "fig1", "--t-max", "-1", "--out", str(tmp_path)]) == 2
+        # an infinite T0, as for the time range
+        for t0 in ("inf", "1e-6,inf", "1e999"):
+            assert main(["fit", "--experiment", "table1a", "--t0", t0, "--out", str(tmp_path)]) == 2
         # bad values from the config file: other job counts, a kind that is
         # neither fp nor fr, scalars where lists belong, an unknown key, too
         # few points, a value of the wrong type
@@ -239,6 +242,8 @@ class TestMainEntry:
             # no bool, no float job count, no string
             {"jobs": True}, {"jobs": 1.0}, {"t_max": True}, {"t_max": "1"},
             {"t0": [True]}, {"t0": [1e-6, False]}, {"t0": ["1e-6"]},
+            # a T0 that parses as inf (json writes it as Infinity)
+            {"t0": [1e-6, math.inf]},
             {"jobs": True, "t_max": True},
         ):
             cfgfile.write_text(json.dumps({"experiment": "table1a", "t0": [1e-6], **bad}))

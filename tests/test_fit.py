@@ -252,6 +252,10 @@ class TestMinimize:
                     kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1,
                     beta_init=(0.5,), multi_start=bad,
                 )
+        # a kind or case given by its string value
+        for kind, case in (("polynomial", Case.INITIAL_DATA), (Kind.RATIONAL, "source")):
+            with pytest.raises(DomainError, match="kind must be a Kind"):
+                FitConfig(kind=kind, case=case, n_terms=1, beta_init=(0.5,))
         for good in (0, 2, 5):
             cfg = FitConfig(
                 kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1,

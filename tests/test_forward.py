@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracorder import forward, specfun
+from fracorder import cli, forward, specfun
 from fracorder.forward import (
     Case,
     SpectralProblem,
@@ -68,6 +68,10 @@ class TestBuilders:
     def test_unknown_case(self):
         with pytest.raises(DomainError):
             build_example_4_2("iii")
+
+    def test_case_must_be_a_case(self):
+        with pytest.raises(DomainError, match="case must be a Case"):
+            SpectralProblem(((1.0, 1.0),), "source")
 
 
 class TestTraceInitial:
@@ -341,3 +345,21 @@ class TestTraceSampleCsv:
         for path in (empty, header_only):
             with pytest.raises(DomainError, match=path.name):
                 TraceSample.from_csv(path)
+
+    def test_figure_csv_reads_t_and_g(self, tmp_path):
+        # a simulate figure panel has the header t,g,fp,fr
+        assert cli.cmd_simulate(cli.ExperimentConfig("fig1", tmp_path, fig_points=40)) == 0
+        path = tmp_path / "fig1_alpha0.50.csv"
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,g,fp,fr"
+        back = TraceSample.from_csv(path)
+        cells = [line.split(",") for line in lines[1:]]
+        assert len(back) == 40
+        assert back.times.tolist() == [float(c[0]) for c in cells]
+        assert back.values.tolist() == [float(c[1]) for c in cells]
+        assert back.T0 == back.times[-1]
+        # a row with fewer than two cells names the file and the line
+        lines.insert(3, "0.5")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError, match=rf"{path.name}, line 4"):
+            TraceSample.from_csv(path)

@@ -64,6 +64,19 @@ class TestEval:
         with pytest.raises(DomainError):
             ModelParams(Kind.POLYNOMIAL, Case.INITIAL_DATA, (1.0,), (0.7,))
 
+    def test_kind_and_case_must_be_the_enums(self):
+        # the string "polynomial" was once read as the rational model
+        # (3.414 at t = 0.5, where the polynomial gives 0.293)
+        for kind, case in (
+            ("polynomial", Case.INITIAL_DATA),
+            (Kind.POLYNOMIAL, "initial-data"),
+            (Case.INITIAL_DATA, Kind.POLYNOMIAL),
+        ):
+            with pytest.raises(DomainError, match="kind must be a Kind"):
+                ModelParams(kind, case, (1.0, -1.0), (0.5,))
+        p = ModelParams(Kind.POLYNOMIAL, Case.INITIAL_DATA, (1.0, -1.0), (0.5,))
+        assert rel_err(eval_model(p, 0.5), 1.0 - math.sqrt(0.5)) < 1e-15
+
 
 class TestGrad:
     def test_polynomial_partials(self):

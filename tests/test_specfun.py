@@ -206,8 +206,8 @@ GOLDEN_ML2 = {
 
 
 class TestShellMemo:
-    """The z-independent part of each series term is memoized per
-    (beta0, betas); the values keep every bit."""
+    """The z-independent part of each series term is cached per
+    (beta0, betas) for the leading shells; the values keep every bit."""
 
     def values(self):
         return [repr(mml(MLArgs(*key))) for key in GOLDEN_MML] + [
@@ -216,30 +216,52 @@ class TestShellMemo:
 
     def test_golden_bits_cold_and_warm(self, monkeypatch):
         golden = [*GOLDEN_MML.values(), *GOLDEN_ML2.values()]
-        monkeypatch.setattr(specfun, "_memo", {})
+        specfun._leading_shells.cache_clear()
         mp_calls = count_calls(monkeypatch, specfun, "_mml_mp")
         assert self.values() == golden
         assert mp_calls == [(1.7, (0.7, 0.4), (-15.0, 0.0), 1e-10), (0.5, (0.5,), (-19.5,), 1e-10)]
-        assert specfun._memo
+        assert specfun._leading_shells.cache_info().currsize
         assert self.values() == golden
-        monkeypatch.setattr(specfun, "_memo", {})
+        specfun._leading_shells.cache_clear()
         assert self.values() == golden
 
-    def test_term_limit_holds_to_the_shell_cap(self, monkeypatch):
+    def test_term_limit_holds_to_the_shell_cap(self):
         # the double sum runs all DEFAULT_SHELL_CAP + 1 shells (176k terms)
-        # without converging; the memo keeps only the leading ones
-        monkeypatch.setattr(specfun, "_memo", {})
+        # without converging; the cache keeps only the leading ones
+        specfun._leading_shells.cache_clear()
         args = (1.8, (0.8, 0.6, 0.3), (-6.0, -0.5, -0.5))
         _, _, converged = specfun._mml_double(*args, specfun.DEFAULT_SHELL_CAP)
         assert not converged
-        (table,) = specfun._memo.values()
+        assert specfun._leading_shells.cache_info().currsize == 1
+        table = specfun._leading_shells(specfun.log_gamma, *args[:2])
+        assert specfun._leading_shells.cache_info().misses == 1
         assert 0 < table.starts[-1] <= specfun._MEMO_TERMS
 
-    def test_table_limit(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_memo", {})
+    def test_table_limit(self):
+        specfun._leading_shells.cache_clear()
         for i in range(specfun._MEMO_TABLES + 4):
             mml(MLArgs(1.0 + 0.01 * i, (0.5,), (-0.1,)))
-        assert len(specfun._memo) == specfun._MEMO_TABLES
+        assert specfun._leading_shells.cache_info().currsize == specfun._MEMO_TABLES
+
+    @pytest.mark.parametrize(
+        "betas, n_shells", [((0.7,), 2048), ((0.7, 0.4), 63), ((0.8, 0.6, 0.3), 22)]
+    )
+    def test_table_equals_the_rows_of_each_shell(self, betas, n_shells):
+        # the one-pass table holds the most leading shells that fit, and each
+        # is byte for byte the rows that a single-shell build gives
+        table = specfun._leading_shells(specfun.log_gamma, 1.7, betas)
+        m = len(betas)
+        assert table.n_shells == n_shells
+        assert table.starts[-1] <= specfun._MEMO_TERMS < math.comb(n_shells + m, m)
+        assert not any(a.flags.writeable for a in (table.comps, table.coef, table.lg))
+        series = specfun._ShellTerms(1.7, betas, (-1.0,) * m)
+        for k in range(n_shells):
+            run, one = table.run(k, k + 1), series.rows(k)
+            assert run.starts == one.starts
+            for field in ("comps", "coef", "lg"):
+                a, b = getattr(run, field), getattr(one, field)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
 
     def test_replaced_gamma_reads_no_other_table(self, monkeypatch):
         args = MLArgs(1.7, (0.7, 0.4), (-1.5, -0.2))
@@ -269,7 +291,7 @@ class TestExtendedPrecisionSeries:
     def test_golden_bits_cold(self, monkeypatch):
         # the three-order point sums about 114k terms (to shell 86), inside
         # the term budget
-        monkeypatch.setattr(specfun, "_memo", {})
+        specfun._leading_shells.cache_clear()
         mp_calls = count_calls(monkeypatch, specfun, "_mml_mp")
         for (b0, betas, zs, tol), golden in GOLDEN_MP.items():
             assert repr(mml(MLArgs(b0, betas, zs), rel_tol=tol)) == golden
