@@ -334,16 +334,18 @@ def _write_fig_panel(path: Path, alphas: tuple[float, ...], cfg: ExperimentConfi
     problem = SpectralProblem(((lam, 1.0),), Case.INITIAL_DATA)
     fp = from_physical(phys, Kind.POLYNOMIAL, Case.INITIAL_DATA)
     fr = from_physical(phys, Kind.RATIONAL, Case.INITIAL_DATA)
+    # every value is computed before the file is opened, so a failing panel
+    # leaves no partial CSV
+    if orders is None:
+        g = [math.exp(-lam * t) for t in tgrid]
+    else:
+        g = trace_initial(problem, orders, tgrid, method="auto")
+    vp = models.eval_model(fp, tgrid)
+    vr = models.eval_model(fr, tgrid)
     with open(path, "w", newline="") as fh:
         fh.write("t,g,fp,fr\n")
-        for t in tgrid:
-            if orders is None:
-                g = math.exp(-lam * t)
-            else:
-                g = trace_initial(problem, orders, float(t), method="auto")
-            vp = models.eval_model(fp, float(t))
-            vr = models.eval_model(fr, float(t))
-            fh.write(f"{t:.17g},{g:.17g},{vp:.17g},{vr:.17g}\n")
+        for row in zip(tgrid, g, vp, vr):
+            fh.write("{:.17g},{:.17g},{:.17g},{:.17g}\n".format(*row))
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:

@@ -125,7 +125,12 @@ class TraceSample:
             for cells in reader:
                 if len(cells) < 2:
                     raise DomainError(f"{path}, line {reader.line_num}: expected t,g, got {cells}")
-                rows.append((float(cells[0]), float(cells[1])))
+                try:
+                    rows.append((float(cells[0]), float(cells[1])))
+                except ValueError:
+                    raise DomainError(
+                        f"{path}, line {reader.line_num}: non-numeric t,g {cells[:2]}"
+                    ) from None
         if not rows:
             raise DomainError(f"{path}: trace file has no samples")
         t = np.array([r[0] for r in rows])
@@ -149,57 +154,82 @@ def _normalized_modes(
     return lams, normalize_spec(spec, 1.0).spec, a
 
 
-def _mode_kernels(
-    problem: SpectralProblem, spec: OrderSpec, t: float, method: str
-) -> list[float]:
-    """Each mode's kernel at t (S1 for initial data, else the convolution of
-    S2 with s^a / Gamma(a+1)), for the normalized modes and orders.
+def _as_times(t) -> tuple[np.ndarray, bool]:
+    """t as a 1-d array of positive times, and whether it was a scalar."""
+    times = np.asarray(t, dtype=float)
+    scalar = times.ndim == 0
+    times = np.atleast_1d(times)
+    if times.ndim != 1 or times.size == 0:
+        raise DomainError(f"t must be a float or a non-empty 1-d array, got shape {times.shape}")
+    bad = np.flatnonzero(~(times > 0.0))
+    if bad.size:
+        raise DomainError(f"t must be positive, got {times[bad[0]]}")
+    return times, scalar
 
-    Each distinct eigenvalue is evaluated once.  method "series" sums the
-    certified series; the series arguments of every eigenvalue are built, and
-    range-checked, before any is summed, so an argument beyond Z_MAX fails at
-    once.  "auto" takes every value from the Weideman-Trefethen hyperbola
-    quadrature of the Laplace transform (about 1e-10 relative, no series and
-    no extended precision), at any t > 0.
+
+def _mode_kernels(
+    problem: SpectralProblem, spec: OrderSpec, t: float | np.ndarray, method: str
+) -> tuple[list, bool]:
+    """Each mode's kernel (S1 for initial data, else the convolution of S2
+    with s^a / Gamma(a+1)), for the normalized modes and orders, at t: a float
+    or a 1-d array of times.  Returns one row of per-mode kernels per time,
+    and whether t was a scalar.
+
+    Each distinct eigenvalue is evaluated once per time.  method "series"
+    sums the certified series time by time; at each time the series arguments
+    of every eigenvalue are built, and range-checked, before any is summed,
+    so an argument beyond Z_MAX fails at once.  "auto" takes every value from
+    the Weideman-Trefethen hyperbola quadrature of the Laplace transform
+    (about 1e-10 relative, no series and no extended precision), at any
+    t > 0, with one vectorized call over all times per distinct eigenvalue.
     """
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    times, scalar = _as_times(t)
     lams, nspec, a = _normalized_modes(problem, spec)
     distinct = dict.fromkeys(lams)
     if method == "series":
-        args = {lam: _kernel_args(lam, nspec, t, a) for lam in distinct}
-        kernel = {lam: _kernel_from_ml(lam, nspec, t, a, mml(x)) for lam, x in args.items()}
+        rows = []
+        # a scalar t goes to the series as given
+        for ti in [t] if scalar else times:
+            args = {lam: _kernel_args(lam, nspec, ti, a) for lam in distinct}
+            kernel = {lam: _kernel_from_ml(lam, nspec, ti, a, mml(x)) for lam, x in args.items()}
+            rows.append([kernel[lam] for lam in lams])
     elif method == "auto":
         numerator = _laplace_numerator(nspec, a)
-        kernel = {lam: _hyperbola_integral(lam, nspec, t, numerator) for lam in distinct}
+        kernel = {lam: _hyperbola_integral(lam, nspec, times, numerator).tolist() for lam in distinct}
+        rows = list(zip(*(kernel[lam] for lam in lams)))
     else:
         raise DomainError(f"unknown method {method!r}; expected 'series' or 'auto'")
-    return [kernel[lam] for lam in lams]
+    return rows, scalar
 
 
 def trace_initial(
-    problem: SpectralProblem, spec: OrderSpec, t: float, *, method: str = "series"
-) -> float:
-    """g(t) for the initial-datum case: sum of w_n S1(t; lambda_n).  method
-    is "series" or "auto" (see _mode_kernels)."""
+    problem: SpectralProblem, spec: OrderSpec, t: float | np.ndarray, *, method: str = "series"
+) -> float | np.ndarray:
+    """g(t) for the initial-datum case: sum of w_n S1(t; lambda_n), at a
+    float t (a float result) or a 1-d array of times (an array).  method is
+    "series" or "auto" (see _mode_kernels)."""
     if problem.case is not Case.INITIAL_DATA:
         raise DomainError("trace_initial requires an initial-data problem")
-    kernels = _mode_kernels(problem, spec, t, method)
-    return math.fsum(w * k for (_, w), k in zip(problem.modes, kernels))
+    rows, scalar = _mode_kernels(problem, spec, t, method)
+    g = [math.fsum(w * k for (_, w), k in zip(problem.modes, row)) for row in rows]
+    return g[0] if scalar else np.array(g)
 
 
 def trace_source(
-    problem: SpectralProblem, spec: OrderSpec, t: float, *, method: str = "series"
-) -> float:
+    problem: SpectralProblem, spec: OrderSpec, t: float | np.ndarray, *, method: str = "series"
+) -> float | np.ndarray:
     """g(t) for the source case with power-law time factor
-    sigma(s) = c0 s^a / Gamma(a+1).  method is "series" or "auto" (see
-    _mode_kernels)."""
+    sigma(s) = c0 s^a / Gamma(a+1), at a float t or a 1-d array of times.
+    method is "series" or "auto" (see _mode_kernels)."""
     if problem.case is not Case.SOURCE:
         raise DomainError("trace_source requires a source problem")
     rn = spec.weights[-1]
-    kernels = _mode_kernels(problem, spec, t, method)
-    total = math.fsum(w * k / rn for (_, w), k in zip(problem.modes, kernels))
-    return problem.source_scale * total
+    rows, scalar = _mode_kernels(problem, spec, t, method)
+    g = [
+        problem.source_scale * math.fsum(w * k / rn for (_, w), k in zip(problem.modes, row))
+        for row in rows
+    ]
+    return g[0] if scalar else np.array(g)
 
 
 def laplace_trace(problem: SpectralProblem, spec: OrderSpec, p: float) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fracorder.forward import Case
+from fracorder.forward import Case, _as_times
 from fracorder.specfun import DomainError, gamma
 
 __all__ = [
@@ -137,7 +137,7 @@ def _grad_arrays(kind: Kind, case: Case, c, beta, t: np.ndarray) -> np.ndarray:
         rows.extend(powers)
         amp = c[1:] if has_const else c
         rows.extend(ai * pi * lnt for ai, pi in zip(amp, powers))
-        return np.vstack(rows)
+        return np.array(rows)
     powers = [t**bi for bi in beta]
     den = np.ones_like(t)
     for di, pi in zip(c[1:], powers):
@@ -152,21 +152,12 @@ def _grad_arrays(kind: Kind, case: Case, c, beta, t: np.ndarray) -> np.ndarray:
         rows.append((den - 1.0) / den)
         rows.extend(c[0] * pi * q2 for pi in powers)
         rows.extend(c[0] * di * pi * lnt * q2 for di, pi in zip(c[1:], powers))
-    return np.vstack(rows)
-
-
-def _as_time_array(t) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr <= 0.0):
-        raise DomainError("model evaluation requires t > 0")
-    return arr, scalar
+    return np.array(rows)
 
 
 def eval_model(params: ModelParams, t):
-    """Evaluate the regressor at t > 0 (scalar or array)."""
-    arr, scalar = _as_time_array(t)
+    """Evaluate the regressor at t > 0 (scalar or 1-d array)."""
+    arr, scalar = _as_times(t)
     out = _eval_arrays(params.kind, params.case, params.c, params.beta, arr)
     return float(out[0]) if scalar else out
 
@@ -176,7 +167,7 @@ def grad_model(params: ModelParams, t):
 
     Returns shape (n_params,) for scalar t and (n_params, len(t)) otherwise.
     """
-    arr, scalar = _as_time_array(t)
+    arr, scalar = _as_times(t)
     out = _grad_arrays(params.kind, params.case, params.c, params.beta, arr)
     return out[:, 0] if scalar else out
 

@@ -5,7 +5,9 @@ quadratures of the relaxation kernels' Laplace transforms that share no code
 with the series: the arc-plus-rays contour kernels (s*_kernel_contour), the
 independent cross-check of the series evaluations, and the Weideman-Trefethen
 hyperbola (_hyperbola_integral), which serves every value of forward's "auto"
-method.
+method.  The hyperbola takes a float or a 1-d array of times, and evaluates
+an array in vectorized passes of up to _HYP_ROWS times, one row of nodes per
+time.
 
 There is one series: the multinomial one, summed shell by shell.  The
 two-parameter function E_{alpha,beta}(z) is its one-argument case, and like
@@ -845,22 +847,36 @@ _HYP_H = 1.0818 / _HYP_N
 _HYP_MU_T = 4.4921 * _HYP_N
 # iu - alpha at the nodes u = k h, k = 0..N
 _HYP_W = 1j * _HYP_H * np.arange(_HYP_N + 1) - 1.1721
+# times per vectorized pass: each (rows, N + 1) node array stays near 20 KB,
+# so a long time grid does not raise the process's peak memory
+_HYP_ROWS = 64
 
 
-def _hyperbola_integral(lam, spec, t, numerator) -> float:
+def _hyperbola_integral(lam, spec, t, numerator):
     """Inverse Laplace transform at t of numerator(p) / (lam + sum r p^alpha)
     by the trapezoid rule on a hyperbola around the branch cut.
 
+    t is a float (a float result) or a 1-d array of times (an array): each
+    time is one row of nodes, summed along the row, so an array is a few
+    vectorized passes and gives the scalar calls' values to the last bit.
     The transform is real on the real axis, so the nodes u >= 0 stand for the
     whole rule: the other half is their mirror image.  About 1e-10 accurate
     for the relaxation kernels.
     """
-    mu = _HYP_MU_T / t
-    p = mu * (1.0 + np.sin(_HYP_W))
-    den = lam + _sum_powers(p, spec, 0.0)
-    # dp/du = i mu cos(iu - alpha); its factor i turns Im into Re
-    f = np.exp(t * p) * numerator(p) / den * np.cos(_HYP_W)
-    total = mu * _HYP_H / math.pi * float(np.real(np.sum(f) - 0.5 * f[0]))
-    if not math.isfinite(total):
-        raise AccuracyError(f"hyperbola quadrature at t={t} gave {total}")
-    return total
+    times = np.asarray(t, dtype=float)
+    tcol = np.atleast_1d(times)[:, None]
+    total = np.empty(len(tcol))
+    for i in range(0, len(tcol), _HYP_ROWS):
+        tb = tcol[i : i + _HYP_ROWS]
+        mu = _HYP_MU_T / tb
+        p = mu * (1.0 + np.sin(_HYP_W))
+        den = lam + _sum_powers(p, spec, 0.0)
+        # dp/du = i mu cos(iu - alpha); its factor i turns Im into Re
+        f = np.exp(tb * p) * numerator(p) / den * np.cos(_HYP_W)
+        node_sum = np.real(np.sum(f, axis=1) - 0.5 * f[:, 0])
+        total[i : i + _HYP_ROWS] = mu[:, 0] * _HYP_H / math.pi * node_sum
+    bad = np.flatnonzero(~np.isfinite(total))
+    if bad.size:
+        i = bad[0]
+        raise AccuracyError(f"hyperbola quadrature at t={float(tcol[i, 0])} gave {float(total[i])}")
+    return float(total[0]) if times.ndim == 0 else total

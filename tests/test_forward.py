@@ -216,6 +216,79 @@ class TestAutoMethod:
             trace_source(build_example_4_2("ii"), orders, 0.01, method="contour")
 
 
+class TestTimeArrays:
+    # an array of times is one hyperbola pass per distinct eigenvalue, and
+    # must give the scalar calls' values to the last bit
+    FIG_SPECS = tuple(
+        OrderSpec(alphas, cli._weights(alphas))
+        for panels in cli.FIGURES.values()
+        for _, alphas in panels
+        if alphas != (1.0,)
+    )
+    SOURCE_SPECS = (
+        OrderSpec((0.5,), (1.0,)),
+        OrderSpec((0.5, 0.7), (0.5, 1.0)),
+        OrderSpec((0.2, 0.5, 0.8), (0.5, 0.5, 1.0)),
+    )
+
+    def test_figure_panels_match_scalar_calls(self):
+        lam = PI2 + 1.0
+        problem = SpectralProblem(((lam, 1.0),), Case.INITIAL_DATA)
+        times = np.geomspace(1e-6, 1.0, 500)
+        assert len(self.FIG_SPECS) == 7
+        for spec in self.FIG_SPECS:
+            batched = trace_initial(problem, spec, times, method="auto")
+            assert isinstance(batched, np.ndarray) and batched.shape == times.shape
+            scalar = [trace_initial(problem, spec, float(t), method="auto") for t in times]
+            assert all(type(g) is float for g in scalar)
+            assert np.array_equal(batched, scalar)
+
+    def test_source_matches_scalar_and_one_element_calls(self, monkeypatch):
+        # 5 modes with 3 distinct eigenvalues; t = 0.3 and beyond lie outside
+        # the series envelope
+        problem = build_example_4_2("ii")
+        times = np.geomspace(1e-6, 0.5, 270)
+        passes = count_calls(monkeypatch, forward, "_hyperbola_integral")
+        for spec in self.SOURCE_SPECS:
+            del passes[:]
+            batched = trace_source(problem, spec, times, method="auto")
+            assert len(passes) == 3
+            scalar = [trace_source(problem, spec, float(t), method="auto") for t in times]
+            single = [trace_source(problem, spec, times[i : i + 1], method="auto")[0] for i in range(len(times))]
+            assert np.array_equal(batched, scalar)
+            assert np.array_equal(batched, single)
+
+    def test_series_runs_time_by_time(self, monkeypatch):
+        cases = (
+            (trace_initial, build_example_4_2("i"), OrderSpec((0.5, 0.8), (0.5, 1.0))),
+            (trace_source, build_example_4_2("ii"), OrderSpec((0.5, 0.7), (0.5, 1.0))),
+        )
+        times = np.array([1e-7, 1e-6, 1e-5, 1e-4])
+        for trace, problem, spec in cases:
+            scalar = [trace(problem, spec, t) for t in times]
+            calls = count_calls(monkeypatch, forward, "mml")
+            batched = trace(problem, spec, times, method="series")
+            assert len(calls) == 3 * len(times)
+            assert np.array_equal(batched, scalar)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("method", ["series", "auto"])
+    def test_bad_arrays(self, method):
+        orders = OrderSpec((0.5, 0.7), (0.5, 1.0))
+        cases = ((trace_initial, build_example_4_2("i")), (trace_source, build_example_4_2("ii")))
+        bad = (
+            np.array([1e-4, 0.0]),
+            np.array([1e-4, -1e-3]),
+            np.array([1e-4, math.nan]),
+            np.full((2, 2), 1e-4),
+            np.array([]),
+        )
+        for trace, problem in cases:
+            for times in bad:
+                with pytest.raises(DomainError):
+                    trace(problem, orders, times, method=method)
+
+
 class TestSeriesFailsFast:
     # on the table3b problem at t = 0.3 the 10 pi^2 modes have |z| > Z_MAX
     PROBLEM = build_example_4_2("ii")
@@ -362,4 +435,10 @@ class TestTraceSampleCsv:
         lines.insert(3, "0.5")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DomainError, match=rf"{path.name}, line 4"):
+            TraceSample.from_csv(path)
+
+    def test_non_numeric_cell_names_file_and_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("t,g\n1e-6,0.5\n2e-6,abc\n")
+        with pytest.raises(DomainError, match=rf"{path.name}, line 3"):
             TraceSample.from_csv(path)

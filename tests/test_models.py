@@ -57,8 +57,11 @@ class TestEval:
 
     def test_domain_and_validation(self):
         p = ModelParams(Kind.POLYNOMIAL, Case.INITIAL_DATA, (1.0, -2.0), (0.7,))
-        with pytest.raises(DomainError):
-            eval_model(p, 0.0)
+        for t in (0.0, math.nan, np.array([1e-3, -1e-3]), np.full((1, 2), 1e-3), np.array([])):
+            with pytest.raises(DomainError):
+                eval_model(p, t)
+            with pytest.raises(DomainError):
+                grad_model(p, t)
         with pytest.raises(DomainError):
             ModelParams(Kind.POLYNOMIAL, Case.INITIAL_DATA, (1.0, -2.0), (0.7, 0.6))
         with pytest.raises(DomainError):

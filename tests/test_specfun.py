@@ -570,6 +570,22 @@ class TestHyperbola:
         with pytest.raises(AccuracyError), np.errstate(invalid="ignore"):
             specfun._hyperbola_integral(math.nan, spec, 0.1, lambda p: 1.0)
 
+    def test_time_array_matches_scalar_calls(self):
+        # more times than one vectorized pass takes
+        times = np.geomspace(1e-4, 1.0, 2 * specfun._HYP_ROWS + 3)
+        for lam in GRID_LAMS:
+            for spec in GRID_SPECS:
+                for kernel in ("s1", "s2"):
+                    batched = self._hyperbola(kernel, lam, spec, times)
+                    scalar = [self._hyperbola(kernel, lam, spec, float(t)) for t in times]
+                    assert np.array_equal(batched, scalar)
+
+    def test_non_finite_value_names_its_time(self):
+        spec = OrderSpec((0.5,), (1.0,))
+        times = np.append(np.full(specfun._HYP_ROWS + 1, 0.1), math.inf)
+        with pytest.raises(AccuracyError, match="t=inf"), np.errstate(all="ignore"):
+            specfun._hyperbola_integral(2.0, spec, times, lambda p: 1.0)
+
 
 class TestOracleGrid:
     def test_full_36_point_agreement(self):
