@@ -160,8 +160,7 @@ def gradient_check_max_err(n_draws: int = 50, seed: int = 20240501) -> float:
             if beta[1] - beta[0] > 0.1:
                 break
         if kind is Kind.POLYNOMIAL:
-            nc = m + (1 if case is Case.INITIAL_DATA else 0)
-            c = rng.uniform(-2.0, 2.0, size=nc)
+            c = rng.uniform(-2.0, 2.0, size=models.n_coeffs(kind, case, m))
         else:
             d = rng.uniform(-0.2, 0.8, size=m)
             c = np.concatenate([[rng.uniform(0.5, 2.0)], d])

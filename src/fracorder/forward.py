@@ -26,7 +26,6 @@ from fracorder.specfun import (
     _kernel_from_ml,
     _laplace_numerator,
     mml,
-    normalize_spec,
 )
 
 __all__ = [
@@ -143,17 +142,6 @@ class TraceSample:
 # ---------------------------------------------------------------------------
 
 
-def _normalized_modes(
-    problem: SpectralProblem, spec: OrderSpec
-) -> tuple[list[float], OrderSpec, float | None]:
-    """The eigenvalues and orders divided by the leading weight, and the
-    source exponent (None for initial data)."""
-    rn = spec.weights[-1]
-    lams = [lam / rn for lam, _ in problem.modes]
-    a = None if problem.case is Case.INITIAL_DATA else problem.source_exponent
-    return lams, normalize_spec(spec, 1.0).spec, a
-
-
 def _as_times(t) -> tuple[np.ndarray, bool]:
     """t as a 1-d array of positive times, and whether it was a scalar."""
     times = np.asarray(t, dtype=float)
@@ -171,9 +159,9 @@ def _mode_kernels(
     problem: SpectralProblem, spec: OrderSpec, t: float | np.ndarray, method: str
 ) -> tuple[list, bool]:
     """Each mode's kernel (S1 for initial data, else the convolution of S2
-    with s^a / Gamma(a+1)), for the normalized modes and orders, at t: a float
-    or a 1-d array of times.  Returns one row of per-mode kernels per time,
-    and whether t was a scalar.
+    with s^a / Gamma(a+1)), for the problem's eigenvalues and the orders with
+    their weights as given, at t: a float or a 1-d array of times.  Returns
+    one row of per-mode kernels per time, and whether t was a scalar.
 
     Each distinct eigenvalue is evaluated once per time.  method "series"
     sums the certified series time by time; at each time the series arguments
@@ -184,18 +172,19 @@ def _mode_kernels(
     t > 0, with one vectorized call over all times per distinct eigenvalue.
     """
     times, scalar = _as_times(t)
-    lams, nspec, a = _normalized_modes(problem, spec)
+    lams = [lam for lam, _ in problem.modes]
+    a = None if problem.case is Case.INITIAL_DATA else problem.source_exponent
     distinct = dict.fromkeys(lams)
     if method == "series":
         rows = []
         # a scalar t goes to the series as given
         for ti in [t] if scalar else times:
-            args = {lam: _kernel_args(lam, nspec, ti, a) for lam in distinct}
-            kernel = {lam: _kernel_from_ml(lam, nspec, ti, a, mml(x)) for lam, x in args.items()}
+            args = {lam: _kernel_args(lam, spec, ti, a) for lam in distinct}
+            kernel = {lam: _kernel_from_ml(lam, spec, ti, a, mml(x)) for lam, x in args.items()}
             rows.append([kernel[lam] for lam in lams])
     elif method == "auto":
-        numerator = _laplace_numerator(nspec, a)
-        kernel = {lam: _hyperbola_integral(lam, nspec, times, numerator).tolist() for lam in distinct}
+        numerator = _laplace_numerator(spec, a)
+        kernel = {lam: _hyperbola_integral(lam, spec, times, numerator).tolist() for lam in distinct}
         rows = list(zip(*(kernel[lam] for lam in lams)))
     else:
         raise DomainError(f"unknown method {method!r}; expected 'series' or 'auto'")
@@ -223,12 +212,9 @@ def trace_source(
     method is "series" or "auto" (see _mode_kernels)."""
     if problem.case is not Case.SOURCE:
         raise DomainError("trace_source requires a source problem")
-    rn = spec.weights[-1]
     rows, scalar = _mode_kernels(problem, spec, t, method)
-    g = [
-        problem.source_scale * math.fsum(w * k / rn for (_, w), k in zip(problem.modes, row))
-        for row in rows
-    ]
+    c0 = problem.source_scale
+    g = [c0 * math.fsum(w * k for (_, w), k in zip(problem.modes, row)) for row in rows]
     return g[0] if scalar else np.array(g)
 
 
@@ -303,27 +289,20 @@ def build_example_4_2(case: str) -> SpectralProblem:
     raise DomainError(f"unknown case {case!r}; expected 'i' or 'ii'")
 
 
-def sample_trace(
-    problem: SpectralProblem,
-    spec: OrderSpec,
-    T0: float,
-    n: int,
-    *,
-    method: str = "series",
-) -> TraceSample:
-    """Uniform open grid t_k = k T0 / n, k = 1..n (t = 0 excluded)."""
+def sample_trace(problem: SpectralProblem, spec: OrderSpec, T0: float, n: int) -> TraceSample:
+    """Uniform open grid t_k = k T0 / n, k = 1..n (t = 0 excluded), sampled
+    by the series route."""
     if n < 2:
         raise DomainError(f"need n >= 2 grid points, got {n}")
     if not T0 > 0.0:
         raise DomainError(f"T0 must be positive, got {T0}")
-    if method == "series":
-        # |z| grows with t, so the series arguments at T0 are the worst ones
-        lams, nspec, a = _normalized_modes(problem, spec)
-        for lam in lams:
-            _kernel_args(lam, nspec, T0, a)
+    # |z| grows with t, so the series arguments at T0 are the worst ones
+    a = None if problem.case is Case.INITIAL_DATA else problem.source_exponent
+    for lam, _ in problem.modes:
+        _kernel_args(lam, spec, T0, a)
     times = np.arange(1, n + 1) * (T0 / n)
     if problem.case is Case.INITIAL_DATA:
-        values = np.array([trace_initial(problem, spec, t, method=method) for t in times])
+        values = np.array([trace_initial(problem, spec, t) for t in times])
     else:
-        values = np.array([trace_source(problem, spec, t, method=method) for t in times])
+        values = np.array([trace_source(problem, spec, t) for t in times])
     return TraceSample(times, values, T0=T0)

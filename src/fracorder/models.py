@@ -127,7 +127,6 @@ def _eval_arrays(kind: Kind, case: Case, c, beta, t: np.ndarray) -> np.ndarray:
 
 def _grad_arrays(kind: Kind, case: Case, c, beta, t: np.ndarray) -> np.ndarray:
     lnt = np.log(t)
-    m = len(beta)
     if kind is Kind.POLYNOMIAL:
         has_const = case is Case.INITIAL_DATA
         rows = []

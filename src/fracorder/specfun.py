@@ -12,7 +12,10 @@ time.
 There is one series: the multinomial one, summed shell by shell.  The
 two-parameter function E_{alpha,beta}(z) is its one-argument case, and like
 beta0 of the multinomial function it needs beta > 0, so every Gamma argument
-of a term is positive.
+of a term is positive.  Its arguments are reduced once, at the entry: mml
+drops every pair with z_j = 0, so the sum only ever sees z_j < 0, and the
+series kernels divide the equation by the leading weight themselves, so
+they take any positive weights, as the contour and hyperbola routes do.
 
 The series is summed with compensated (Kahan) accumulation and certifies
 its own rounding envelope: the worst term magnitude is tracked
@@ -42,7 +45,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from itertools import compress, count, pairwise
+from itertools import count, pairwise
 
 import numpy as np
 
@@ -91,8 +94,6 @@ _MAX_SERIES_TERMS = 500_000
 _MP_LOCK = threading.Lock()
 _LN10 = math.log(10.0)
 
-_mpmath_module = None
-
 
 class DomainError(ValueError):
     """Argument outside the supported regime."""
@@ -100,15 +101,6 @@ class DomainError(ValueError):
 
 class AccuracyError(ArithmeticError):
     """The evaluation cannot be certified to the target accuracy."""
-
-
-def _mpmath():
-    global _mpmath_module
-    if _mpmath_module is None:
-        import mpmath
-
-        _mpmath_module = mpmath
-    return _mpmath_module
 
 
 def gamma(x: float) -> float:
@@ -325,27 +317,19 @@ def _leading_shells(gamma_fn, beta0: float, betas: tuple[float, ...]) -> _Rows:
     starts = tuple(math.comb(k - 1 + m, m) for k in range(n + 1))
     ks = np.repeat(np.arange(n, dtype=np.int64), np.diff(starts))
     comps = ks[:, None] if m == 1 else np.vstack([_compositions(k, m) for k in range(n)])
-    rows = _ShellTerms(beta0, betas, (0.0,) * m).rows(ks, comps)
+    rows = _ShellRows(beta0, betas).rows(ks, comps)
     for a in (comps, rows.coef, rows.lg):
         a.flags.writeable = False  # every caller shares them
     return _Rows(comps, rows.coef, rows.lg, starts)
 
 
-class _ShellTerms:
-    """The terms of one multinomial series, listed shell by shell.
+class _ShellRows:
+    """The parts of the terms of the multinomial series of (beta0, betas)
+    that do not depend on z, built shell by shell through the module's
+    log_gamma."""
 
-    Shell k of sum_k sum_{|comp| = k} k!/(k_1! ... k_m!) prod z_j**k_j
-    / Gamma(beta0 + sum beta_j k_j) holds one term per composition of k;
-    the sign of every term in it is (-1)**k.  A term's log magnitude is
-    (ln k! - sum ln k_j!) + sum k_j ln|z_j| - ln Gamma(beta0 + sum beta_j k_j):
-    `rows` builds the parts that do not depend on z, through the module's
-    log_gamma, and `logs` adds this call's powers.  The leading shells' rows
-    come from the cached table of _leading_shells.
-    """
-
-    def __init__(self, beta0: float, betas: tuple[float, ...], zs: tuple[float, ...]) -> None:
+    def __init__(self, beta0: float, betas: tuple[float, ...]) -> None:
         self.beta0, self.betas, self.m = beta0, betas, len(betas)
-        self.lnz = [math.log(-z) if z < 0.0 else -math.inf for z in zs]
         # ln k! for k = 0, 1, ..., grown as the shells need it; ln 0! = 0
         # exactly, so a zero part of a composition changes no coefficient bit
         self.lnfact = np.zeros(1)
@@ -374,22 +358,30 @@ class _ShellTerms:
         lg = np.array([log_gamma(x) for x in (self.beta0 + bsum).tolist()])
         return _Rows(comps, coef, lg, (0, len(comps)))
 
+
+class _ShellTerms(_ShellRows):
+    """The terms of one multinomial series at z_j < 0, listed shell by shell.
+
+    Shell k of sum_k sum_{|comp| = k} k!/(k_1! ... k_m!) prod z_j**k_j
+    / Gamma(beta0 + sum beta_j k_j) holds one term per composition of k;
+    the sign of every term in it is (-1)**k.  A term's log magnitude is
+    (ln k! - sum ln k_j!) + sum k_j ln|z_j| - ln Gamma(beta0 + sum beta_j k_j):
+    `rows` builds the parts that do not depend on z and `logs` adds this
+    call's powers.  The leading shells' rows come from the cached table of
+    _leading_shells.
+    """
+
+    def __init__(self, beta0: float, betas: tuple[float, ...], zs: tuple[float, ...]) -> None:
+        super().__init__(beta0, betas)
+        self.lnz = [math.log(-z) for z in zs]
+
     def logs(self, rows: _Rows) -> np.ndarray:
-        """log |term| of each row at this call's z; a term that vanishes
-        because some z_j = 0 has log -inf."""
+        """log |term| of each row at this call's z."""
         pow_log = np.zeros(len(rows.coef))
-        dead = None
-        for j, lz in enumerate(self.lnz):
-            if lz == -math.inf:
-                hit = rows.comps[:, j] > 0
-                dead = hit if dead is None else dead | hit
-            else:
-                # k_j ln|z_j| added in j order, as a scalar sum would
-                pow_log += rows.comps[:, j] * lz
-        tlog = rows.coef + pow_log - rows.lg
-        if dead is not None:
-            tlog[dead] = -math.inf
-        return tlog
+        for col, lz in zip(rows.comps.T, self.lnz):
+            # k_j ln|z_j| added in j order, as a scalar sum would
+            pow_log += col * lz
+        return rows.coef + pow_log - rows.lg
 
     def _shells_from(self, k: int) -> _Rows:
         """Rows of shell k and maybe some after it.  The cached leading shells
@@ -402,10 +394,8 @@ class _ShellTerms:
 
     def shells(self, kmax: int, with_comps: bool = False):
         """Shells 0..kmax in turn: the list of log |term| of each, or with
-        with_comps the pair (compositions, logs), as lists; terms that vanish
-        because some z_j = 0 are left out.  The logs of a run of shells are
-        formed in one pass."""
-        zero = -math.inf in self.lnz
+        with_comps the pair (compositions, logs), as lists.  The logs of a
+        run of shells are formed in one pass."""
         k = 0
         while k <= kmax:
             rows = self._shells_from(k)
@@ -413,11 +403,7 @@ class _ShellTerms:
             # without with_comps the sliced "compositions" are never yielded
             comps = rows.comps.tolist() if with_comps else flat
             for a, b in pairwise(rows.starts[: kmax + 2 - k]):
-                logs, cs = flat[a:b], comps[a:b]
-                if zero:
-                    live = [t > -math.inf for t in logs]
-                    logs, cs = list(compress(logs, live)), list(compress(cs, live))
-                yield (cs, logs) if with_comps else logs
+                yield (comps[a:b], flat[a:b]) if with_comps else flat[a:b]
             k += rows.n_shells
 
 
@@ -451,7 +437,7 @@ def _mml_double(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], s
     peak_log = -math.inf
     quiet = 0
     for k, logs in enumerate(series.shells(shell_cap)):
-        peak_log = max(peak_log, max(logs, default=-math.inf))
+        peak_log = max(peak_log, max(logs))
         if peak_log > 700.0:
             return math.nan, peak_log, False
         shell = math.fsum(map(math.exp, logs))
@@ -499,6 +485,8 @@ def _mp_plan(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_
 def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float) -> float:
     """The extended-precision sum, retried at more digits until the peak
     magnitude it observed certifies the result to rel_tol."""
+    import mpmath  # loaded on first use: most runs never need it
+
     m = len(betas)
     label = f"mml(beta0={beta0}, betas={betas}, zs={zs})"
     series, shell_cap, peak_guess = _mp_plan(beta0, betas, zs, rel_tol)
@@ -513,12 +501,11 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
     unit = 1 << scale
     key0, *bkeys = (n * (unit // d) for n, d in ratios)
 
-    mp = _mpmath().mp
+    mp, lib = mpmath.mp, mpmath.libmp
 
     def summed(dps):
         # the sum is one integer counting quanta 2**-fbits, 12 digits and 32
         # bits below the noise floor that the cut below keeps to
-        lib = _mpmath().libmp
         prec, rnd = mp.prec, lib.round_nearest
         fbits = math.ceil(((dps + 8) * _LN10 - peak_guess) / math.log(2.0)) + 32
         # a term is k!/(k_1! ... k_m!) prod z_j**k_j / Gamma(x): the factors
@@ -560,14 +547,14 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
                     zpow[j].append(zlast[j][1:3])
             # double-precision log magnitudes decide which terms matter at
             # the working precision; only those are computed in mp
-            shell_max_ln = max(logs, default=-math.inf)
+            shell_max_ln = max(logs)
             peak_ln = max(peak_ln, shell_max_ln)
             # terms below the working-precision noise floor (relative to the
             # largest term seen) cannot move the certified result; a tighter,
             # result-scale cut is unsafe because the partial sum overstates
             # the result by many decades during the cancellation plateau
             noise_ln = peak_ln - (dps - 4) * _LN10
-            size_ln = math.log(max(len(logs), 1))
+            size_ln = math.log(len(logs))
             if shell_max_ln + size_ln < noise_ln:
                 quiet += 1
                 if quiet >= 2 and k >= 4:
@@ -652,31 +639,28 @@ def mml(args: MLArgs, *, rel_tol: float = 1e-10) -> float:
     Double-precision k-shell summation truncated at DEFAULT_SHELL_CAP with
     early stop once a whole shell contributes below 1e-16 of the partial sum;
     falls back to extended precision when the cancellation certificate fails.
+    A zero argument keeps only the terms with k_j = 0, which are the series
+    of the other arguments, so its pair is dropped before any summing.
     """
-    if all(z == 0.0 for z in args.zs):
+    live = [(b, z) for b, z in zip(args.betas, args.zs) if z != 0.0]
+    if not live:
         return math.exp(-log_gamma(args.beta0))
-    return _mml_value(args.beta0, args.betas, args.zs, rel_tol, DEFAULT_SHELL_CAP)
+    betas, zs = zip(*live)
+    return _mml_value(args.beta0, betas, zs, rel_tol, DEFAULT_SHELL_CAP)
 
 # ---------------------------------------------------------------------------
 # relaxation kernels, series route
 # ---------------------------------------------------------------------------
 
 
-def _require_normalized(spec: OrderSpec) -> None:
-    if abs(spec.weights[-1] - 1.0) > 1e-12:
-        raise DomainError(
-            "kernel series require the leading weight normalized to 1; "
-            "apply normalize_spec first"
-        )
-
-
 def _kernel_ml_args(lam: float, spec: OrderSpec, t: float, beta0: float) -> MLArgs:
-    an = spec.alphas[-1]
+    """The series arguments of the equation divided by the leading weight."""
+    an, rn = spec.alphas[-1], spec.weights[-1]
     betas = [an]
-    zs = [-lam * t**an]
+    zs = [-(lam / rn) * t**an]
     for ai, ri in zip(spec.alphas[:-1], spec.weights[:-1]):
         betas.append(an - ai)
-        zs.append(-ri * t ** (an - ai))
+        zs.append(-(ri / rn) * t ** (an - ai))
     return MLArgs(beta0, tuple(betas), tuple(zs))
 
 
@@ -698,7 +682,6 @@ def _kernel_args(lam: float, spec: OrderSpec, t: float, a: float | None) -> MLAr
     if a is not None:
         _check_source_exponent(a)
     _check_kernel_inputs(lam, t)
-    _require_normalized(spec)
     an = spec.alphas[-1]
     return _kernel_ml_args(lam, spec, t, 1.0 + an if a is None else an + a + 1.0)
 
@@ -706,10 +689,10 @@ def _kernel_args(lam: float, spec: OrderSpec, t: float, a: float | None) -> MLAr
 def _kernel_from_ml(lam: float, spec: OrderSpec, t: float, a: float | None, e: float) -> float:
     """The kernel of _kernel_args from the value e of its Mittag-Leffler
     function."""
-    an = spec.alphas[-1]
+    an, rn = spec.alphas[-1], spec.weights[-1]
     if a is None:
-        return 1.0 - lam * t**an * e
-    return t ** (an + a) * e
+        return 1.0 - (lam / rn) * t**an * e
+    return t ** (an + a) * e / rn
 
 
 def s1_kernel_series(lam: float, spec: OrderSpec, t: float, *, rel_tol: float = 1e-10) -> float:
@@ -721,10 +704,9 @@ def s1_kernel_series(lam: float, spec: OrderSpec, t: float, *, rel_tol: float = 
 def s2_kernel_series(lam: float, spec: OrderSpec, t: float, *, rel_tol: float = 1e-10) -> float:
     """Impulse-response kernel S2(t) of the forced problem."""
     _check_kernel_inputs(lam, t)
-    _require_normalized(spec)
     an = spec.alphas[-1]
     e = mml(_kernel_ml_args(lam, spec, t, an), rel_tol=rel_tol)
-    return t ** (an - 1.0) * e
+    return t ** (an - 1.0) * e / spec.weights[-1]
 
 
 def s2_kernel_int_series(

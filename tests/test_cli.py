@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from scipy.special import erfcx
@@ -205,6 +208,14 @@ class TestCmdSimulate:
 
 
 class TestMainEntry:
+    def test_import_loads_no_mpmath(self):
+        # mpmath loads when an extended-precision sum first runs, so a run
+        # that needs none does not pay for the import
+        code = "import sys, fracorder.cli; print('mpmath' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (0, "False\n")
+
     def test_usage_errors_exit_2(self, tmp_path):
         assert main(["fit", "--experiment", "table1a", "--t0", "", "--out", str(tmp_path)]) == 2
         assert main(["fit", "--out", str(tmp_path)]) == 2

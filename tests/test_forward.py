@@ -208,6 +208,15 @@ class TestAutoMethod:
         for a, s in zip(auto, series):
             assert rel_err(a, s) < 1e-9
 
+    @pytest.mark.parametrize("trace, case", [(trace_initial, "i"), (trace_source, "ii")])
+    def test_series_and_auto_agree_at_any_leading_weight(self, trace, case):
+        # both routes take the weights as given, r_N = 2 here
+        problem = build_example_4_2(case)
+        orders = OrderSpec((0.5, 0.8), (0.5, 2.0))
+        for t in np.geomspace(1e-4, 0.05, 6):
+            assert rel_err(trace(problem, orders, t), trace(problem, orders, t, method="auto")) < 1e-9
+        assert rel_err(trace(problem, orders, 0.05), self._talbot(problem, orders, 0.05)) < 1e-6
+
     def test_unknown_method(self):
         orders = OrderSpec((0.5, 0.7), (0.5, 1.0))
         with pytest.raises(DomainError):

@@ -39,6 +39,10 @@ MML_2TERM_REF = 0.48160288302913938125
 # frozen from oracles.mp_mml(b0, (0.7, 0.7 - 0.3), (-(pi^2 + 1), -0.5),
 # shells=250, dps=60) for b0 = 1.7 and 0.7; the oracle takes about 5 s per call
 MML_2TERM_CANCEL_REF = {1.7: 0.085823955734415, 0.7: 0.003139918450898772}
+# frozen from oracles.mp_mml(0.8690813610180956, (0.4153272098346321,
+# 0.5499314778096944), (-2.763779141305004, -0.13213655553686376), shells=400),
+# which takes about 10 s; 160 shells give the same double
+MML_ZERO_DROPPED_REF = 0.16328393006863895
 
 
 class TestGamma:
@@ -151,6 +155,21 @@ class TestMml:
         b = ml2(0.8, 1.5, -2.0)
         assert rel_err(a, b) < 1e-13
 
+    def test_zero_argument_is_dropped_before_summing(self):
+        # both calls once raised AccuracyError: the extended-precision term
+        # budget counted the compositions of the zero argument, whose terms
+        # all vanish; the one-argument terms peak near 1e55, so the oracle
+        # sums 2000 of them at 100 digits
+        b0, b1, z1 = 0.9516513922504399, 0.3488701945393492, -5.427034871394923
+        value = mml(MLArgs(b0, (b1, 0.8021543622004972), (z1, 0.0)))
+        assert value == mml(MLArgs(b0, (b1,), (z1,))) == ml2(b1, b0, z1)
+        assert rel_err(value, mp_ml2(b1, b0, z1, terms=2000, dps=100)) < 1e-10
+        b0, betas = 0.8690813610180956, (0.4153272098346321, 0.5499314778096944)
+        zs = (-2.763779141305004, -0.13213655553686376)
+        value = mml(MLArgs(b0, (0.4118928553273513, *betas), (0.0, *zs)))
+        assert value == mml(MLArgs(b0, betas, zs))
+        assert rel_err(value, MML_ZERO_DROPPED_REF) < 1e-10
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             MLArgs(1.0, (0.5,), (-41.0,))
@@ -219,7 +238,8 @@ class TestShellMemo:
         specfun._leading_shells.cache_clear()
         mp_calls = count_calls(monkeypatch, specfun, "_mml_mp")
         assert self.values() == golden
-        assert mp_calls == [(1.7, (0.7, 0.4), (-15.0, 0.0), 1e-10), (0.5, (0.5,), (-19.5,), 1e-10)]
+        # mml drops the zero argument before it sums
+        assert mp_calls == [(1.7, (0.7,), (-15.0,), 1e-10), (0.5, (0.5,), (-19.5,), 1e-10)]
         assert specfun._leading_shells.cache_info().currsize
         assert self.values() == golden
         specfun._leading_shells.cache_clear()
@@ -411,10 +431,19 @@ class TestSeriesKernels:
         b = s2_kernel_contour(lam, spec, t, tight_contour(t, 4000))
         assert rel_err(a, b) < 1e-6
 
-    def test_requires_normalized_weights(self):
-        spec = OrderSpec((0.5,), (2.0,))
-        with pytest.raises(DomainError):
-            s1_kernel_series(1.0, spec, 0.1)
+    def test_any_positive_leading_weight(self):
+        # the kernels divide the leading weight out: S1 is the normalized
+        # call bit for bit, S2 and its convolution carry kernel_scale
+        lam = 10.0
+        for spec in (OrderSpec((0.5,), (2.0,)), OrderSpec((0.4, 0.8), (0.5, 2.0))):
+            ns = normalize_spec(spec, lam)
+            for t in (1e-3, 0.05, 0.4):
+                assert s1_kernel_series(lam, spec, t) == s1_kernel_series(ns.lam, ns.spec, t)
+                s2 = ns.kernel_scale * s2_kernel_series(ns.lam, ns.spec, t)
+                assert rel_err(s2_kernel_series(lam, spec, t), s2) < 1e-15
+                for a in (0.0, 0.5):
+                    s2_int = ns.kernel_scale * s2_kernel_int_series(ns.lam, ns.spec, a, t)
+                    assert rel_err(s2_kernel_int_series(lam, spec, a, t), s2_int) < 1e-15
 
     def test_s2_int_a0_is_running_integral(self):
         # a = 0 reduces to the running integral of S2 (exponent-shift identity)
