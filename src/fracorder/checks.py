@@ -163,7 +163,7 @@ def gradient_check_max_err(n_draws: int = 50, seed: int = 20240501) -> float:
             c = rng.uniform(-2.0, 2.0, size=models.n_coeffs(kind, case, m))
         else:
             d = rng.uniform(-0.2, 0.8, size=m)
-            c = np.concatenate([[rng.uniform(0.5, 2.0)], d])
+            c = np.concatenate([rng.uniform(0.5, 2.0, size=models.n_head(kind, case)), d])
         params = ModelParams(kind, case, tuple(c), tuple(beta))
         g = models.eval_model(params, t) + rng.normal(0.0, 0.1, size=len(t))
         sample = TraceSample(t, g, T0=1.0)
@@ -183,6 +183,24 @@ def gradient_check_max_err(n_draws: int = 50, seed: int = 20240501) -> float:
     return worst
 
 
+def ml_identity_e12() -> CheckResult:
+    """E_{1,2}(z) = (e^z - 1)/z, exercised through the series path."""
+    err = 0.0
+    for z in np.linspace(-8.0, -0.25, 16):
+        ref = (math.exp(z) - 1.0) / z
+        err = max(err, abs(ml2(1.0, 2.0, float(z)) - ref) / abs(ref))
+    return CheckResult("ml-identity-e12", bool(err <= 1e-10), f"max rel err {err:.3e}")
+
+
+def ml_identity_erfc() -> CheckResult:
+    """E_{1/2,1}(-x) = exp(x^2) erfc(x)."""
+    err = 0.0
+    for x in (0.25, 0.5, 1.0, 2.0):
+        ref = math.exp(x * x) * math.erfc(x)
+        err = max(err, abs(ml2(0.5, 1.0, -x) - ref) / ref)
+    return CheckResult("ml-identity-erfc", bool(err <= 1e-10), f"max rel err {err:.3e}")
+
+
 def run_checks() -> list[CheckResult]:
     """Cross-module invariant battery; each entry carries the measured error."""
     out: list[CheckResult] = []
@@ -198,19 +216,8 @@ def run_checks() -> list[CheckResult]:
     )
     add("gamma-spot-values", err <= 1e-13, f"max rel err {err:.3e}")
 
-    # ML identity: E_{1,2}(z) = (e^z - 1)/z, exercised through the series path
-    err = 0.0
-    for z in np.linspace(-8.0, -0.25, 16):
-        ref = (math.exp(z) - 1.0) / z
-        err = max(err, abs(ml2(1.0, 2.0, float(z)) - ref) / abs(ref))
-    add("ml-identity-e12", err <= 1e-10, f"max rel err {err:.3e}")
-
-    # ML identity: E_{1/2,1}(-x) = exp(x^2) erfc(x)
-    err = 0.0
-    for x in (0.25, 0.5, 1.0, 2.0):
-        ref = math.exp(x * x) * math.erfc(x)
-        err = max(err, abs(ml2(0.5, 1.0, -x) - ref) / ref)
-    add("ml-identity-erfc", err <= 1e-10, f"max rel err {err:.3e}")
+    out.append(ml_identity_e12())
+    out.append(ml_identity_erfc())
 
     # multinomial reduction to the two-parameter function
     rng = np.random.default_rng(7)

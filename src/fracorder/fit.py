@@ -1,10 +1,11 @@
 """Box-constrained nonlinear least-squares recovery of (c, beta).
 
 The driver is a hand-rolled projected limited-memory BFGS: two-loop recursion
-for the search direction, projection of trial points onto the exponent box,
-backtracking line search with sufficient decrease along the projected path,
-and an alternation step that re-solves the amplitudes by linear least squares
-whenever the exponents have drifted.  Trial points evaluate the objective only;
+for the search direction, projection of trial points onto the exponent box
+[0.01, 1.99] (one fixed box for every term of every fit), backtracking line
+search with sufficient decrease along the projected path, and an alternation
+step that re-solves the amplitudes by linear least squares whenever the
+exponents have drifted.  Trial points evaluate the objective only;
 the gradient is formed from the residual at the start, at each accepted point
 and at an accepted re-solve.  Each memory pair keeps its curvature scalars.
 
@@ -37,6 +38,7 @@ from fracorder.models import (
     _eval_arrays,
     _grad_arrays,
     n_coeffs,
+    n_head,
     to_physical,
 )
 from fracorder.specfun import DomainError
@@ -62,6 +64,8 @@ _LS_MAX = 40
 # exponent drift (per coordinate) that triggers a linear re-solve of c
 _REINIT_DRIFT = 0.05
 _COND_LIMIT = 1e12
+# the closed box every exponent is fitted in
+_BETA_LO, _BETA_HI = 0.01, 1.99
 # L-BFGS memory, projected-gradient stopping tolerance, and the smallest gap
 # kept between exponents
 _MEMORY = 10
@@ -86,9 +90,7 @@ class FitConfig:
     case: Case
     n_terms: int
     beta_init: tuple[float, ...]
-    beta_bounds: tuple[tuple[float, float], ...] | None = None
     max_iter: int = 200
-    multi_start: int = 0
     source_exponent: float = 0.0
 
     def __post_init__(self) -> None:
@@ -101,25 +103,13 @@ class FitConfig:
             raise DomainError("n_terms must be 1 or 2")
         if len(self.beta_init) != self.n_terms:
             raise DomainError("beta_init length must equal n_terms")
-        bounds = self.beta_bounds
-        if bounds is None:
-            bounds = tuple((0.01, 1.99) for _ in range(self.n_terms))
-        else:
-            bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-        object.__setattr__(self, "beta_bounds", bounds)
-        if len(bounds) != self.n_terms:
-            raise DomainError("beta_bounds length must equal n_terms")
-        for (lo, hi), b in zip(bounds, self.beta_init):
-            if not (0.0 < lo <= hi < 2.0):
-                raise DomainError(f"bounds must satisfy 0 < lo <= hi < 2, got ({lo}, {hi})")
-            if not lo <= b <= hi:
-                raise DomainError(f"beta_init {b} outside bounds ({lo}, {hi})")
+        for b in self.beta_init:
+            if not _BETA_LO <= b <= _BETA_HI:
+                raise DomainError(
+                    f"beta_init {b} outside the exponent box [{_BETA_LO}, {_BETA_HI}]"
+                )
         if self.max_iter < 1:
             raise DomainError("max_iter must be positive")
-        if type(self.multi_start) is not int or self.multi_start == 1 or self.multi_start < 0:
-            raise DomainError(
-                f"multi_start must be 0 (off) or an integer >= 2, got {self.multi_start!r}"
-            )
         if not 0.0 <= self.source_exponent <= 1.0:
             raise DomainError("source_exponent must lie in [0, 1]")
 
@@ -203,9 +193,7 @@ def linear_init(
     g = sample.values
     powers = [t**b for b in beta]
     if kind is Kind.POLYNOMIAL:
-        cols = list(powers)
-        if case is Case.INITIAL_DATA:
-            cols = [np.ones_like(t)] + cols
+        cols = [np.ones_like(t)] * n_head(kind, case) + powers
         return LinearInit(*_lstsq_columns(cols, g, beta))
     if case is Case.INITIAL_DATA:
         c0 = float(g[0])
@@ -253,9 +241,9 @@ def _sorted_exit_params(kind: Kind, case: Case, c: np.ndarray, beta: np.ndarray)
     """Sort exponents ascending (permuting their amplitudes), enforce the
     minimum gap, and clip into the open (0, 2) range required of the model."""
     nb = len(beta)
-    n_amp_head = n_coeffs(kind, case, nb) - nb
-    head = list(c[:n_amp_head])
-    amps = list(c[n_amp_head:])
+    h = n_head(kind, case)
+    head = list(c[:h])
+    amps = list(c[h:])
     order = sorted(range(nb), key=lambda i: beta[i])
     beta_sorted = [float(beta[i]) for i in order]
     amps_sorted = [float(amps[i]) for i in order]
@@ -286,13 +274,12 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
     def gradient(x: np.ndarray, r: np.ndarray) -> np.ndarray:
         return _grad_arrays(kind, case, x[:nc], x[nc:], t) @ r / n_norm
 
-    beta_lo, beta_hi = np.array(config.beta_bounds).T
-    beta0 = np.clip(np.asarray(config.beta_init, dtype=float), beta_lo, beta_hi)
+    beta0 = np.array(config.beta_init)
     c0 = linear_init(sample, tuple(beta0), kind, case).c
     x = np.concatenate([c0, beta0])
 
-    lo = np.concatenate([np.full(nc, -np.inf), beta_lo])
-    hi = np.concatenate([np.full(nc, np.inf), beta_hi])
+    lo = np.concatenate([np.full(nc, -np.inf), np.full(config.n_terms, _BETA_LO)])
+    hi = np.concatenate([np.full(nc, np.inf), np.full(config.n_terms, _BETA_HI)])
 
     jt, r = value(x)
     # this Jacobian also sets the diagonal scaling below
@@ -421,10 +408,7 @@ def beta_init_from_alphas(
 def _term_columns(params: ModelParams, t: np.ndarray) -> list[np.ndarray]:
     """Per-exponent contributions: power terms for the polynomial kinds,
     denominator components for the rational kinds."""
-    if params.kind is Kind.POLYNOMIAL and params.case is Case.SOURCE:
-        amps = params.c
-    else:
-        amps = params.c[1:]
+    amps = params.c[n_head(params.kind, params.case) :]
     return [ai * t**bi for ai, bi in zip(amps, params.beta)]
 
 
@@ -459,17 +443,20 @@ def _attach_physical(res: FitResult, config: FitConfig) -> FitResult:
     return replace(res, physical=phys)
 
 
-def _recover_single(sample: TraceSample, config: FitConfig) -> FitResult:
+def recover(sample: TraceSample, config: FitConfig) -> FitResult:
+    """Fit the sample and map the result to physical parameters.
+
+    With two terms requested, a one-term fit is run first and the two-term
+    fit is accepted only when its trailing term is actually resolved by the
+    data (it lowers the objective and contributes a non-negligible fraction
+    of the leading term).  Otherwise the one-term fit is reported in
+    two-term form: zero trailing amplitude, trailing exponent left at its
+    initialization, recorded in the assumptions list.
+    """
     if config.n_terms == 1:
         return _attach_physical(minimize(sample, config), config)
 
-    cfg1 = replace(
-        config,
-        n_terms=1,
-        beta_init=(config.beta_init[0],),
-        beta_bounds=(config.beta_bounds[0],),
-        multi_start=0,
-    )
+    cfg1 = replace(config, n_terms=1, beta_init=(config.beta_init[0],))
     res1 = minimize(sample, cfg1)
     res2 = minimize(sample, config)
     rel = second_term_relative(sample, res2.params)
@@ -501,47 +488,3 @@ def _recover_single(sample: TraceSample, config: FitConfig) -> FitResult:
         assumptions=res1.assumptions + (note,),
     )
     return _attach_physical(embedded, config)
-
-
-def _lattice_inits(config: FitConfig) -> list[tuple[float, ...]]:
-    count = config.multi_start
-    bounds = config.beta_bounds
-    if config.n_terms == 1:
-        lo, hi = bounds[0]
-        return [(lo + (i + 0.5) * (hi - lo) / count,) for i in range(count)]
-    per = max(2, math.ceil(math.sqrt(count)))
-    axes = []
-    for lo, hi in bounds:
-        axes.append([lo + (i + 0.5) * (hi - lo) / per for i in range(per)])
-    inits = [
-        (b1, b2)
-        for b1 in axes[0]
-        for b2 in axes[1]
-        if b2 > b1 + _MIN_GAP
-    ]
-    return inits[:count] if inits else [config.beta_init]
-
-
-def recover(sample: TraceSample, config: FitConfig) -> FitResult:
-    """Fit the sample and map the result to physical parameters.
-
-    With two terms requested, a one-term fit is run first and the two-term
-    fit is accepted only when its trailing term is actually resolved by the
-    data (it lowers the objective and contributes a non-negligible fraction
-    of the leading term).  Otherwise the one-term fit is reported in
-    two-term form: zero trailing amplitude, trailing exponent left at its
-    initialization, recorded in the assumptions list.
-    """
-    if config.multi_start:
-        results = []
-        for binit in _lattice_inits(config):
-            cfg = replace(config, beta_init=binit, multi_start=0)
-            try:
-                results.append(_recover_single(sample, cfg))
-            except (NumericsError, RankDeficiencyError):
-                continue
-        if not results:
-            raise NumericsError("every multi-start initialization failed")
-        best = min(range(len(results)), key=lambda i: results[i].objective)
-        return results[best]
-    return _recover_single(sample, config)

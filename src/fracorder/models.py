@@ -45,11 +45,15 @@ class IdentifiabilityError(ValueError):
     """The fitted exponents do not map to admissible physical orders."""
 
 
+def n_head(kind: Kind, case: Case) -> int:
+    """Number of head amplitudes (c0 or cA) stored before the per-term ones:
+    none for the polynomial source model, one for every other shape."""
+    return 0 if kind is Kind.POLYNOMIAL and case is Case.SOURCE else 1
+
+
 def n_coeffs(kind: Kind, case: Case, n_terms: int) -> int:
     """Number of amplitude parameters for a given model shape."""
-    if kind is Kind.POLYNOMIAL and case is Case.SOURCE:
-        return n_terms
-    return n_terms + 1
+    return n_head(kind, case) + n_terms
 
 
 @dataclass(frozen=True)
@@ -107,50 +111,42 @@ class PhysicalParams:
 
 
 def _eval_arrays(kind: Kind, case: Case, c, beta, t: np.ndarray) -> np.ndarray:
+    # one power sum: start at c0 (polynomial, initial data), 0 (polynomial,
+    # source) or 1 (rational denominator), then apply the kind's map
+    head = n_head(kind, case)
+    if kind is Kind.RATIONAL:
+        start = 1.0
+    else:
+        start = c[0] if head else 0.0
+    acc = np.full_like(t, start)
+    for ai, bi in zip(c[head:], beta):
+        acc = acc + ai * t**bi
     if kind is Kind.POLYNOMIAL:
-        if case is Case.INITIAL_DATA:
-            out = np.full_like(t, c[0])
-            for ci, bi in zip(c[1:], beta):
-                out = out + ci * t**bi
-        else:
-            out = np.zeros_like(t)
-            for ci, bi in zip(c, beta):
-                out = out + ci * t**bi
-        return out
-    den = np.ones_like(t)
-    for di, bi in zip(c[1:], beta):
-        den = den + di * t**bi
+        return acc
     if case is Case.INITIAL_DATA:
-        return c[0] / den
-    return c[0] * (1.0 - 1.0 / den)
+        return c[0] / acc
+    return c[0] * (1.0 - 1.0 / acc)
 
 
 def _grad_arrays(kind: Kind, case: Case, c, beta, t: np.ndarray) -> np.ndarray:
     lnt = np.log(t)
-    if kind is Kind.POLYNOMIAL:
-        has_const = case is Case.INITIAL_DATA
-        rows = []
-        if has_const:
-            rows.append(np.ones_like(t))
-        powers = [t**bi for bi in beta]
-        rows.extend(powers)
-        amp = c[1:] if has_const else c
-        rows.extend(ai * pi * lnt for ai, pi in zip(amp, powers))
-        return np.array(rows)
+    head = n_head(kind, case)
+    amps = c[head:]
     powers = [t**bi for bi in beta]
+    if kind is Kind.POLYNOMIAL:
+        rows = [np.ones_like(t)] * head + powers
+        rows.extend(ai * pi * lnt for ai, pi in zip(amps, powers))
+        return np.array(rows)
     den = np.ones_like(t)
-    for di, pi in zip(c[1:], powers):
+    for di, pi in zip(amps, powers):
         den = den + di * pi
     q2 = 1.0 / (den * den)
-    rows = []
     if case is Case.INITIAL_DATA:
-        rows.append(1.0 / den)
-        rows.extend(-c[0] * pi * q2 for pi in powers)
-        rows.extend(-c[0] * di * pi * lnt * q2 for di, pi in zip(c[1:], powers))
+        rows, k = [1.0 / den], -c[0]
     else:
-        rows.append((den - 1.0) / den)
-        rows.extend(c[0] * pi * q2 for pi in powers)
-        rows.extend(c[0] * di * pi * lnt * q2 for di, pi in zip(c[1:], powers))
+        rows, k = [(den - 1.0) / den], c[0]
+    rows.extend(k * pi * q2 for pi in powers)
+    rows.extend(k * di * pi * lnt * q2 for di, pi in zip(amps, powers))
     return np.array(rows)
 
 
@@ -194,29 +190,20 @@ def to_physical(params: ModelParams, a: float = 0.0) -> PhysicalParams:
     b = params.beta
     alpha_n = b[0] - shift
     c = params.c
-    if params.kind is Kind.POLYNOMIAL:
-        if params.case is Case.INITIAL_DATA:
-            amplitude = -c[1] * gamma(b[0] + 1.0)
-            constant = c[0]
-            second = c[2] if m == 2 else None
-            second_sign = 1.0
-        else:
-            amplitude = c[0] * gamma(b[0] + 1.0)
-            constant = None
-            second = c[1] if m == 2 else None
-            second_sign = -1.0
-        r1 = None
-        if m == 2:
-            num = second_sign * second * gamma(b[1] + 1.0)
-            r1 = num / amplitude + 0.0 if amplitude != 0.0 else math.nan
+    h = n_head(params.kind, params.case)
+    # the first per-term amplitude times Gamma(beta_1 + 1); the beta_2 term
+    # enters with the opposite sign, so r1 is minus its ratio to this one
+    lead = c[h] * gamma(b[0] + 1.0)
+    if params.kind is Kind.RATIONAL:
+        amplitude = c[0] * lead
+    elif params.case is Case.INITIAL_DATA:
+        amplitude = -lead
     else:
-        c0, d1 = c[0], c[1]
-        lead = d1 * gamma(b[0] + 1.0)
-        amplitude = c0 * lead
-        constant = c0 if params.case is Case.INITIAL_DATA else None
-        r1 = None
-        if m == 2:
-            r1 = (-c[2] * gamma(b[1] + 1.0) / lead + 0.0) if lead != 0.0 else math.nan
+        amplitude = lead
+    constant = c[0] if params.case is Case.INITIAL_DATA else None
+    r1 = None
+    if m == 2:
+        r1 = (-c[h + 1] * gamma(b[1] + 1.0) / lead + 0.0) if lead != 0.0 else math.nan
     if m == 1:
         return PhysicalParams((alpha_n,), (1.0,), amplitude, constant)
     alpha_1 = 2.0 * b[0] - b[1] - shift

@@ -14,7 +14,7 @@ from fracorder.checks import remainder_ratio_spread, step2_laplace_value
 from fracorder.cli import ExperimentConfig, cmd_fit
 from fracorder.fit import FitConfig, beta_init_from_alphas, objective, objective_grad, recover
 from fracorder.forward import Case, TraceSample, build_example_4_1, build_example_4_2, sample_trace
-from fracorder.models import Kind, ModelParams, eval_model
+from fracorder.models import Kind, ModelParams, eval_model, n_coeffs
 from fracorder.specfun import (
     OrderSpec,
     s1_kernel_contour,
@@ -194,10 +194,8 @@ def test_criterion_8_gradient_suite():
         beta = np.sort(rng.uniform(0.1, 1.7, size=2))
         while beta[1] - beta[0] < 0.1:
             beta = np.sort(rng.uniform(0.1, 1.7, size=2))
-        if kind is Kind.POLYNOMIAL and case is Case.SOURCE:
-            c = rng.uniform(-2, 2, size=2)
-        elif kind is Kind.POLYNOMIAL:
-            c = rng.uniform(-2, 2, size=3)
+        if kind is Kind.POLYNOMIAL:
+            c = rng.uniform(-2, 2, size=n_coeffs(kind, case, 2))
         else:
             c = np.concatenate([[rng.uniform(0.5, 2.0)], rng.uniform(-0.2, 0.8, 2)])
         params = ModelParams(kind, case, tuple(c), tuple(beta))

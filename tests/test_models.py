@@ -1,6 +1,8 @@
 """Regressor families, gradients, and the physical-parameter map."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,12 @@ from fracorder.models import (
     Kind,
     ModelParams,
     PhysicalParams,
+    _eval_arrays,
+    _grad_arrays,
     eval_model,
     from_physical,
     grad_model,
+    n_coeffs,
     to_physical,
 )
 from fracorder.specfun import DomainError, OrderSpec, ml2, s1_kernel_contour, tight_contour
@@ -99,10 +104,8 @@ class TestGrad:
             beta = np.sort(rng.uniform(0.2, 1.5, size=2))
             while beta[1] - beta[0] < 0.1:
                 beta = np.sort(rng.uniform(0.2, 1.5, size=2))
-            if kind is Kind.POLYNOMIAL and case is Case.SOURCE:
-                c = rng.uniform(-2, 2, size=2)
-            elif kind is Kind.POLYNOMIAL:
-                c = rng.uniform(-2, 2, size=3)
+            if kind is Kind.POLYNOMIAL:
+                c = rng.uniform(-2, 2, size=n_coeffs(kind, case, 2))
             else:
                 c = np.concatenate([[rng.uniform(0.5, 2.0)], rng.uniform(0.0, 0.6, 2)])
             params = ModelParams(kind, case, tuple(c), tuple(beta))
@@ -114,6 +117,46 @@ class TestGrad:
 
             fd = central_difference(f, np.concatenate([c, beta]))
             assert np.linalg.norm(fd - ana) / max(np.linalg.norm(ana), 1e-12) < 1e-6
+
+
+# float.hex of every model-layer value at one fixed (c, beta) per shape. Fits
+# that stop at max_iter react to a last-bit change, which the 1e-6 gradient
+# check cannot see, so a reordered sum or product must fail here; refreeze
+# model_bits.json only for an intended change of the arithmetic
+FROZEN_BITS = Path(__file__).with_name("model_bits.json")
+BITS_T = np.arange(1, 41) / 40.0
+BITS_BETA = (0.7125, 1.0875)
+BITS_C = {
+    (Kind.POLYNOMIAL, Case.INITIAL_DATA): (1.25, -2.375, 0.8125),
+    (Kind.POLYNOMIAL, Case.SOURCE): (1.5, -0.625),
+    (Kind.RATIONAL, Case.INITIAL_DATA): (1.3, 0.9, -0.35),
+    (Kind.RATIONAL, Case.SOURCE): (2.2, 0.7, -0.3),
+}
+
+
+def _model_bits(kind: Kind, case: Case) -> dict:
+    def hexes(values):
+        return [float(v).hex() for v in values]
+
+    c = BITS_C[(kind, case)]
+    a = 0.25 if case is Case.SOURCE else 0.0
+    phys = to_physical(ModelParams(kind, case, c, BITS_BETA), a=a)
+    back = from_physical(phys, kind, case, a=a)
+    return {
+        "eval": hexes(_eval_arrays(kind, case, c, BITS_BETA, BITS_T)),
+        "grad": [hexes(row) for row in _grad_arrays(kind, case, c, BITS_BETA, BITS_T)],
+        "to_physical": hexes((*phys.alphas, *phys.weights, phys.amplitude)),
+        "constant": None if phys.constant is None else phys.constant.hex(),
+        "from_physical": hexes((*back.c, *back.beta)),
+    }
+
+
+class TestFrozenBits:
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("case", list(Case))
+    def test_values_keep_their_bits(self, kind, case):
+        frozen = json.loads(FROZEN_BITS.read_text())[f"{kind.value}/{case.value}"]
+        assert _model_bits(kind, case) == frozen
 
 
 class TestPhysicalMap:

@@ -45,6 +45,20 @@ MML_2TERM_CANCEL_REF = {1.7: 0.085823955734415, 0.7: 0.003139918450898772}
 MML_ZERO_DROPPED_REF = 0.16328393006863895
 
 
+class TestOracles:
+    def test_uncertified_sums_raise(self):
+        # the terms peak near 1e54 against a value near 0.11: 400 terms do
+        # not reach the tail, and 60 digits lose the value to cancellation
+        args = (0.3488701945393492, 0.9516513922504399, -5.427034871394923)
+        with pytest.raises(ArithmeticError, match="last term"):
+            mp_ml2(*args)
+        with pytest.raises(ArithmeticError, match="cancellation"):
+            mp_ml2(*args, terms=2000)
+        assert mp_ml2(*args, terms=2000, dps=100) == 0.11446401684847052
+        with pytest.raises(ArithmeticError, match="last term"):
+            mp_mml(1.8, (0.8, 0.3), (-6.0, -0.5), shells=20)
+
+
 class TestGamma:
     def test_spot_values(self):
         assert gamma(1.0) == 1.0
