@@ -5,9 +5,11 @@ for the search direction, projection of trial points onto the exponent box
 [0.01, 1.99] (one fixed box for every term of every fit), backtracking line
 search with sufficient decrease along the projected path, and an alternation
 step that re-solves the amplitudes by linear least squares whenever the
-exponents have drifted.  Trial points evaluate the objective only;
-the gradient is formed from the residual at the start, at each accepted point
-and at an accepted re-solve.  Each memory pair keeps its curvature scalars.
+exponents have drifted.  Trial points evaluate the objective only, computing
+the powers t**beta_i once; the gradient is formed from the residual at the
+start, at each accepted point and at an accepted re-solve, from that point's
+powers (and, for the rational kinds, its denominator) and one ln t per fit.
+Each memory pair keeps its curvature scalars.
 
 The reported objective is the quadrature form
 
@@ -139,7 +141,8 @@ class LinearInit(NamedTuple):
 def objective(sample: TraceSample, params: ModelParams) -> float:
     """Quadrature discretization of the squared L2(0, T0) misfit."""
     n = len(sample)
-    f = _eval_arrays(params.kind, params.case, params.c, params.beta, sample.times)
+    powers = [sample.times**b for b in params.beta]
+    f, _ = _eval_arrays(params.kind, params.case, params.c, powers)
     r = f - sample.values
     return 0.5 * (sample.T0 / n) * float(r @ r)
 
@@ -147,8 +150,10 @@ def objective(sample: TraceSample, params: ModelParams) -> float:
 def objective_grad(sample: TraceSample, params: ModelParams) -> np.ndarray:
     """Gradient of the objective over (c..., beta...)."""
     n = len(sample)
-    f = _eval_arrays(params.kind, params.case, params.c, params.beta, sample.times)
-    g = _grad_arrays(params.kind, params.case, params.c, params.beta, sample.times)
+    t = sample.times
+    powers = [t**b for b in params.beta]
+    f, acc = _eval_arrays(params.kind, params.case, params.c, powers)
+    g = _grad_arrays(params.kind, params.case, params.c, powers, np.log(t), acc)
     r = f - sample.values
     return (sample.T0 / n) * (g @ r)
 
@@ -266,13 +271,22 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
     # pinned objective = jtilde * T0 * norm
     j_scale = sample.T0 * norm
     n_norm = len(sample) * norm
+    lnt = np.log(t)
 
-    def value(x: np.ndarray) -> tuple[float, np.ndarray]:
-        r = _eval_arrays(kind, case, x[:nc], x[nc:], t) - g
-        return 0.5 * float(r.dot(r)) / n_norm, r
+    def value(x: np.ndarray) -> tuple[float, tuple]:
+        """Objective at x, and the residual, amplitudes, powers and power sum
+        from which the point's Jacobian is built if it is accepted."""
+        # the exponents stay numpy scalars: numpy takes a Python float
+        # exponent of 0.5 or 2.0 through sqrt or square instead of pow
+        c = x[:nc].tolist()
+        powers = [t**b for b in x[nc:]]
+        f, acc = _eval_arrays(kind, case, c, powers)
+        r = f - g
+        return 0.5 * float(r.dot(r)) / n_norm, (r, c, powers, acc)
 
-    def gradient(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return _grad_arrays(kind, case, x[:nc], x[nc:], t) @ r / n_norm
+    def gradient(point: tuple) -> np.ndarray:
+        r, c, powers, acc = point
+        return _grad_arrays(kind, case, c, powers, lnt, acc) @ r / n_norm
 
     beta0 = np.array(config.beta_init)
     c0 = linear_init(sample, tuple(beta0), kind, case).c
@@ -281,9 +295,10 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
     lo = np.concatenate([np.full(nc, -np.inf), np.full(config.n_terms, _BETA_LO)])
     hi = np.concatenate([np.full(nc, np.inf), np.full(config.n_terms, _BETA_HI)])
 
-    jt, r = value(x)
+    jt, point = value(x)
+    r, c, powers, acc = point
     # this Jacobian also sets the diagonal scaling below
-    jac = _grad_arrays(kind, case, x[:nc], x[nc:], t)
+    jac = _grad_arrays(kind, case, c, powers, lnt, acc)
     gx = jac @ r / n_norm
     if not math.isfinite(jt) or not np.all(np.isfinite(gx)):
         raise NumericsError(
@@ -330,12 +345,12 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
         alpha = 1.0
         accepted = False
         for _ in range(_LS_MAX):
-            y_new = np.clip(y + alpha * d, lo_y, hi_y)
+            y_new = np.minimum(np.maximum(y + alpha * d, lo_y), hi_y)
             step = y_new - y
             if not any(step.tolist()):
                 break
             x_new = y_new / scale
-            jt_new, r_new = value(x_new)
+            jt_new, point_new = value(x_new)
             slope = min(0.0, float(gy.dot(step)))
             if math.isfinite(jt_new) and jt_new <= jt + _LS_C1 * slope:
                 accepted = True
@@ -344,7 +359,7 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
         if not accepted:
             line_search_failed = True
             break
-        gy_new = gradient(x_new, r_new) / scale
+        gy_new = gradient(point_new) / scale
         y_vec = gy_new - gy
         sy = float(step.dot(y_vec))
         yy = float(y_vec.dot(y_vec))
@@ -365,11 +380,11 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
                 c_cand = None
             if c_cand is not None and np.all(np.isfinite(c_cand)):
                 x_try = np.concatenate([c_cand, beta_cur])
-                jt_try, r_try = value(x_try)
+                jt_try, point_try = value(x_try)
                 if math.isfinite(jt_try) and jt_try < jt:
                     y = x_try * scale
                     jt = jt_try
-                    gy = gradient(x_try, r_try) / scale
+                    gy = gradient(point_try) / scale
                     memory.clear()
                     history.append(jt)
             beta_ref = beta_cur.tolist()

@@ -110,41 +110,42 @@ class PhysicalParams:
 # ---------------------------------------------------------------------------
 
 
-def _eval_arrays(kind: Kind, case: Case, c, beta, t: np.ndarray) -> np.ndarray:
+def _eval_arrays(kind: Kind, case: Case, c, powers: list[np.ndarray]):
+    """Model values from the powers t**beta_i, with the power sum they were
+    mapped from (the rational denominator, which the Jacobian reuses)."""
     # one power sum: start at c0 (polynomial, initial data), 0 (polynomial,
     # source) or 1 (rational denominator), then apply the kind's map
     head = n_head(kind, case)
     if kind is Kind.RATIONAL:
-        start = 1.0
+        acc = 1.0
     else:
-        start = c[0] if head else 0.0
-    acc = np.full_like(t, start)
-    for ai, bi in zip(c[head:], beta):
-        acc = acc + ai * t**bi
+        acc = c[0] if head else 0.0
+    for ai, pi in zip(c[head:], powers):
+        acc = acc + ai * pi
     if kind is Kind.POLYNOMIAL:
-        return acc
+        return acc, acc
     if case is Case.INITIAL_DATA:
-        return c[0] / acc
-    return c[0] * (1.0 - 1.0 / acc)
+        return c[0] / acc, acc
+    return c[0] * (1.0 - 1.0 / acc), acc
 
 
-def _grad_arrays(kind: Kind, case: Case, c, beta, t: np.ndarray) -> np.ndarray:
-    lnt = np.log(t)
+def _grad_arrays(
+    kind: Kind, case: Case, c, powers: list[np.ndarray], lnt: np.ndarray, acc: np.ndarray
+) -> np.ndarray:
+    """Jacobian rows over (c..., beta...) from the powers, ln t and the power
+    sum of _eval_arrays at the same point; only the rational rows read the
+    power sum, as their denominator."""
     head = n_head(kind, case)
     amps = c[head:]
-    powers = [t**bi for bi in beta]
     if kind is Kind.POLYNOMIAL:
-        rows = [np.ones_like(t)] * head + powers
+        rows = [np.ones_like(lnt)] * head + powers
         rows.extend(ai * pi * lnt for ai, pi in zip(amps, powers))
         return np.array(rows)
-    den = np.ones_like(t)
-    for di, pi in zip(amps, powers):
-        den = den + di * pi
-    q2 = 1.0 / (den * den)
+    q2 = 1.0 / (acc * acc)
     if case is Case.INITIAL_DATA:
-        rows, k = [1.0 / den], -c[0]
+        rows, k = [1.0 / acc], -c[0]
     else:
-        rows, k = [(den - 1.0) / den], c[0]
+        rows, k = [(acc - 1.0) / acc], c[0]
     rows.extend(k * pi * q2 for pi in powers)
     rows.extend(k * di * pi * lnt * q2 for di, pi in zip(amps, powers))
     return np.array(rows)
@@ -153,7 +154,7 @@ def _grad_arrays(kind: Kind, case: Case, c, beta, t: np.ndarray) -> np.ndarray:
 def eval_model(params: ModelParams, t):
     """Evaluate the regressor at t > 0 (scalar or 1-d array)."""
     arr, scalar = _as_times(t)
-    out = _eval_arrays(params.kind, params.case, params.c, params.beta, arr)
+    out, _ = _eval_arrays(params.kind, params.case, params.c, [arr**b for b in params.beta])
     return float(out[0]) if scalar else out
 
 
@@ -163,7 +164,9 @@ def grad_model(params: ModelParams, t):
     Returns shape (n_params,) for scalar t and (n_params, len(t)) otherwise.
     """
     arr, scalar = _as_times(t)
-    out = _grad_arrays(params.kind, params.case, params.c, params.beta, arr)
+    powers = [arr**b for b in params.beta]
+    _, acc = _eval_arrays(params.kind, params.case, params.c, powers)
+    out = _grad_arrays(params.kind, params.case, params.c, powers, np.log(arr), acc)
     return out[:, 0] if scalar else out
 
 

@@ -1,6 +1,8 @@
 """Objective, linear initialization, projected quasi-Newton fit, recovery."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,13 @@ from fracorder.fit import (
     objective_grad,
     recover,
 )
-from fracorder.forward import Case, TraceSample, build_example_4_1, sample_trace
+from fracorder.forward import (
+    Case,
+    TraceSample,
+    build_example_4_1,
+    build_example_4_2,
+    sample_trace,
+)
 from fracorder.models import (
     Kind,
     ModelParams,
@@ -28,7 +36,7 @@ from fracorder.models import (
 )
 from fracorder.specfun import DomainError, OrderSpec
 
-from conftest import rel_err
+from conftest import count_calls, rel_err
 from oracles import central_difference
 
 PI2 = math.pi * math.pi
@@ -246,16 +254,8 @@ class TestMinimize:
         # start, once per accepted step and once per accepted re-solve
         orders = OrderSpec((0.7,), (1.0,))
         sample = sample_trace(build_example_4_1(orders), orders, 1e-4, 100)
-        calls = {"eval": 0, "grad": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(fit, "_eval_arrays", counted("eval", fit._eval_arrays))
-        monkeypatch.setattr(fit, "_grad_arrays", counted("grad", fit._grad_arrays))
+        evals = count_calls(monkeypatch, fit, "_eval_arrays")
+        jacobians = count_calls(monkeypatch, fit, "_grad_arrays")
         cfg = FitConfig(
             kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1, beta_init=(0.4,)
         )
@@ -264,11 +264,17 @@ class TestMinimize:
         # re-solve
         resolves = len(res.history) - 1 - res.iterations
         assert res.iterations > 0 and resolves > 0
-        assert calls["grad"] == 1 + res.iterations + resolves
+        assert len(jacobians) == 1 + res.iterations + resolves
         # one evaluation at the start, one per trial point and re-solve
         # attempt, one for the reported objective: some trials were rejected
-        assert calls["eval"] > 2 + res.iterations + resolves
-        assert calls["grad"] < calls["eval"]
+        assert len(evals) > 2 + res.iterations + resolves
+        assert len(jacobians) < len(evals)
+        # the powers t**beta_i are formed once per evaluation, and each
+        # Jacobian reads those of its point, with one ln t for the whole fit
+        eval_powers = {id(args[3]) for args in evals}
+        assert len(eval_powers) == len(evals)
+        assert all(id(args[3]) in eval_powers for args in jacobians)
+        assert len({id(args[4]) for args in jacobians}) == 1
 
 
 def _textbook_two_loop(grad, s_list, y_list):
@@ -314,6 +320,65 @@ class TestTwoLoop:
                     assert got.tobytes() == want.tobytes(), (n_pairs, dim, got, want)
                     cases += 1
         assert cases == 11 * 5 * 20
+
+
+# float.hex of every minimize output on fixed table samples: params, objective
+# and history, with iterations and the converged flag. A fit that stops at
+# max_iter reacts to a last-bit change anywhere in an iteration (an exponent,
+# a dot product's summation order), which no tolerance test sees; refreeze
+# fit_bits.json only for an intended change of the optimizer's arithmetic or
+# of the sampled traces
+FIT_BITS = Path(__file__).with_name("fit_bits.json")
+# name -> (problem, orders, weights, T0) of each sample
+FIT_SAMPLES = {
+    "table2a": (build_example_4_1, (0.6, 0.9), (0.5, 1.0), 1e-4),
+    "table3b": (lambda: build_example_4_2("ii"), (0.5, 0.7), (0.5, 1.0), 1e-6),
+    "table1b-0.9": (build_example_4_1, (0.9,), (1.0,), 1e-6),
+    "example-4.1": (build_example_4_1, (0.7,), (1.0,), 1e-4),
+}
+# name -> (sample, kind, beta_init): each (kind, case) shape with one and two
+# terms; the table1b alpha = 0.9 fp row, which stops at max_iter; and the fit
+# with backtracking and re-solves of test_gradient_formed_only_at_accepted_points
+FIT_CASES = {
+    **{
+        f"{kind.value}/{case.value}/{len(binit)}": (name, kind, binit)
+        for name, case, binits in (
+            ("table2a", Case.INITIAL_DATA, ((0.8,), (0.8, 1.2))),
+            ("table3b", Case.SOURCE, ((0.6,), (0.6, 0.9))),
+        )
+        for kind in Kind
+        for binit in binits
+    },
+    "table1b-0.9/polynomial": ("table1b-0.9", Kind.POLYNOMIAL, (0.5,)),
+    "example-4.1/polynomial": ("example-4.1", Kind.POLYNOMIAL, (0.4,)),
+}
+
+
+def _iterate_bits(name: str) -> dict:
+    def hexes(values):
+        return [float(v).hex() for v in values]
+
+    sample_name, kind, beta_init = FIT_CASES[name]
+    build, alphas, weights, T0 = FIT_SAMPLES[sample_name]
+    problem = build()
+    sample = sample_trace(problem, OrderSpec(alphas, weights), T0, 100)
+    cfg = FitConfig(kind=kind, case=problem.case, n_terms=len(beta_init), beta_init=beta_init)
+    res = minimize(sample, cfg)
+    return {
+        "c": hexes(res.params.c),
+        "beta": hexes(res.params.beta),
+        "objective": res.objective.hex(),
+        "history": hexes(res.history),
+        "iterations": res.iterations,
+        "converged": res.converged,
+    }
+
+
+class TestFrozenIterates:
+    @pytest.mark.parametrize("name", list(FIT_CASES))
+    def test_results_keep_their_bits(self, name):
+        frozen = json.loads(FIT_BITS.read_text())[name]
+        assert _iterate_bits(name) == frozen
 
 
 class TestRecover:

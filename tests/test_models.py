@@ -142,9 +142,11 @@ def _model_bits(kind: Kind, case: Case) -> dict:
     a = 0.25 if case is Case.SOURCE else 0.0
     phys = to_physical(ModelParams(kind, case, c, BITS_BETA), a=a)
     back = from_physical(phys, kind, case, a=a)
+    powers = [BITS_T**b for b in BITS_BETA]
+    value, acc = _eval_arrays(kind, case, c, powers)
     return {
-        "eval": hexes(_eval_arrays(kind, case, c, BITS_BETA, BITS_T)),
-        "grad": [hexes(row) for row in _grad_arrays(kind, case, c, BITS_BETA, BITS_T)],
+        "eval": hexes(value),
+        "grad": [hexes(row) for row in _grad_arrays(kind, case, c, powers, np.log(BITS_T), acc)],
         "to_physical": hexes((*phys.alphas, *phys.weights, phys.amplitude)),
         "constant": None if phys.constant is None else phys.constant.hex(),
         "from_physical": hexes((*back.c, *back.beta)),
