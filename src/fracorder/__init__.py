@@ -47,12 +47,10 @@ from fracorder.specfun import (
     DomainError,
     MLArgs,
     OrderSpec,
-    default_contour,
     gamma,
     log_gamma,
     ml2,
     mml,
-    normalize_spec,
     s1_kernel_contour,
     s1_kernel_series,
     s2_kernel_contour,

@@ -22,10 +22,9 @@ from fracorder.specfun import (
     DomainError,
     OrderSpec,
     _hyperbola_integral,
-    _kernel_args,
-    _kernel_from_ml,
     _laplace_numerator,
-    mml,
+    s1_kernel_series,
+    s2_kernel_int_series,
 )
 
 __all__ = [
@@ -69,10 +68,14 @@ class SpectralProblem:
         lams = [l for l, _ in self.modes]
         if not lams:
             raise DomainError("at least one mode is required")
-        if not all(l > 0.0 for l in lams):
-            raise DomainError("eigenvalues must be positive")
+        if not all(0.0 < l < math.inf for l in lams):
+            raise DomainError(f"eigenvalues must be positive and finite, got {lams}")
         if any(lams[i] > lams[i + 1] for i in range(len(lams) - 1)):
             raise DomainError("eigenvalues must be nondecreasing")
+        if not all(math.isfinite(w) for _, w in self.modes):
+            raise DomainError(f"mode weights must be finite, got {[w for _, w in self.modes]}")
+        if not math.isfinite(self.source_scale):
+            raise DomainError(f"source scale must be finite, got {self.source_scale}")
         if self.case is Case.SOURCE and not 0.0 <= self.source_exponent <= 1.0:
             raise DomainError("source exponent must lie in [0, 1]")
 
@@ -164,9 +167,9 @@ def _mode_kernels(
     one row of per-mode kernels per time, and whether t was a scalar.
 
     Each distinct eigenvalue is evaluated once per time.  method "series"
-    sums the certified series time by time; at each time the series arguments
-    of every eigenvalue are built, and range-checked, before any is summed,
-    so an argument beyond Z_MAX fails at once.  "auto" takes every value from
+    calls specfun's series kernel time by time, the largest eigenvalue first:
+    |z| grows with lambda, so the worst arguments come first, and one beyond
+    Z_MAX raises before any sum.  "auto" takes every value from
     the Weideman-Trefethen hyperbola quadrature of the Laplace transform
     (about 1e-10 relative, no series and no extended precision), at any
     t > 0, with one vectorized call over all times per distinct eigenvalue.
@@ -177,10 +180,12 @@ def _mode_kernels(
     distinct = dict.fromkeys(lams)
     if method == "series":
         rows = []
-        # a scalar t goes to the series as given
+        # a scalar t goes to the series as given; the eigenvalues ascend
         for ti in [t] if scalar else times:
-            args = {lam: _kernel_args(lam, spec, ti, a) for lam in distinct}
-            kernel = {lam: _kernel_from_ml(lam, spec, ti, a, mml(x)) for lam, x in args.items()}
+            if a is None:
+                kernel = {lam: s1_kernel_series(lam, spec, ti) for lam in reversed(distinct)}
+            else:
+                kernel = {lam: s2_kernel_int_series(lam, spec, a, ti) for lam in reversed(distinct)}
             rows.append([kernel[lam] for lam in lams])
     elif method == "auto":
         numerator = _laplace_numerator(spec, a)
@@ -291,18 +296,15 @@ def build_example_4_2(case: str) -> SpectralProblem:
 
 def sample_trace(problem: SpectralProblem, spec: OrderSpec, T0: float, n: int) -> TraceSample:
     """Uniform open grid t_k = k T0 / n, k = 1..n (t = 0 excluded), sampled
-    by the series route."""
+    by the series route, the last time first: |z| grows with t, so the worst
+    arguments come first, and one beyond Z_MAX raises before any other time
+    is summed.  The values are returned in ascending time order."""
     if n < 2:
         raise DomainError(f"need n >= 2 grid points, got {n}")
     if not T0 > 0.0:
         raise DomainError(f"T0 must be positive, got {T0}")
-    # |z| grows with t, so the series arguments at T0 are the worst ones
-    a = None if problem.case is Case.INITIAL_DATA else problem.source_exponent
-    for lam, _ in problem.modes:
-        _kernel_args(lam, spec, T0, a)
     times = np.arange(1, n + 1) * (T0 / n)
-    if problem.case is Case.INITIAL_DATA:
-        values = np.array([trace_initial(problem, spec, t) for t in times])
-    else:
-        values = np.array([trace_source(problem, spec, t) for t in times])
+    trace = trace_initial if problem.case is Case.INITIAL_DATA else trace_source
+    last = trace(problem, spec, times[-1])
+    values = np.array([trace(problem, spec, t) for t in times[:-1]] + [last])
     return TraceSample(times, values, T0=T0)

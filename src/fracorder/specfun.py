@@ -14,8 +14,10 @@ two-parameter function E_{alpha,beta}(z) is its one-argument case, and like
 beta0 of the multinomial function it needs beta > 0, so every Gamma argument
 of a term is positive.  Its arguments are reduced once, at the entry: mml
 drops every pair with z_j = 0, so the sum only ever sees z_j < 0, and the
-series kernels divide the equation by the leading weight themselves, so
-they take any positive weights, as the contour and hyperbola routes do.
+series kernels (s*_kernel_series, the only map from a mode kernel to its
+series arguments, which forward's "series" method calls) divide the equation
+by the leading weight themselves, so they take any positive weights, as the
+contour and hyperbola routes do.
 
 The series is summed with compensated (Kahan) accumulation and certifies
 its own rounding envelope: the worst term magnitude is tracked
@@ -58,19 +60,16 @@ __all__ = [
     "OrderSpec",
     "MLArgs",
     "ContourSpec",
-    "NormalizedSpec",
     "gamma",
     "log_gamma",
     "ml2",
     "mml",
-    "normalize_spec",
     "s1_kernel_series",
     "s2_kernel_series",
     "s2_kernel_int_series",
     "s1_kernel_contour",
     "s2_kernel_contour",
     "s2_kernel_int_contour",
-    "default_contour",
     "tight_contour",
 ]
 
@@ -142,8 +141,8 @@ class OrderSpec:
             raise DomainError(f"orders must lie in (0, 1), got {a}")
         if any(a[i] >= a[i + 1] for i in range(len(a) - 1)):
             raise DomainError(f"orders must be strictly increasing, got {a}")
-        if not all(x > 0.0 for x in w):
-            raise DomainError(f"weights must be positive, got {w}")
+        if not all(0.0 < x < math.inf for x in w):
+            raise DomainError(f"weights must be positive and finite, got {w}")
 
     @property
     def n(self) -> int:
@@ -179,7 +178,7 @@ class MLArgs:
         if not all(0.0 < b < 1.0 for b in self.betas):
             raise DomainError(f"betas must lie in (0, 1), got {self.betas}")
         for z in self.zs:
-            if z > 0.0:
+            if not z <= 0.0:
                 raise DomainError(f"only non-positive arguments supported, got z={z}")
             if abs(z) > Z_MAX:
                 raise DomainError(
@@ -210,26 +209,6 @@ class ContourSpec:
             raise DomainError(f"n_radial must be >= 16, got {self.n_radial}")
         if not self.r_max > self.delta:
             raise DomainError("r_max must exceed delta")
-
-
-@dataclass(frozen=True)
-class NormalizedSpec:
-    """Result of dividing the evolution equation by the leading weight."""
-
-    spec: OrderSpec
-    lam: float
-    kernel_scale: float
-
-
-def normalize_spec(spec: OrderSpec, lam: float) -> NormalizedSpec:
-    """Rescale so the leading weight is one.
-
-    S1 is invariant under the joint map (lam, r) -> (lam/rN, r/rN); S2 picks
-    up the factor kernel_scale = 1/rN.
-    """
-    rn = spec.weights[-1]
-    scaled = OrderSpec(spec.alphas, tuple(w / rn for w in spec.weights))
-    return NormalizedSpec(scaled, lam / rn, 1.0 / rn)
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +598,9 @@ def ml2(alpha: float, beta: float, z: float, *, rel_tol: float = 1e-10) -> float
     beta > 0: the multinomial series with the one argument (beta, z)."""
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"alpha must lie in (0, 2), got {alpha}")
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    if z > 0.0:
+    if not 0.0 < beta < math.inf:
+        raise DomainError(f"beta must be positive and finite, got {beta}")
+    if not z <= 0.0:
         raise DomainError(f"only z <= 0 is supported, got {z}")
     if abs(z) > Z_MAX:
         raise DomainError(f"|z| = {abs(z)} exceeds Z_MAX = {Z_MAX}; series unreliable")
@@ -653,17 +632,6 @@ def mml(args: MLArgs, *, rel_tol: float = 1e-10) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_ml_args(lam: float, spec: OrderSpec, t: float, beta0: float) -> MLArgs:
-    """The series arguments of the equation divided by the leading weight."""
-    an, rn = spec.alphas[-1], spec.weights[-1]
-    betas = [an]
-    zs = [-(lam / rn) * t**an]
-    for ai, ri in zip(spec.alphas[:-1], spec.weights[:-1]):
-        betas.append(an - ai)
-        zs.append(-(ri / rn) * t ** (an - ai))
-    return MLArgs(beta0, tuple(betas), tuple(zs))
-
-
 def _check_kernel_inputs(lam: float, t: float) -> None:
     if not lam > 0.0:
         raise DomainError(f"lambda must be positive, got {lam}")
@@ -676,36 +644,30 @@ def _check_source_exponent(a: float) -> None:
         raise DomainError(f"a must lie in [0, 1], got {a}")
 
 
-def _kernel_args(lam: float, spec: OrderSpec, t: float, a: float | None) -> MLArgs:
-    """Checked series arguments of S1 (a is None) or of the convolution of S2
-    with s^a / Gamma(a+1)."""
-    if a is not None:
-        _check_source_exponent(a)
+def _series_args(lam: float, spec: OrderSpec, t: float, beta0: float) -> MLArgs:
+    """The checked series arguments of the equation divided by the leading
+    weight; MLArgs raises on an argument beyond Z_MAX."""
     _check_kernel_inputs(lam, t)
-    an = spec.alphas[-1]
-    return _kernel_ml_args(lam, spec, t, 1.0 + an if a is None else an + a + 1.0)
-
-
-def _kernel_from_ml(lam: float, spec: OrderSpec, t: float, a: float | None, e: float) -> float:
-    """The kernel of _kernel_args from the value e of its Mittag-Leffler
-    function."""
     an, rn = spec.alphas[-1], spec.weights[-1]
-    if a is None:
-        return 1.0 - (lam / rn) * t**an * e
-    return t ** (an + a) * e / rn
+    betas = [an]
+    zs = [-(lam / rn) * t**an]
+    for ai, ri in zip(spec.alphas[:-1], spec.weights[:-1]):
+        betas.append(an - ai)
+        zs.append(-(ri / rn) * t ** (an - ai))
+    return MLArgs(beta0, tuple(betas), tuple(zs))
 
 
 def s1_kernel_series(lam: float, spec: OrderSpec, t: float, *, rel_tol: float = 1e-10) -> float:
     """Mode relaxation factor S1(t): response of a unit initial datum."""
-    e = mml(_kernel_args(lam, spec, t, None), rel_tol=rel_tol)
-    return _kernel_from_ml(lam, spec, t, None, e)
+    an = spec.alphas[-1]
+    e = mml(_series_args(lam, spec, t, 1.0 + an), rel_tol=rel_tol)
+    return 1.0 - (lam / spec.weights[-1]) * t**an * e
 
 
 def s2_kernel_series(lam: float, spec: OrderSpec, t: float, *, rel_tol: float = 1e-10) -> float:
     """Impulse-response kernel S2(t) of the forced problem."""
-    _check_kernel_inputs(lam, t)
     an = spec.alphas[-1]
-    e = mml(_kernel_ml_args(lam, spec, t, an), rel_tol=rel_tol)
+    e = mml(_series_args(lam, spec, t, an), rel_tol=rel_tol)
     return t ** (an - 1.0) * e / spec.weights[-1]
 
 
@@ -716,8 +678,10 @@ def s2_kernel_int_series(
 
     For a = 0 this is the running integral of S2.
     """
-    e = mml(_kernel_args(lam, spec, t, a), rel_tol=rel_tol)
-    return _kernel_from_ml(lam, spec, t, a, e)
+    _check_source_exponent(a)
+    an = spec.alphas[-1]
+    e = mml(_series_args(lam, spec, t, an + a + 1.0), rel_tol=rel_tol)
+    return t ** (an + a) * e / spec.weights[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -727,21 +691,16 @@ def s2_kernel_int_series(
 _RMAX_LOG = -math.log(1e-18)
 
 
-def default_contour(t: float) -> ContourSpec:
-    """Desk-accuracy default: theta = 5 pi / 6, delta = max(1, 1/t), radial
-    truncation where exp(t r cos theta) falls below 1e-18."""
+def tight_contour(t: float, n_radial: int = 4000) -> ContourSpec:
+    """Contour for oracle-grade agreement checks: theta = 5 pi / 6, delta =
+    max(1, 1/t), radial truncation where exp(t r cos theta) falls below
+    1e-18."""
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
     theta = 5.0 * math.pi / 6.0
     delta = max(1.0, 1.0 / t)
     r_max = max(_RMAX_LOG / (t * abs(math.cos(theta))), 2.0 * delta)
-    return ContourSpec(theta=theta, delta=delta, n_radial=400, r_max=r_max)
-
-
-def tight_contour(t: float, n_radial: int = 4000) -> ContourSpec:
-    """Refined contour for oracle-grade agreement checks."""
-    base = default_contour(t)
-    return ContourSpec(base.theta, base.delta, n_radial, base.r_max)
+    return ContourSpec(theta, delta, n_radial, r_max)
 
 
 def _sum_powers(p: np.ndarray, spec: OrderSpec, shift: float) -> np.ndarray:

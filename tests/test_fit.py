@@ -32,12 +32,10 @@ from fracorder.models import (
     PhysicalParams,
     eval_model,
     from_physical,
-    n_coeffs,
 )
 from fracorder.specfun import DomainError, OrderSpec
 
 from conftest import count_calls, rel_err
-from oracles import central_difference
 
 PI2 = math.pi * math.pi
 
@@ -80,32 +78,6 @@ class TestObjectiveGrad:
         g1 = objective_grad(s1, params)
         g2 = objective_grad(s2, params)
         assert np.allclose(g2, 3.0 * g1, rtol=1e-12, atol=1e-18)
-
-    def test_fd_agreement_50_draws(self):
-        rng = np.random.default_rng(20240501)
-        shapes = [(k, c) for k in Kind for c in Case]
-        t = np.arange(1, 41) / 40.0
-        for i in range(50):
-            kind, case = shapes[i % 4]
-            beta = np.sort(rng.uniform(0.1, 1.7, size=2))
-            while beta[1] - beta[0] < 0.1:
-                beta = np.sort(rng.uniform(0.1, 1.7, size=2))
-            if kind is Kind.POLYNOMIAL:
-                c = rng.uniform(-2, 2, size=n_coeffs(kind, case, 2))
-            else:
-                c = np.concatenate([[rng.uniform(0.5, 2.0)], rng.uniform(-0.2, 0.8, 2)])
-            params = ModelParams(kind, case, tuple(c), tuple(beta))
-            g = eval_model(params, t) + rng.normal(0.0, 0.1, size=len(t))
-            sample = TraceSample(t, g, T0=1.0)
-            ana = objective_grad(sample, params)
-
-            def f(x):
-                q = ModelParams(kind, case, tuple(x[: len(c)]), tuple(x[len(c) :]))
-                return objective(sample, q)
-
-            fd = central_difference(f, np.concatenate([c, beta]))
-            err = np.linalg.norm(fd - ana) / max(np.linalg.norm(ana), 1e-300)
-            assert err < 1e-6, (i, kind, case, err)
 
 
 class TestLinearInit:

@@ -13,11 +13,9 @@ from fracorder.specfun import (
     DomainError,
     MLArgs,
     OrderSpec,
-    default_contour,
     gamma,
     ml2,
     mml,
-    normalize_spec,
     s1_kernel_contour,
     s1_kernel_series,
     s2_kernel_contour,
@@ -31,6 +29,13 @@ from conftest import count_calls, rel_err
 from oracles import mp_ml2, mp_mml, trapezoid_convolution
 
 PI2 = math.pi * math.pi
+
+
+def _normalized(spec: OrderSpec, lam: float) -> tuple[float, OrderSpec, float]:
+    """(lam/r_N, the orders with weights r/r_N, 1/r_N)."""
+    rn = spec.weights[-1]
+    return lam / rn, OrderSpec(spec.alphas, tuple(w / rn for w in spec.weights)), 1.0 / rn
+
 
 # frozen from oracles.mp_ml2(0.5, 1, -1, terms=200); equals exp(1) erfc(1)
 E_HALF_AT_MINUS_1 = 0.42758357615580700441
@@ -112,6 +117,14 @@ class TestMl2:
         with pytest.raises(DomainError):
             ml2(2.0, 1.0, -1.0)
 
+    def test_nan_argument_rejected(self):
+        with pytest.raises(DomainError, match="got nan"):
+            ml2(0.5, 1.0, math.nan)
+
+    def test_infinite_beta_rejected(self):
+        with pytest.raises(DomainError, match="got inf"):
+            ml2(0.5, math.inf, -1.0)
+
     def test_nonpositive_beta_rejected(self):
         # for beta <= 0 some Gamma arguments of the series are poles or
         # negative; E_{1,-2}(-30) = z^3 e^z is about -2.5e-9, not 0
@@ -191,6 +204,10 @@ class TestMml:
             MLArgs(1.0, (0.5,) * 5, (-1.0,) * 5)
         with pytest.raises(DomainError):
             MLArgs(1.0, (0.5, 0.6), (-1.0,))
+
+    def test_nan_argument_rejected(self):
+        with pytest.raises(DomainError, match="got z=nan"):
+            mml(MLArgs(1.0, (0.5,), (math.nan,)))
 
 
 # repr of mml values taken from the series before its z-independent terms were
@@ -362,31 +379,30 @@ class TestOrderSpecAndNormalize:
             OrderSpec((0.5, 1.0), (1.0, 1.0))
         with pytest.raises(DomainError):
             OrderSpec((0.5,), (-1.0,))
+        with pytest.raises(DomainError, match="got .*inf"):
+            OrderSpec((0.5,), (math.inf,))
 
+    # dividing the equation by the leading weight r_N maps (lam, r) to
+    # (lam/r_N, r/r_N): S1 is invariant under the map and S2 picks up 1/r_N
     def test_identity_when_normalized(self):
         spec = OrderSpec((0.3, 0.7), (0.5, 1.0))
-        ns = normalize_spec(spec, 4.0)
-        assert ns.spec == spec
-        assert ns.lam == 4.0
-        assert ns.kernel_scale == 1.0
+        lam, unit, scale = _normalized(spec, 4.0)
+        assert (lam, unit, scale) == (4.0, spec, 1.0)
 
     def test_single_term_example(self):
-        ns = normalize_spec(OrderSpec((0.5,), (2.0,)), 4.0)
-        assert ns.spec.weights == (1.0,)
-        assert ns.lam == 2.0
-        assert ns.kernel_scale == 0.5
+        spec = OrderSpec((0.5,), (2.0,))
+        lam, unit, scale = _normalized(spec, 4.0)
+        assert (lam, unit.weights, scale) == (2.0, (1.0,), 0.5)
+        for t in (1e-3, 0.05):
+            assert rel_err(s1_kernel_series(4.0, spec, t), ml2(0.5, 1.0, -lam * t**0.5)) < 1e-13
 
     def test_two_term_example_with_contour_check(self):
         spec = OrderSpec((0.4, 0.8), (0.5, 2.0))
-        ns = normalize_spec(spec, 10.0)
-        assert ns.spec.weights == (0.25, 1.0)
-        assert ns.lam == 5.0
-        assert ns.kernel_scale == 0.5
+        lam, unit, scale = _normalized(spec, 10.0)
+        assert (lam, unit.weights, scale) == (5.0, (0.25, 1.0), 0.5)
         t = 0.1
         before = s2_kernel_contour(10.0, spec, t, tight_contour(t, 2000))
-        after = ns.kernel_scale * s2_kernel_contour(
-            ns.lam, ns.spec, t, tight_contour(t, 2000)
-        )
+        after = scale * s2_kernel_contour(lam, unit, t, tight_contour(t, 2000))
         assert rel_err(before, after) < 1e-10
 
     def test_scaling_property_random(self):
@@ -395,13 +411,13 @@ class TestOrderSpecAndNormalize:
         for _ in range(5):
             rn = float(rng.uniform(0.5, 2.0))
             spec = OrderSpec((0.4, 0.8), (0.7 * rn, rn))
-            ns = normalize_spec(spec, 7.0)
+            lam, unit, scale = _normalized(spec, 7.0)
             c = tight_contour(t, 2000)
             s1a = s1_kernel_contour(7.0, spec, t, c)
-            s1b = s1_kernel_contour(ns.lam, ns.spec, t, c)
+            s1b = s1_kernel_contour(lam, unit, t, c)
             assert rel_err(s1a, s1b) < 1e-10
             s2a = s2_kernel_contour(7.0, spec, t, c)
-            s2b = ns.kernel_scale * s2_kernel_contour(ns.lam, ns.spec, t, c)
+            s2b = scale * s2_kernel_contour(lam, unit, t, c)
             assert rel_err(s2a, s2b) < 1e-10
 
 
@@ -447,17 +463,16 @@ class TestSeriesKernels:
 
     def test_any_positive_leading_weight(self):
         # the kernels divide the leading weight out: S1 is the normalized
-        # call bit for bit, S2 and its convolution carry kernel_scale
-        lam = 10.0
+        # call bit for bit, S2 and its convolution carry the factor 1/r_N
         for spec in (OrderSpec((0.5,), (2.0,)), OrderSpec((0.4, 0.8), (0.5, 2.0))):
-            ns = normalize_spec(spec, lam)
+            lam, unit, scale = _normalized(spec, 10.0)
             for t in (1e-3, 0.05, 0.4):
-                assert s1_kernel_series(lam, spec, t) == s1_kernel_series(ns.lam, ns.spec, t)
-                s2 = ns.kernel_scale * s2_kernel_series(ns.lam, ns.spec, t)
-                assert rel_err(s2_kernel_series(lam, spec, t), s2) < 1e-15
+                assert s1_kernel_series(10.0, spec, t) == s1_kernel_series(lam, unit, t)
+                s2 = scale * s2_kernel_series(lam, unit, t)
+                assert rel_err(s2_kernel_series(10.0, spec, t), s2) < 1e-15
                 for a in (0.0, 0.5):
-                    s2_int = ns.kernel_scale * s2_kernel_int_series(ns.lam, ns.spec, a, t)
-                    assert rel_err(s2_kernel_int_series(lam, spec, a, t), s2_int) < 1e-15
+                    s2_int = scale * s2_kernel_int_series(lam, unit, a, t)
+                    assert rel_err(s2_kernel_int_series(10.0, spec, a, t), s2_int) < 1e-15
 
     def test_s2_int_a0_is_running_integral(self):
         # a = 0 reduces to the running integral of S2 (exponent-shift identity)
@@ -547,7 +562,8 @@ class TestContourKernels:
                 ) < 1e-6
 
     def test_default_contour_shape(self):
-        c = default_contour(0.01)
+        c = tight_contour(0.01)
+        assert c.n_radial == 4000
         assert c.delta == 100.0
         assert c.r_max > c.delta
         assert math.pi / 2 < c.theta < math.pi
