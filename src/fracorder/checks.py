@@ -16,6 +16,7 @@ import numpy as np
 from fracorder import models, specfun
 from fracorder.fit import objective, objective_grad
 from fracorder.forward import (
+    PI2,
     Case,
     TraceSample,
     build_example_4_1,
@@ -40,8 +41,6 @@ from fracorder.specfun import (
 )
 
 __all__ = ["CheckResult", "run_checks"]
-
-PI2 = math.pi * math.pi
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,6 @@ RESULT_COLUMNS = (
 _KIND_BY_FLAG = {"fp": Kind.POLYNOMIAL, "fr": Kind.RATIONAL}
 _FLAG_BY_KIND = {v: k for k, v in _KIND_BY_FLAG.items()}
 
-PI2 = math.pi * math.pi
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -326,12 +324,11 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
 
 
 def _write_fig_panel(path: Path, alphas: tuple[float, ...], cfg: ExperimentConfig) -> None:
-    lam = PI2 + 1.0
+    lam = _EX_4_1.modes[0][0]
     tgrid = np.geomspace(cfg.t_max * 1e-6, cfg.t_max, cfg.fig_points)
     phys = PhysicalParams(alphas, _weights(alphas), amplitude=lam, constant=1.0)
     # order one is the classical limit, outside the fractional order range
     orders = None if alphas == (1.0,) else OrderSpec(alphas, _weights(alphas))
-    problem = SpectralProblem(((lam, 1.0),), Case.INITIAL_DATA)
     fp = from_physical(phys, Kind.POLYNOMIAL, Case.INITIAL_DATA)
     fr = from_physical(phys, Kind.RATIONAL, Case.INITIAL_DATA)
     # every value is computed before the file is opened, so a failing panel
@@ -339,7 +336,7 @@ def _write_fig_panel(path: Path, alphas: tuple[float, ...], cfg: ExperimentConfi
     if orders is None:
         g = [math.exp(-lam * t) for t in tgrid]
     else:
-        g = trace_initial(problem, orders, tgrid, method="auto")
+        g = trace_initial(_EX_4_1, orders, tgrid, method="auto")
     vp = models.eval_model(fp, tgrid)
     vr = models.eval_model(fr, tgrid)
     with open(path, "w", newline="") as fh:
@@ -361,7 +358,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                 log.error("panel %s failed: %s", name, exc)
         meta = {
             "experiment": cfg.experiment,
-            "lambda": PI2 + 1.0,
+            "lambda": _EX_4_1.modes[0][0],
             "t_max": cfg.t_max,
             "points": cfg.fig_points,
             "assumptions": [_R1_ASSUMED] if cfg.experiment == "fig2" else [],

@@ -29,8 +29,11 @@ instead of silently returning garbage or summing for minutes.  The extended
 sum is integer fixed point: the factors of each term (1/Gamma, z_j**k_j/k_j!,
 k!) are mpmath mantissas, their exact product is shifted once into a running
 Python integer that counts a fixed quantum far below the noise floor, and no
-term costs an mpf multiply, add or normalization.  A shell's compositions and
-the z-independent parts of its terms are built as numpy columns.
+term costs an mpf multiply, add or normalization.  Both sums read their terms'
+log magnitudes from one shell walk (_shells): a shell's compositions and the
+z-independent parts of its terms are numpy columns (_rows), to which each
+call adds its own powers (_logs).  rel_tol must be positive and finite; ml2
+and mml reject any other value before they sum or take a shortcut.
 
 Every public function is a pure function of its arguments.  The one piece
 of module state is a bounded LRU cache (_leading_shells) of the series
@@ -216,20 +219,6 @@ class ContourSpec:
 # ---------------------------------------------------------------------------
 
 
-class _Kahan:
-    __slots__ = ("s", "c")
-
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-
 def _certified(value: float, peak_log: float, rel_tol: float) -> bool:
     if value == 0.0 or not math.isfinite(value):
         return False
@@ -252,27 +241,47 @@ def _compositions(k: int, m: int) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """The part of some series terms that does not depend on z, for a run of
-    consecutive shells, the i-th of which is rows starts[i]:starts[i + 1].
-    Per row: the composition (k_1, ..., k_m), the log coefficient
-    ln k! - sum ln k_j! and ln Gamma(beta0 + sum beta_j k_j)."""
+# The terms of the multinomial series at z_j < 0, listed shell by shell.
+# Shell k of sum_k sum_{|comp| = k} k!/(k_1! ... k_m!) prod z_j**k_j
+# / Gamma(beta0 + sum beta_j k_j) holds one term per composition of k, and
+# the sign of every term in it is (-1)**k.  A term's log magnitude is
+# (ln k! - sum ln k_j!) + sum k_j ln|z_j| - ln Gamma(beta0 + sum beta_j k_j):
+# _rows builds the parts that do not depend on z, through the module's
+# log_gamma, and _logs adds one call's powers.
 
-    comps: np.ndarray
-    coef: np.ndarray
-    lg: np.ndarray
-    starts: tuple[int, ...]
 
-    @property
-    def n_shells(self) -> int:
-        return len(self.starts) - 1
+def _lnfact(kmax: int) -> np.ndarray:
+    """ln k! for k = 0..kmax; ln 0! = 0 exactly, so a zero part of a
+    composition changes no coefficient bit."""
+    return np.array([0.0] + [log_gamma(i + 1.0) for i in range(1, kmax + 1)])
 
-    def run(self, a: int, b: int) -> _Rows:
-        """The rows of the shells a..b-1 of this run."""
-        lo, hi = self.starts[a], self.starts[b]
-        starts = tuple(s - lo for s in self.starts[a : b + 1])
-        return _Rows(self.comps[lo:hi], self.coef[lo:hi], self.lg[lo:hi], starts)
+
+def _rows(beta0: float, betas: tuple[float, ...], ks, comps: np.ndarray, lnfact):
+    """(coef, lg) of the compositions comps (an int64 array, one per row):
+    the log coefficient ln k! - sum ln k_j! and ln Gamma(beta0 + sum beta_j
+    k_j).  ks is the shell k of every row, or the ascending int64 array of
+    each row's shell; lnfact (_lnfact to the last shell) is read at m >= 2."""
+    # the multinomial log coefficient is assembled apart from the powers so
+    # that at m = 1 it is exactly 0 (ln k! - ln k!, no table needed), and the
+    # Gamma argument is the float sum: the small-t fits hinge on the last bit
+    # of these values, so both are formed in j order
+    coef, bsum = np.zeros(len(comps)), np.zeros(len(comps))
+    if len(betas) > 1:
+        coef += lnfact[ks]
+        for col in comps.T:
+            coef -= lnfact[col]
+    for b, col in zip(betas, comps.T):
+        bsum += b * col
+    return coef, np.array([log_gamma(x) for x in (beta0 + bsum).tolist()])
+
+
+def _logs(comps: np.ndarray, coef: np.ndarray, lg: np.ndarray, lnz) -> np.ndarray:
+    """log |term| of each row at the powers lnz = (ln|z_j|)."""
+    pow_log = np.zeros(len(coef))
+    for col, lz in zip(comps.T, lnz):
+        # k_j ln|z_j| added in j order, as a scalar sum would
+        pow_log += col * lz
+    return coef + pow_log - lg
 
 
 # Bounds of the cache of leading shells: at most _MEMO_TABLES (beta0, betas)
@@ -286,148 +295,75 @@ _MEMO_TERMS = 2048
 
 
 @functools.lru_cache(maxsize=_MEMO_TABLES)
-def _leading_shells(gamma_fn, beta0: float, betas: tuple[float, ...]) -> _Rows:
-    """The rows of the shells 0..n-1 of the series of (beta0, betas), for the
-    largest n whose C(n - 1 + m, m) terms fit in _MEMO_TERMS, built in one
-    pass.  gamma_fn is the module's log_gamma, which builds them; it is in the
-    key so that a replaced Gamma routine never reads tables built by another."""
+def _leading_shells(gamma_fn, beta0: float, betas: tuple[float, ...]):
+    """The read-only rows (comps, coef, lg, starts) of the shells 0..n-1 of
+    the series of (beta0, betas), shell k being rows starts[k]:starts[k + 1],
+    for the largest n whose C(n - 1 + m, m) terms fit in _MEMO_TERMS, built
+    in one pass.  gamma_fn is the module's log_gamma, which builds them; it
+    is in the key so that a replaced Gamma routine never reads tables built
+    by another."""
     m = len(betas)
     n = next(n for n in count() if math.comb(n + m, m) > _MEMO_TERMS)
     starts = tuple(math.comb(k - 1 + m, m) for k in range(n + 1))
     ks = np.repeat(np.arange(n, dtype=np.int64), np.diff(starts))
     comps = ks[:, None] if m == 1 else np.vstack([_compositions(k, m) for k in range(n)])
-    rows = _ShellRows(beta0, betas).rows(ks, comps)
-    for a in (comps, rows.coef, rows.lg):
+    table = (comps, *_rows(beta0, betas, ks, comps, _lnfact(n - 1) if m > 1 else None))
+    for a in table:
         a.flags.writeable = False  # every caller shares them
-    return _Rows(comps, rows.coef, rows.lg, starts)
+    return (*table, starts)
 
 
-class _ShellRows:
-    """The parts of the terms of the multinomial series of (beta0, betas)
-    that do not depend on z, built shell by shell through the module's
-    log_gamma."""
-
-    def __init__(self, beta0: float, betas: tuple[float, ...]) -> None:
-        self.beta0, self.betas, self.m = beta0, betas, len(betas)
-        # ln k! for k = 0, 1, ..., grown as the shells need it; ln 0! = 0
-        # exactly, so a zero part of a composition changes no coefficient bit
-        self.lnfact = np.zeros(1)
-
-    def rows(self, k, comps: np.ndarray | None = None) -> _Rows:
-        """The rows of the compositions comps of k (an int64 array, all of
-        them by default), as one shell.  k may instead be the ascending int64
-        array of each row's shell, for the rows of many shells in one pass;
-        one shell reads its ln k! as a scalar."""
-        comps = _compositions(k, self.m) if comps is None else comps
-        # the multinomial log coefficient is assembled apart from the powers
-        # so that at m = 1 it is exactly 0 (ln k! - ln k!, no table needed),
-        # and the Gamma argument is the float sum: the small-t fits hinge on
-        # the last bit of these values, so both are formed in j order
-        coef, bsum = np.zeros(len(comps)), np.zeros(len(comps))
-        if self.m > 1:
-            top = int(k[-1]) if isinstance(k, np.ndarray) else k
-            if len(self.lnfact) <= top:
-                grown = [log_gamma(i + 1.0) for i in range(len(self.lnfact), top + 1)]
-                self.lnfact = np.concatenate([self.lnfact, grown])
-            coef += self.lnfact[k]
-            for col in comps.T:
-                coef -= self.lnfact[col]
-        for b, col in zip(self.betas, comps.T):
-            bsum += b * col
-        lg = np.array([log_gamma(x) for x in (self.beta0 + bsum).tolist()])
-        return _Rows(comps, coef, lg, (0, len(comps)))
-
-
-class _ShellTerms(_ShellRows):
-    """The terms of one multinomial series at z_j < 0, listed shell by shell.
-
-    Shell k of sum_k sum_{|comp| = k} k!/(k_1! ... k_m!) prod z_j**k_j
-    / Gamma(beta0 + sum beta_j k_j) holds one term per composition of k;
-    the sign of every term in it is (-1)**k.  A term's log magnitude is
-    (ln k! - sum ln k_j!) + sum k_j ln|z_j| - ln Gamma(beta0 + sum beta_j k_j):
-    `rows` builds the parts that do not depend on z and `logs` adds this
-    call's powers.  The leading shells' rows come from the cached table of
-    _leading_shells.
-    """
-
-    def __init__(self, beta0: float, betas: tuple[float, ...], zs: tuple[float, ...]) -> None:
-        super().__init__(beta0, betas)
-        self.lnz = [math.log(-z) for z in zs]
-
-    def logs(self, rows: _Rows) -> np.ndarray:
-        """log |term| of each row at this call's z."""
-        pow_log = np.zeros(len(rows.coef))
-        for col, lz in zip(rows.comps.T, self.lnz):
-            # k_j ln|z_j| added in j order, as a scalar sum would
-            pow_log += col * lz
-        return rows.coef + pow_log - rows.lg
-
-    def _shells_from(self, k: int) -> _Rows:
-        """Rows of shell k and maybe some after it.  The cached leading shells
-        come in runs that double in length, since most sums stop well before
-        the table ends; past it, shell k alone is built and not kept."""
-        kept = _leading_shells(log_gamma, self.beta0, self.betas)
-        if k < kept.n_shells:
-            return kept.run(k, min(kept.n_shells, 2 * k + 8))
-        return self.rows(k)
-
-    def shells(self, kmax: int, with_comps: bool = False):
-        """Shells 0..kmax in turn: the list of log |term| of each, or with
-        with_comps the pair (compositions, logs), as lists.  The logs of a
-        run of shells are formed in one pass."""
-        k = 0
-        while k <= kmax:
-            rows = self._shells_from(k)
-            flat = self.logs(rows).tolist()
-            # without with_comps the sliced "compositions" are never yielded
-            comps = rows.comps.tolist() if with_comps else flat
-            for a, b in pairwise(rows.starts[: kmax + 2 - k]):
-                yield (comps[a:b], flat[a:b]) if with_comps else flat[a:b]
-            k += rows.n_shells
-
-
-def _log_peak_scan(series: _ShellTerms, kcap: int) -> list[tuple[int, float]]:
-    """Largest log term (double precision) of geometrically spaced shells up
-    to kcap, each scanned over a coarse sample of its compositions: the pairs
-    (k, largest sampled log term of shell k).
-
-    Used to size the working precision of the extended path, and the work it
-    would do, before summing; the summation itself re-verifies against the
-    peak it actually saw.
-    """
-    m = series.m
-    samples = []
-    for k in sorted({int(round(kcap ** (i / 59.0))) for i in range(60)} | {0, 1, kcap}):
-        if m == 1:
-            comps = [(k,)]
-        elif m == 2:
-            comps = [(k1, k - k1) for k1 in sorted({round(k * i / 16.0) for i in range(17)})]
-        else:
-            # axes plus the even split; backed up by the in-pass check
-            comps = [tuple(k if j == i else 0 for j in range(m)) for i in range(m)]
-            comps.append(tuple(k // m for _ in range(m - 1)) + (k - (m - 1) * (k // m),))
-        samples.append((k, float(series.logs(series.rows(k, np.array(comps))).max())))
-    return samples
+def _shells(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], kmax: int,
+            with_comps: bool = False):
+    """Shells 0..kmax of the series at zs in turn: the list of log |term| of
+    each, or with with_comps the pair (compositions, logs), as lists.  The
+    cached leading shells are read in runs k..min(n, 2k + 8) that double in
+    length, since most sums stop well before the table ends, and the logs of
+    a run are formed in one pass; past the table each shell is built alone
+    and not kept."""
+    m = len(betas)
+    lnz = [math.log(-z) for z in zs]
+    comps, coef, lg, starts = _leading_shells(log_gamma, beta0, betas)
+    n = len(starts) - 1
+    k = 0
+    while k <= kmax and k < n:
+        end = min(n, 2 * k + 8)
+        lo, hi = starts[k], starts[end]
+        rows = comps[lo:hi]
+        flat = _logs(rows, coef[lo:hi], lg[lo:hi], lnz).tolist()
+        # without with_comps the sliced "compositions" are never yielded
+        run = rows.tolist() if with_comps else flat
+        for a, b in pairwise(s - lo for s in starts[k : min(end, kmax + 1) + 1]):
+            yield (run[a:b], flat[a:b]) if with_comps else flat[a:b]
+        k = end
+    lnfact = _lnfact(kmax) if m > 1 and k <= kmax else None
+    for k in range(k, kmax + 1):
+        shell = _compositions(k, m)
+        flat = _logs(shell, *_rows(beta0, betas, k, shell, lnfact), lnz).tolist()
+        yield (shell.tolist(), flat) if with_comps else flat
 
 
 def _mml_double(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], shell_cap: int):
-    series = _ShellTerms(beta0, betas, zs)
-    acc = _Kahan()
+    # Kahan-compensated sum s of the shells, c its running compensation
+    s = c = 0.0
     peak_log = -math.inf
     quiet = 0
-    for k, logs in enumerate(series.shells(shell_cap)):
+    for k, logs in enumerate(_shells(beta0, betas, zs, shell_cap)):
         peak_log = max(peak_log, max(logs))
         if peak_log > 700.0:
             return math.nan, peak_log, False
         shell = math.fsum(map(math.exp, logs))
-        acc.add(shell if k % 2 == 0 else -shell)
-        if abs(shell) <= 1e-17 * max(abs(acc.s), 1e-300):
+        y = (shell if k % 2 == 0 else -shell) - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+        if abs(shell) <= 1e-17 * max(abs(s), 1e-300):
             quiet += 1
             if quiet >= 2:
-                return acc.s, peak_log, True
+                return s, peak_log, True
         else:
             quiet = 0
-    return acc.s, peak_log, False
+    return s, peak_log, False
 
 
 def _mp_digits(rel_tol: float, peak_ln: float) -> int:
@@ -436,16 +372,32 @@ def _mp_digits(rel_tol: float, peak_ln: float) -> int:
 
 
 def _mp_plan(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float):
-    """The series, shell cap and peak guess of an extended-precision sum;
+    """The shell cap and peak guess of an extended-precision sum;
     AccuracyError, before any full shell is built, where the scan puts the
     first shell K below the first attempt's noise floor so far out that
-    shells 0..K hold more than _MAX_SERIES_TERMS terms, C(K + m, m).  Few
-    compositions are sampled per shell, so K runs low (terms by about 2x at
-    m = 3)."""
+    shells 0..K hold more than _MAX_SERIES_TERMS terms, C(K + m, m).
+
+    The scan takes the largest log term (double precision) of geometrically
+    spaced shells up to the cap, each over a coarse sample of its
+    compositions; the summation itself re-verifies against the peak it
+    actually saw.  Few compositions are sampled per shell, so K runs low
+    (terms by about 2x at m = 3)."""
     m = len(betas)
     shell_cap = 30000 if m == 1 else (2000 if m == 2 else 600)
-    series = _ShellTerms(beta0, betas, zs)
-    samples = _log_peak_scan(series, shell_cap)
+    lnz = [math.log(-z) for z in zs]
+    lnfact = _lnfact(shell_cap) if m > 1 else None
+    samples = []
+    for k in sorted({int(round(shell_cap ** (i / 59.0))) for i in range(60)} | {0, 1, shell_cap}):
+        if m == 1:
+            comps = [(k,)]
+        elif m == 2:
+            comps = [(k1, k - k1) for k1 in sorted({round(k * i / 16.0) for i in range(17)})]
+        else:
+            # axes plus the even split; backed up by the in-pass check
+            comps = [tuple(k if j == i else 0 for j in range(m)) for i in range(m)]
+            comps.append(tuple(k // m for _ in range(m - 1)) + (k - (m - 1) * (k // m),))
+        comps = np.array(comps)
+        samples.append((k, float(_logs(comps, *_rows(beta0, betas, k, comps, lnfact), lnz).max())))
     peak_guess = max(ln for _, ln in samples)
     noise_guess = peak_guess - (_mp_digits(rel_tol, peak_guess) + 8) * _LN10
     reach = next(
@@ -458,7 +410,7 @@ def _mp_plan(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_
             f"(shells 0..{reach}) in extended precision, more than the "
             f"{_MAX_SERIES_TERMS} allowed"
         )
-    return series, shell_cap, peak_guess
+    return shell_cap, peak_guess
 
 
 def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float) -> float:
@@ -468,7 +420,7 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
 
     m = len(betas)
     label = f"mml(beta0={beta0}, betas={betas}, zs={zs})"
-    series, shell_cap, peak_guess = _mp_plan(beta0, betas, zs, rel_tol)
+    shell_cap, peak_guess = _mp_plan(beta0, betas, zs, rel_tol)
     dps = _mp_digits(rel_tol, peak_guess) + 12
     if dps > _MAX_MP_DPS:
         raise AccuracyError(f"{label} needs ~{dps} digits; outside the series envelope")
@@ -515,7 +467,7 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
         total = 0
         peak_ln = -math.inf
         quiet = 0
-        for k, (comps, logs) in enumerate(series.shells(shell_cap, with_comps=True)):
+        for k, (comps, logs) in enumerate(_shells(beta0, betas, zs, shell_cap, with_comps=True)):
             if k:
                 kman *= k
                 if (drop := kman.bit_length() - prec - 64) > 0:
@@ -604,6 +556,8 @@ def ml2(alpha: float, beta: float, z: float, *, rel_tol: float = 1e-10) -> float
         raise DomainError(f"only z <= 0 is supported, got {z}")
     if abs(z) > Z_MAX:
         raise DomainError(f"|z| = {abs(z)} exceeds Z_MAX = {Z_MAX}; series unreliable")
+    if not 0.0 < rel_tol < math.inf:
+        raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     if z == 0.0:
         return math.exp(-log_gamma(beta))
     if alpha == 1.0 and beta == 1.0:
@@ -621,6 +575,8 @@ def mml(args: MLArgs, *, rel_tol: float = 1e-10) -> float:
     A zero argument keeps only the terms with k_j = 0, which are the series
     of the other arguments, so its pair is dropped before any summing.
     """
+    if not 0.0 < rel_tol < math.inf:
+        raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     live = [(b, z) for b, z in zip(args.betas, args.zs) if z != 0.0]
     if not live:
         return math.exp(-log_gamma(args.beta0))

@@ -210,6 +210,21 @@ class TestMml:
             mml(MLArgs(1.0, (0.5,), (math.nan,)))
 
 
+@pytest.mark.parametrize("rel_tol", [math.nan, 0.0, -1.0, math.inf])
+def test_bad_rel_tol_rejected_at_the_entry(rel_tol):
+    # each call checks rel_tol before any zero-argument shortcut or sum
+    calls = (
+        lambda: ml2(0.5, 1.0, -1.0, rel_tol=rel_tol),
+        lambda: ml2(0.5, 1.0, 0.0, rel_tol=rel_tol),
+        lambda: mml(MLArgs(1.5, (0.5,), (-1.0,)), rel_tol=rel_tol),
+        lambda: mml(MLArgs(1.5, (0.5,), (0.0,)), rel_tol=rel_tol),
+        lambda: s2_kernel_series(1.0, OrderSpec((0.5,), (1.0,)), 0.1, rel_tol=rel_tol),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match=f"rel_tol must be positive and finite, got {rel_tol!r}"):
+            call()
+
+
 # repr of mml values taken from the series before its z-independent terms were
 # memoized, at (beta0, betas, zs): the S1 (beta0 = 1 + alpha_N) and S2
 # (beta0 = alpha_N) arguments of lam = pi^2 + 1 at t = 1e-6 and 1e-2 for
@@ -284,9 +299,9 @@ class TestShellMemo:
         _, _, converged = specfun._mml_double(*args, specfun.DEFAULT_SHELL_CAP)
         assert not converged
         assert specfun._leading_shells.cache_info().currsize == 1
-        table = specfun._leading_shells(specfun.log_gamma, *args[:2])
+        *_, starts = specfun._leading_shells(specfun.log_gamma, *args[:2])
         assert specfun._leading_shells.cache_info().misses == 1
-        assert 0 < table.starts[-1] <= specfun._MEMO_TERMS
+        assert 0 < starts[-1] <= specfun._MEMO_TERMS
 
     def test_table_limit(self):
         specfun._leading_shells.cache_clear()
@@ -300,19 +315,36 @@ class TestShellMemo:
     def test_table_equals_the_rows_of_each_shell(self, betas, n_shells):
         # the one-pass table holds the most leading shells that fit, and each
         # is byte for byte the rows that a single-shell build gives
-        table = specfun._leading_shells(specfun.log_gamma, 1.7, betas)
+        comps, coef, lg, starts = specfun._leading_shells(specfun.log_gamma, 1.7, betas)
         m = len(betas)
-        assert table.n_shells == n_shells
-        assert table.starts[-1] <= specfun._MEMO_TERMS < math.comb(n_shells + m, m)
-        assert not any(a.flags.writeable for a in (table.comps, table.coef, table.lg))
-        series = specfun._ShellTerms(1.7, betas, (-1.0,) * m)
+        assert len(starts) - 1 == n_shells
+        assert starts[-1] <= specfun._MEMO_TERMS < math.comb(n_shells + m, m)
+        assert not any(a.flags.writeable for a in (comps, coef, lg))
+        lnfact = specfun._lnfact(n_shells)
         for k in range(n_shells):
-            run, one = table.run(k, k + 1), series.rows(k)
-            assert run.starts == one.starts
-            for field in ("comps", "coef", "lg"):
-                a, b = getattr(run, field), getattr(one, field)
+            lo, hi = starts[k], starts[k + 1]
+            one = specfun._compositions(k, m)
+            run = (comps[lo:hi], coef[lo:hi], lg[lo:hi])
+            for a, b in zip(run, (one, *specfun._rows(1.7, betas, k, one, lnfact))):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kmax", [5, 30])
+    def test_walk_yields_each_shell_as_built_alone(self, kmax):
+        # the table holds 22 shells at these betas: kmax = 5 stops inside the
+        # first run (shells 0..7), kmax = 30 crosses the table's edge
+        beta0, betas, zs = 1.8, (0.8, 0.6, 0.3), (-0.5, -0.2, -0.1)
+        lnz = [math.log(-z) for z in zs]
+        lnfact = specfun._lnfact(kmax)
+        walk = list(specfun._shells(beta0, betas, zs, kmax))
+        pairs = list(specfun._shells(beta0, betas, zs, kmax, with_comps=True))
+        assert len(walk) == len(pairs) == kmax + 1
+        for k, (logs, (comps, logs_too)) in enumerate(zip(walk, pairs)):
+            one = specfun._compositions(k, 3)
+            alone = specfun._logs(one, *specfun._rows(beta0, betas, k, one, lnfact), lnz)
+            assert np.array(logs).tobytes() == alone.tobytes()
+            assert logs_too == logs
+            assert comps == one.tolist()
 
     def test_replaced_gamma_reads_no_other_table(self, monkeypatch):
         args = MLArgs(1.7, (0.7, 0.4), (-1.5, -0.2))
