@@ -152,6 +152,12 @@ EXPERIMENTS = (*TABLES, *FIGURES)
 
 # the keys a JSON config file may set
 _CONFIG_KEYS = ("experiment", "out", "t0", "kinds", "jobs", "n_points", "t_max", "fig_points")
+# the settings that an experiment never reads: the figures draw fixed panels
+# on their own time grid, and the tables sample on (0, T0]
+_UNREAD = {
+    **dict.fromkeys(FIGURES, ("t0", "kinds", "n_points")),
+    **dict.fromkeys(TABLES, ("t_max", "fig_points")),
+}
 
 
 def _weights(alphas: tuple[float, ...]) -> tuple[float, ...]:
@@ -333,16 +339,18 @@ def _write_fig_panel(path: Path, alphas: tuple[float, ...], cfg: ExperimentConfi
     fr = from_physical(phys, Kind.RATIONAL, Case.INITIAL_DATA)
     # every value is computed before the file is opened, so a failing panel
     # leaves no partial CSV
+    ts = tgrid.tolist()
     if orders is None:
-        g = [math.exp(-lam * t) for t in tgrid]
+        g = [math.exp(-lam * t) for t in ts]
     else:
-        g = trace_initial(_EX_4_1, orders, tgrid, method="auto")
-    vp = models.eval_model(fp, tgrid)
-    vr = models.eval_model(fr, tgrid)
+        g = trace_initial(_EX_4_1, orders, tgrid, method="auto").tolist()
+    vp = models.eval_model(fp, tgrid).tolist()
+    vr = models.eval_model(fr, tgrid).tolist()
+    # plain floats under %.17g give the bytes of "{:.17g}" on numpy scalars
+    lines = map("%.17g,%.17g,%.17g,%.17g\n".__mod__, zip(ts, g, vp, vr))
     with open(path, "w", newline="") as fh:
         fh.write("t,g,fp,fr\n")
-        for row in zip(tgrid, g, vp, vr):
-            fh.write("{:.17g},{:.17g},{:.17g},{:.17g}\n".format(*row))
+        fh.writelines(lines)
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -457,6 +465,15 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raise DomainError("an experiment must be given via --experiment or --config")
     if args.command == "fit" and experiment in FIGURES:
         raise DomainError(f"experiment {experiment!r} has no fit rows; use simulate")
+    # a setting that the experiment never reads is an error, not a no-op
+    unread = _UNREAD.get(experiment, ())
+    if args.command == "simulate" and experiment in TABLES:
+        unread += ("kinds",)  # one trace serves both model kinds
+    flags = {"t0": ("--t0", args.t0), "kinds": ("--kind", args.kind), "t_max": ("--t-max", args.t_max)}
+    given = [flag for key, (flag, value) in flags.items() if key in unread and value is not None]
+    given += [f"{key!r} in {args.config}" for key in unread if key in raw]
+    if given:
+        raise DomainError(f"experiment {experiment!r} does not read {', '.join(given)}")
     jobs = args.jobs if args.jobs is not None else raw.get("jobs", 1)
     if jobs != 1:
         raise DomainError(f"jobs must be 1 (the runner is serial), got {jobs!r}")

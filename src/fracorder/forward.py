@@ -158,13 +158,15 @@ def _as_times(t) -> tuple[np.ndarray, bool]:
     return times, scalar
 
 
-def _mode_kernels(
+def _mode_sum(
     problem: SpectralProblem, spec: OrderSpec, t: float | np.ndarray, method: str
-) -> tuple[list, bool]:
-    """Each mode's kernel (S1 for initial data, else the convolution of S2
-    with s^a / Gamma(a+1)), for the problem's eigenvalues and the orders with
-    their weights as given, at t: a float or a 1-d array of times.  Returns
-    one row of per-mode kernels per time, and whether t was a scalar.
+) -> tuple[list[float], bool]:
+    """sum_n w_n K_n(t), where K_n is each mode's kernel (S1 for initial data,
+    else the convolution of S2 with s^a / Gamma(a+1)), for the problem's
+    eigenvalues and the orders with their weights as given, at t: a float or
+    a 1-d array of times.  Returns the sum per time, and whether t was a
+    scalar.  Each mode's products w_n K_n form one column, and each time's
+    sum is the math.fsum of its row.
 
     Each distinct eigenvalue is evaluated once per time.  method "series"
     calls specfun's series kernel time by time, the largest eigenvalue first:
@@ -175,25 +177,25 @@ def _mode_kernels(
     t > 0, with one vectorized call over all times per distinct eigenvalue.
     """
     times, scalar = _as_times(t)
-    lams = [lam for lam, _ in problem.modes]
     a = None if problem.case is Case.INITIAL_DATA else problem.source_exponent
-    distinct = dict.fromkeys(lams)
+    distinct = dict.fromkeys(lam for lam, _ in problem.modes)
     if method == "series":
-        rows = []
+        kernel = {lam: [] for lam in distinct}
         # a scalar t goes to the series as given; the eigenvalues ascend
         for ti in [t] if scalar else times:
-            if a is None:
-                kernel = {lam: s1_kernel_series(lam, spec, ti) for lam in reversed(distinct)}
-            else:
-                kernel = {lam: s2_kernel_int_series(lam, spec, a, ti) for lam in reversed(distinct)}
-            rows.append([kernel[lam] for lam in lams])
+            for lam in reversed(distinct):
+                if a is None:
+                    kernel[lam].append(s1_kernel_series(lam, spec, ti))
+                else:
+                    kernel[lam].append(s2_kernel_int_series(lam, spec, a, ti))
+        columns = [[w * k for k in kernel[lam]] for lam, w in problem.modes]
     elif method == "auto":
         numerator = _laplace_numerator(spec, a)
-        kernel = {lam: _hyperbola_integral(lam, spec, times, numerator).tolist() for lam in distinct}
-        rows = list(zip(*(kernel[lam] for lam in lams)))
+        kernel = {lam: _hyperbola_integral(lam, spec, times, numerator) for lam in distinct}
+        columns = [(w * kernel[lam]).tolist() for lam, w in problem.modes]
     else:
         raise DomainError(f"unknown method {method!r}; expected 'series' or 'auto'")
-    return rows, scalar
+    return list(map(math.fsum, zip(*columns))), scalar
 
 
 def trace_initial(
@@ -201,11 +203,10 @@ def trace_initial(
 ) -> float | np.ndarray:
     """g(t) for the initial-datum case: sum of w_n S1(t; lambda_n), at a
     float t (a float result) or a 1-d array of times (an array).  method is
-    "series" or "auto" (see _mode_kernels)."""
+    "series" or "auto" (see _mode_sum)."""
     if problem.case is not Case.INITIAL_DATA:
         raise DomainError("trace_initial requires an initial-data problem")
-    rows, scalar = _mode_kernels(problem, spec, t, method)
-    g = [math.fsum(w * k for (_, w), k in zip(problem.modes, row)) for row in rows]
+    g, scalar = _mode_sum(problem, spec, t, method)
     return g[0] if scalar else np.array(g)
 
 
@@ -214,13 +215,12 @@ def trace_source(
 ) -> float | np.ndarray:
     """g(t) for the source case with power-law time factor
     sigma(s) = c0 s^a / Gamma(a+1), at a float t or a 1-d array of times.
-    method is "series" or "auto" (see _mode_kernels)."""
+    method is "series" or "auto" (see _mode_sum)."""
     if problem.case is not Case.SOURCE:
         raise DomainError("trace_source requires a source problem")
-    rows, scalar = _mode_kernels(problem, spec, t, method)
+    g, scalar = _mode_sum(problem, spec, t, method)
     c0 = problem.source_scale
-    g = [c0 * math.fsum(w * k for (_, w), k in zip(problem.modes, row)) for row in rows]
-    return g[0] if scalar else np.array(g)
+    return c0 * g[0] if scalar else c0 * np.array(g)
 
 
 def laplace_trace(problem: SpectralProblem, spec: OrderSpec, p: float) -> float:

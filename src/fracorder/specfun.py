@@ -5,9 +5,13 @@ quadratures of the relaxation kernels' Laplace transforms that share no code
 with the series: the arc-plus-rays contour kernels (s*_kernel_contour), the
 independent cross-check of the series evaluations, and the Weideman-Trefethen
 hyperbola (_hyperbola_integral), which serves every value of forward's "auto"
-method.  The hyperbola takes a float or a 1-d array of times, and evaluates
-an array in vectorized passes of up to _HYP_ROWS times, one row of nodes per
-time.
+method.  Both take a transform's numerator and denominator as power terms
+(weight, exponent), summed by one helper (_power_sum).  The hyperbola takes a
+float or a 1-d array of times, and evaluates an array in vectorized passes of
+up to _HYP_ROWS times, one row of nodes per time.  Its nodes scale with 1/t,
+so the factors that do not depend on t (exp(t p), dp/du and the node powers)
+are formed once, and a time costs one real power per term and complex
+multiply-adds over its row.
 
 There is one series: the multinomial one, summed shell by shell.  The
 two-parameter function E_{alpha,beta}(z) is its one-argument case, and like
@@ -314,20 +318,21 @@ def _leading_shells(gamma_fn, beta0: float, betas: tuple[float, ...]):
 
 
 def _shells(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], kmax: int,
-            with_comps: bool = False):
+            with_comps: bool = False, lnfact=None):
     """Shells 0..kmax of the series at zs in turn: the list of log |term| of
     each, or with with_comps the pair (compositions, logs), as lists.  The
-    cached leading shells are read in runs k..min(n, 2k + 8) that double in
-    length, since most sums stop well before the table ends, and the logs of
-    a run are formed in one pass; past the table each shell is built alone
-    and not kept."""
+    cached leading shells are read in runs of shells 0..7, 8..15, 16..31 and
+    on, each as long as all before it, since most sums stop well before the
+    table ends, and the logs of a run are formed in one pass; past the table
+    each shell is built alone and not kept, with lnfact (_lnfact to at least
+    kmax) when the caller has it."""
     m = len(betas)
     lnz = [math.log(-z) for z in zs]
     comps, coef, lg, starts = _leading_shells(log_gamma, beta0, betas)
     n = len(starts) - 1
     k = 0
     while k <= kmax and k < n:
-        end = min(n, 2 * k + 8)
+        end = min(n, max(8, 2 * k))
         lo, hi = starts[k], starts[end]
         rows = comps[lo:hi]
         flat = _logs(rows, coef[lo:hi], lg[lo:hi], lnz).tolist()
@@ -336,7 +341,8 @@ def _shells(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], kmax:
         for a, b in pairwise(s - lo for s in starts[k : min(end, kmax + 1) + 1]):
             yield (run[a:b], flat[a:b]) if with_comps else flat[a:b]
         k = end
-    lnfact = _lnfact(kmax) if m > 1 and k <= kmax else None
+    if lnfact is None and m > 1 and k <= kmax:
+        lnfact = _lnfact(kmax)
     for k in range(k, kmax + 1):
         shell = _compositions(k, m)
         flat = _logs(shell, *_rows(beta0, betas, k, shell, lnfact), lnz).tolist()
@@ -372,7 +378,8 @@ def _mp_digits(rel_tol: float, peak_ln: float) -> int:
 
 
 def _mp_plan(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float):
-    """The shell cap and peak guess of an extended-precision sum;
+    """The shell cap, the peak guess and ln k! to the cap (None at m = 1;
+    _mml_mp's shell walks read it) of an extended-precision sum;
     AccuracyError, before any full shell is built, where the scan puts the
     first shell K below the first attempt's noise floor so far out that
     shells 0..K hold more than _MAX_SERIES_TERMS terms, C(K + m, m).
@@ -410,7 +417,7 @@ def _mp_plan(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_
             f"(shells 0..{reach}) in extended precision, more than the "
             f"{_MAX_SERIES_TERMS} allowed"
         )
-    return shell_cap, peak_guess
+    return shell_cap, peak_guess, lnfact
 
 
 def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float) -> float:
@@ -420,7 +427,7 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
 
     m = len(betas)
     label = f"mml(beta0={beta0}, betas={betas}, zs={zs})"
-    shell_cap, peak_guess = _mp_plan(beta0, betas, zs, rel_tol)
+    shell_cap, peak_guess, lnfact = _mp_plan(beta0, betas, zs, rel_tol)
     dps = _mp_digits(rel_tol, peak_guess) + 12
     if dps > _MAX_MP_DPS:
         raise AccuracyError(f"{label} needs ~{dps} digits; outside the series envelope")
@@ -467,7 +474,8 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
         total = 0
         peak_ln = -math.inf
         quiet = 0
-        for k, (comps, logs) in enumerate(_shells(beta0, betas, zs, shell_cap, with_comps=True)):
+        walk = _shells(beta0, betas, zs, shell_cap, with_comps=True, lnfact=lnfact)
+        for k, (comps, logs) in enumerate(walk):
             if k:
                 kman *= k
                 if (drop := kman.bit_length() - prec - 64) > 0:
@@ -659,28 +667,45 @@ def tight_contour(t: float, n_radial: int = 4000) -> ContourSpec:
     return ContourSpec(theta, delta, n_radial, r_max)
 
 
-def _sum_powers(p: np.ndarray, spec: OrderSpec, shift: float) -> np.ndarray:
-    acc = np.zeros_like(p)
-    for ak, rk in zip(spec.alphas, spec.weights):
-        acc = acc + rk * p ** (ak + shift)
+# A kernel's Laplace transform is numerator(p) / (lam + sum r_k p**alpha_k),
+# and each side is a tuple of power terms (w, e), the sum of w p**e
+_S2_NUMERATOR = ((1.0, 0.0),)
+
+
+def _denominator(spec: OrderSpec) -> tuple[tuple[float, float], ...]:
+    return tuple(zip(spec.weights, spec.alphas))
+
+
+def _laplace_numerator(spec: OrderSpec, a: float | None) -> tuple[tuple[float, float], ...]:
+    """The numerator of S1 (a is None) or of the convolution of S2 with
+    s^a / Gamma(a+1)."""
+    if a is None:
+        return tuple((r, alpha - 1.0) for alpha, r in zip(spec.alphas, spec.weights))
+    return ((1.0, -a - 1.0),)
+
+
+def _at_nodes(terms, p: np.ndarray) -> list:
+    """(w, e, p**e) of each power term; p**0 is the scalar 1.0, so S2's
+    numerator costs no power."""
+    return [(w, e, p**e if e else 1.0) for w, e in terms]
+
+
+def _power_sum(node_terms, mu=1.0):
+    """The sum of w (mu p)**e over the node terms of _at_nodes, in order,
+    formed as (w mu**e) p**e: with mu a column of one scale per time, each
+    time adds one real power per term to the shared node powers."""
+    acc = 0.0
+    for w, e, pe in node_terms:
+        acc = acc + w * mu**e * pe
     return acc
 
 
-def _laplace_numerator(spec: OrderSpec, a: float | None):
-    """Numerator of the Laplace transform of S1 (a is None) or of the
-    convolution of S2 with s^a / Gamma(a+1); the denominator of both is
-    lam + sum r p^alpha."""
-    if a is None:
-        return lambda p: _sum_powers(p, spec, -1.0)
-    return lambda p: p ** (-a - 1.0)
-
-
 def _contour_integral(lam, spec, t, contour, numerator) -> float:
-    """Inverse Laplace transform at t of numerator(p) / (lam + sum r p^alpha)."""
+    """Inverse Laplace transform at t of numerator / (lam + sum r p^alpha)."""
 
     def integrand(p: np.ndarray) -> np.ndarray:
-        den = lam + _sum_powers(p, spec, 0.0)
-        return np.exp(t * p) * numerator(p) / den
+        den = lam + _power_sum(_at_nodes(_denominator(spec), p))
+        return np.exp(t * p) * _power_sum(_at_nodes(numerator, p)) / den
 
     theta, delta, n, r_max = contour.theta, contour.delta, contour.n_radial, contour.r_max
     eith = complex(math.cos(theta), math.sin(theta))
@@ -718,7 +743,7 @@ def s1_kernel_contour(lam: float, spec: OrderSpec, t: float, contour: ContourSpe
 def s2_kernel_contour(lam: float, spec: OrderSpec, t: float, contour: ContourSpec) -> float:
     """Contour quadrature of the S2 kernel (forcing response)."""
     _check_kernel_inputs(lam, t)
-    return _contour_integral(lam, spec, t, contour, lambda p: 1.0)
+    return _contour_integral(lam, spec, t, contour, _S2_NUMERATOR)
 
 
 def s2_kernel_int_contour(
@@ -744,32 +769,39 @@ _HYP_H = 1.0818 / _HYP_N
 _HYP_MU_T = 4.4921 * _HYP_N
 # iu - alpha at the nodes u = k h, k = 0..N
 _HYP_W = 1j * _HYP_H * np.arange(_HYP_N + 1) - 1.1721
+# p = mu q at every t, so t p = 4.4921 N q: the factor exp(t p) of the
+# integrand and dp/du / (i mu) = cos(iu - alpha) are the same at every time
+_HYP_Q = 1.0 + np.sin(_HYP_W)
+_HYP_EXP_COS = np.exp(_HYP_MU_T * _HYP_Q) * np.cos(_HYP_W)
 # times per vectorized pass: each (rows, N + 1) node array stays near 20 KB,
 # so a long time grid does not raise the process's peak memory
 _HYP_ROWS = 64
 
 
 def _hyperbola_integral(lam, spec, t, numerator):
-    """Inverse Laplace transform at t of numerator(p) / (lam + sum r p^alpha)
+    """Inverse Laplace transform at t of numerator / (lam + sum r p^alpha)
     by the trapezoid rule on a hyperbola around the branch cut.
 
     t is a float (a float result) or a 1-d array of times (an array): each
     time is one row of nodes, summed along the row, so an array is a few
     vectorized passes and gives the scalar calls' values to the last bit.
-    The transform is real on the real axis, so the nodes u >= 0 stand for the
-    whole rule: the other half is their mirror image.  About 1e-10 accurate
-    for the relaxation kernels.
+    The nodes scale with 1/t, p = mu q, so a power term w p**e is
+    (w mu**e) q**e: the node powers q**e are formed once per call, and with
+    the time-free factor exp(t p) cos(iu - alpha) each time costs one real
+    mu**e per term and complex multiply-adds over its row.  The transform
+    is real on the real axis, so the nodes u >= 0 stand for the whole rule:
+    the other half is their mirror image.  About 1e-10 accurate for the
+    relaxation kernels.
     """
     times = np.asarray(t, dtype=float)
     tcol = np.atleast_1d(times)[:, None]
+    den_nodes = _at_nodes(_denominator(spec), _HYP_Q)
+    num_nodes = _at_nodes(numerator, _HYP_Q)
     total = np.empty(len(tcol))
     for i in range(0, len(tcol), _HYP_ROWS):
-        tb = tcol[i : i + _HYP_ROWS]
-        mu = _HYP_MU_T / tb
-        p = mu * (1.0 + np.sin(_HYP_W))
-        den = lam + _sum_powers(p, spec, 0.0)
+        mu = _HYP_MU_T / tcol[i : i + _HYP_ROWS]
         # dp/du = i mu cos(iu - alpha); its factor i turns Im into Re
-        f = np.exp(tb * p) * numerator(p) / den * np.cos(_HYP_W)
+        f = _HYP_EXP_COS * _power_sum(num_nodes, mu) / (lam + _power_sum(den_nodes, mu))
         node_sum = np.real(np.sum(f, axis=1) - 0.5 * f[:, 0])
         total[i : i + _HYP_ROWS] = mu[:, 0] * _HYP_H / math.pi * node_sum
     bad = np.flatnonzero(~np.isfinite(total))

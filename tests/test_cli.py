@@ -199,6 +199,15 @@ class TestCmdSimulate:
             ref = erfcx(lam * math.sqrt(float(r["t"])))
             assert abs(float(r["g"]) - ref) <= 1e-9 * ref
 
+    def test_panel_lines_are_17_digit_floats(self, tmp_path):
+        # each cell is "{:.17g}" of the value it reads back as
+        assert cmd_simulate(ExperimentConfig("fig1", tmp_path, fig_points=50)) == 0
+        for path in sorted(tmp_path.glob("fig1_*.csv")):
+            lines = path.read_text().splitlines()
+            assert len(lines) == 51
+            for line in lines[1:]:
+                assert line == ",".join("{:.17g}".format(float(x)) for x in line.split(","))
+
     def test_fig2_metadata_flags_r1(self, tmp_path):
         cfg = ExperimentConfig("fig2", tmp_path, fig_points=12)
         assert cmd_simulate(cfg) == 0
@@ -248,32 +257,71 @@ class TestMainEntry:
             {"t0": 1e-6}, {"t_0": [1e-6]}, {"n_points": 1}, {"n_points": None},
             # point counts must be integers: no truncated float, no bool
             {"n_points": 2.9}, {"n_points": 100.0}, {"n_points": True}, {"n_points": "100"},
-            {"fig_points": 2.5}, {"fig_points": True},
-            # a job count is an integer, a time range and each T0 a number:
-            # no bool, no float job count, no string
-            {"jobs": True}, {"jobs": 1.0}, {"t_max": True}, {"t_max": "1"},
+            # a job count is an integer and each T0 a number: no bool, no
+            # float job count, no string
+            {"jobs": True}, {"jobs": 1.0},
             {"t0": [True]}, {"t0": [1e-6, False]}, {"t0": ["1e-6"]},
             # a T0 that parses as inf (json writes it as Infinity)
             {"t0": [1e-6, math.inf]},
-            {"jobs": True, "t_max": True},
         ):
             cfgfile.write_text(json.dumps({"experiment": "table1a", "t0": [1e-6], **bad}))
             assert main(["fit", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
-        cfgfile.write_text(json.dumps({"experiment": "fig1", "fig_points": 0}))
-        assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+        # the figure settings, on a figure, which reads them: a point count
+        # is an integer of at least 2 and a time range a number
+        for bad in (
+            {"fig_points": 0}, {"fig_points": 2.5}, {"fig_points": True},
+            {"t_max": True}, {"t_max": "1"}, {"jobs": True, "t_max": True},
+        ):
+            cfgfile.write_text(json.dumps({"experiment": "fig1", **bad}))
+            assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
         assert list(tmp_path.glob("*.csv")) == []
+
+    def test_unread_settings_exit_2(self, tmp_path, capsys):
+        # a flag or config key that the experiment never reads is named, not
+        # dropped: the figures read no T0, kinds or sample size, the tables
+        # no figure time range or figure point count, and simulate on a table
+        # no kinds
+        out = ["--out", str(tmp_path)]
+        for argv, named in (
+            (["simulate", "--experiment", "fig1", "--t0", "1e-3", "--kind", "fp"], "--t0, --kind"),
+            (["simulate", "--experiment", "fig2", "--kind", "both"], "--kind"),
+            (["fit", "--experiment", "table1a", "--t-max", "5"], "--t-max"),
+            (["simulate", "--experiment", "table2", "--t-max", "1"], "--t-max"),
+            (["simulate", "--experiment", "table1a", "--kind", "fp"], "--kind"),
+        ):
+            assert main([*argv, *out]) == 2
+            assert f"does not read {named}" in capsys.readouterr().err
+        cfgfile = tmp_path / "cfg.json"
+        for cfg, verb, key in (
+            ({"experiment": "fig1", "n_points": 100}, "simulate", "n_points"),
+            ({"experiment": "fig2", "t0": [1e-6]}, "simulate", "t0"),
+            ({"experiment": "fig1", "kinds": ["fp"]}, "simulate", "kinds"),
+            ({"experiment": "table1a", "fig_points": 500}, "fit", "fig_points"),
+            ({"experiment": "table3", "t_max": 1.0}, "simulate", "t_max"),
+            ({"experiment": "table1b", "kinds": ["fr"]}, "simulate", "kinds"),
+        ):
+            cfgfile.write_text(json.dumps(cfg))
+            assert main([verb, "--config", str(cfgfile), *out]) == 2
+            assert f"does not read {key!r} in {cfgfile}" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == []
+        # the one job count, and the figure point count on a figure, stay
+        cfgfile.write_text(json.dumps({"experiment": "fig1", "fig_points": 3, "jobs": 1}))
+        assert main(["simulate", "--config", str(cfgfile), "--jobs", "1", *out]) == 0
 
     def test_numbers_accepted(self, tmp_path):
         # integers and floats where numbers belong, and the one job count
         # there is, from the file or from the flag
-        def config(*argv):
-            cfg = _config_from_args(_build_parser().parse_args(["fit", *argv]))
+        def config(verb, *argv):
+            cfg = _config_from_args(_build_parser().parse_args([verb, *argv]))
             return cfg.t0_list, cfg.t_max
 
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"experiment": "table1a", "t0": [1e-6, 1], "jobs": 1, "t_max": 2}))
-        assert config("--config", str(cfgfile)) == ((1e-6, 1.0), 2.0)
-        assert config("--experiment", "table1a", "--jobs", "1") == (None, 1.0)
+        cfgfile.write_text(json.dumps({"experiment": "table1a", "t0": [1e-6, 1], "jobs": 1}))
+        assert config("fit", "--config", str(cfgfile)) == ((1e-6, 1.0), 1.0)
+        # the time range on a figure, which reads it
+        cfgfile.write_text(json.dumps({"experiment": "fig1", "jobs": 1, "t_max": 2}))
+        assert config("simulate", "--config", str(cfgfile)) == (None, 2.0)
+        assert config("fit", "--experiment", "table1a", "--jobs", "1") == (None, 1.0)
 
     def test_fit_via_flags(self, tmp_path):
         rc = main(

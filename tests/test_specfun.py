@@ -346,6 +346,14 @@ class TestShellMemo:
             assert logs_too == logs
             assert comps == one.tolist()
 
+    def test_short_sum_forms_the_logs_of_few_rows(self, monkeypatch):
+        # the double sum stops after 13 shells (91 rows); the walk reads runs
+        # of shells 0..7 and 8..15, 136 rows, and no longer ones
+        specfun._leading_shells(specfun.log_gamma, 1.7, (0.7, 0.2))  # built apart from _logs
+        calls = count_calls(monkeypatch, specfun, "_logs")
+        assert repr(mml(MLArgs(1.7, (0.7, 0.2), (-0.02, -0.02)))) == "1.0647443008316475"
+        assert sum(len(comps) for comps, *_ in calls) == math.comb(17, 2) == 136
+
     def test_replaced_gamma_reads_no_other_table(self, monkeypatch):
         args = MLArgs(1.7, (0.7, 0.4), (-1.5, -0.2))
         value = mml(args)
@@ -625,11 +633,56 @@ GRID_SPECS = (
 GRID_TIMES = (1e-4, 1e-2, 1e-1, 1.0)
 
 
+# the (lam, orders) of the figure panels' fractional specs and of the three
+# eigenvalues of the figures benchmark's source problem (table3b)
+FIGURE_SPECS = (
+    *((PI2 + 1.0, OrderSpec((alpha,), (1.0,))) for alpha in (0.25, 0.5, 0.75)),
+    *((PI2 + 1.0, OrderSpec((0.2, alpha), (0.5, 1.0))) for alpha in (0.3, 0.5, 0.7, 0.9)),
+)
+SOURCE_SPECS = tuple((k * PI2, OrderSpec((0.5, 0.7), (0.5, 1.0))) for k in (2.0, 5.0, 10.0))
+
+
+def direct_hyperbola(lam, spec, t, numerator):
+    """The hyperbola rule with every factor formed at each time: the nodes
+    p = mu (1 + sin(iu - alpha)) with mu = 4.4921 N / t, complex p**e per
+    node and exp(t p); t is a 1-d array of times.  Returns the values and
+    the rule's rounding scale, the sum of its terms' magnitudes."""
+    n = 20
+    w = 1j * (1.0818 / n) * np.arange(n + 1) - 1.1721
+    mu = 4.4921 * n / np.asarray(t)[:, None]
+    p = mu * (1.0 + np.sin(w))
+    den = lam + sum(r * p**alpha for alpha, r in zip(spec.alphas, spec.weights))
+    num = sum(c * p**e for c, e in numerator)
+    f = np.exp(t[:, None] * p) * num / den * np.cos(w)
+    scale = mu[:, 0] * (1.0818 / n) / math.pi
+    return scale * np.real(np.sum(f, axis=1) - 0.5 * f[:, 0]), scale * np.sum(np.abs(f), axis=1)
+
+
 class TestHyperbola:
     @staticmethod
-    def _hyperbola(kernel, lam, spec, t, a=None):
-        numerator = (lambda p: 1.0) if kernel == "s2" else specfun._laplace_numerator(spec, a)
-        return specfun._hyperbola_integral(lam, spec, t, numerator)
+    def _numerator(kernel, spec, a=None):
+        return ((1.0, 0.0),) if kernel == "s2" else specfun._laplace_numerator(spec, a)
+
+    @classmethod
+    def _hyperbola(cls, kernel, lam, spec, t, a=None):
+        return specfun._hyperbola_integral(lam, spec, t, cls._numerator(kernel, spec, a))
+
+    @pytest.mark.parametrize("lam, spec", FIGURE_SPECS + SOURCE_SPECS)
+    def test_time_free_factors_match_the_direct_formula(self, lam, spec):
+        # hoisting exp(t p) cos(iu - alpha) and q**e out of the time rows moves
+        # values by rounding only, on the figures' 500-point grid: within a few
+        # eps of the sum of the terms' magnitudes, and within 1e-11 of the
+        # values of S1 and of the S2 convolutions, which the figures and the
+        # source points read.  S2 alone cancels by up to 5e5 near t = 1, where
+        # both forms lie up to 1.6e-10 from a 40-digit sum of the same rule
+        times = np.geomspace(1e-6, 1.0, 500)
+        for kernel, a in (("s1", None), ("s2", None), ("int", 0.0), ("int", 0.5)):
+            numerator = self._numerator(kernel, spec, a)
+            got = specfun._hyperbola_integral(lam, spec, times, numerator)
+            ref, rounding = direct_hyperbola(lam, spec, times, numerator)
+            assert np.max(np.abs(got - ref) / rounding) < 1e-14, (kernel, a)
+            if kernel != "s2":
+                assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-11, (kernel, a)
 
     def test_grid_against_series(self):
         # the series certified to 1e-10, through extended precision where the
@@ -659,7 +712,7 @@ class TestHyperbola:
     def test_non_finite_sum_raises(self):
         spec = OrderSpec((0.5,), (1.0,))
         with pytest.raises(AccuracyError), np.errstate(invalid="ignore"):
-            specfun._hyperbola_integral(math.nan, spec, 0.1, lambda p: 1.0)
+            specfun._hyperbola_integral(math.nan, spec, 0.1, ((1.0, 0.0),))
 
     def test_time_array_matches_scalar_calls(self):
         # more times than one vectorized pass takes
@@ -672,10 +725,12 @@ class TestHyperbola:
                     assert np.array_equal(batched, scalar)
 
     def test_non_finite_value_names_its_time(self):
+        # a NaN time, not inf: at t = inf the S2 rule has mu = 0 and gives 0,
+        # the limit of S2
         spec = OrderSpec((0.5,), (1.0,))
-        times = np.append(np.full(specfun._HYP_ROWS + 1, 0.1), math.inf)
-        with pytest.raises(AccuracyError, match="t=inf"), np.errstate(all="ignore"):
-            specfun._hyperbola_integral(2.0, spec, times, lambda p: 1.0)
+        times = np.append(np.full(specfun._HYP_ROWS + 1, 0.1), math.nan)
+        with pytest.raises(AccuracyError, match="t=nan"), np.errstate(all="ignore"):
+            specfun._hyperbola_integral(2.0, spec, times, ((1.0, 0.0),))
 
 
 class TestOracleGrid:
