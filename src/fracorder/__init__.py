@@ -54,7 +54,6 @@ from fracorder.specfun import (
     s1_kernel_contour,
     s1_kernel_series,
     s2_kernel_contour,
-    s2_kernel_int_contour,
     s2_kernel_int_series,
     s2_kernel_series,
     tight_contour,

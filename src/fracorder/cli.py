@@ -82,6 +82,8 @@ class ExperimentConfig:
                 raise DomainError("empty T0 list")
             if not all(0.0 < t < math.inf for t in self.t0_list):
                 raise DomainError(f"T0 values must be positive and finite, got {self.t0_list}")
+            if len(set(self.t0_list)) < len(self.t0_list):
+                raise DomainError(f"repeated T0 in {self.t0_list}")
             by_order = self.experiment in TABLES and TABLES[self.experiment][0] != "T0"
             if by_order and len(self.t0_list) > 1:
                 raise DomainError(
@@ -377,7 +379,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     for group in _sample_groups(experiment_rows(cfg)):
         row = group[0]
         order = "" if row.label_column == "T0" else f"_alpha{row.label}"
-        stem = f"{row.table}{order}_T0_{row.T0:.0e}"
+        # the short form names every default T0, a power of ten; any other
+        # T0 takes its repr, so distinct values never share a file
+        t0 = f"{row.T0:.0e}" if float(f"{row.T0:.0e}") == row.T0 else repr(row.T0)
+        stem = f"{row.table}{order}_T0_{t0}"
         try:
             sample = make_sample(row, cfg.n_points)
             sample.to_csv(cfg.out_dir / f"{stem}.csv")

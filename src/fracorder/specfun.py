@@ -76,7 +76,6 @@ __all__ = [
     "s2_kernel_int_series",
     "s1_kernel_contour",
     "s2_kernel_contour",
-    "s2_kernel_int_contour",
     "tight_contour",
 ]
 
@@ -746,16 +745,6 @@ def s2_kernel_contour(lam: float, spec: OrderSpec, t: float, contour: ContourSpe
     return _contour_integral(lam, spec, t, contour, _S2_NUMERATOR)
 
 
-def s2_kernel_int_contour(
-    lam: float, spec: OrderSpec, a: float, t: float, contour: ContourSpec
-) -> float:
-    """Contour quadrature of the convolution of S2 with s^a / Gamma(a+1), the
-    twin of s2_kernel_int_series."""
-    _check_source_exponent(a)
-    _check_kernel_inputs(lam, t)
-    return _contour_integral(lam, spec, t, contour, _laplace_numerator(spec, a))
-
-
 # ---------------------------------------------------------------------------
 # relaxation kernels, hyperbola route
 # ---------------------------------------------------------------------------
@@ -790,8 +779,10 @@ def _hyperbola_integral(lam, spec, t, numerator):
     the time-free factor exp(t p) cos(iu - alpha) each time costs one real
     mu**e per term and complex multiply-adds over its row.  The transform
     is real on the real axis, so the nodes u >= 0 stand for the whole rule:
-    the other half is their mirror image.  About 1e-10 accurate for the
-    relaxation kernels.
+    the other half is their mirror image.  S1 and the S2 convolutions lie
+    within 2.3e-12 of a Talbot inversion on the figure grid.  Bare S2 cancels:
+    at lambda = 10 pi^2, orders (0.5, 0.7) and t = 0.8 it lies 1.3e-10 from a
+    40-digit sum of the same rule; no CLI output reads it from here.
     """
     times = np.asarray(t, dtype=float)
     tcol = np.atleast_1d(times)[:, None]

@@ -8,16 +8,17 @@ benchmark tables; the bands around them are part of the criteria.
 import math
 import time
 
-import numpy as np
-
-from fracorder.checks import oracle_grid_max_err, remainder_ratio_spread, step2_laplace_value
+from fracorder.checks import (
+    gradient_check_max_err,
+    oracle_grid_max_err,
+    remainder_ratio_spread,
+    step2_laplace_value,
+)
 from fracorder.cli import ExperimentConfig, cmd_fit
-from fracorder.fit import FitConfig, beta_init_from_alphas, objective, objective_grad, recover
-from fracorder.forward import Case, TraceSample, build_example_4_1, build_example_4_2, sample_trace
-from fracorder.models import Kind, ModelParams, eval_model, n_coeffs
+from fracorder.fit import FitConfig, beta_init_from_alphas, recover
+from fracorder.forward import Case, build_example_4_1, build_example_4_2, sample_trace
+from fracorder.models import Kind
 from fracorder.specfun import OrderSpec
-
-from oracles import central_difference
 
 PI2 = math.pi * math.pi
 
@@ -159,36 +160,11 @@ def test_criterion_7_laplace_step2():
 
 
 def test_criterion_8_gradient_suite():
-    rng = np.random.default_rng(20240501)
-    shapes = [(k, c) for k in Kind for c in Case]
-    t = np.arange(1, 41) / 40.0
-    worst = 0.0
-    failures = 0
-    for i in range(50):
-        kind, case = shapes[i % 4]
-        beta = np.sort(rng.uniform(0.1, 1.7, size=2))
-        while beta[1] - beta[0] < 0.1:
-            beta = np.sort(rng.uniform(0.1, 1.7, size=2))
-        if kind is Kind.POLYNOMIAL:
-            c = rng.uniform(-2, 2, size=n_coeffs(kind, case, 2))
-        else:
-            c = np.concatenate([[rng.uniform(0.5, 2.0)], rng.uniform(-0.2, 0.8, 2)])
-        params = ModelParams(kind, case, tuple(c), tuple(beta))
-        g = eval_model(params, t) + rng.normal(0.0, 0.1, size=len(t))
-        sample = TraceSample(t, g, T0=1.0)
-        ana = objective_grad(sample, params)
-
-        def f(x):
-            q = ModelParams(kind, case, tuple(x[: len(c)]), tuple(x[len(c) :]))
-            return objective(sample, q)
-
-        fd = central_difference(f, np.concatenate([c, beta]))
-        err = float(np.linalg.norm(fd - ana) / max(np.linalg.norm(ana), 1e-300))
-        worst = max(worst, err)
-        if err > 1e-6:
-            failures += 1
-    ok = failures == 0
-    _report(8, ok, f"50 draws, worst rel err {worst:.3e}, {failures} failures")
+    # the check battery's audit: 50 draws over all model shapes, each the
+    # relative error of the analytic gradient against central differences
+    worst = gradient_check_max_err()
+    ok = worst <= 1e-6
+    _report(8, ok, f"50 draws, worst rel err {worst:.3e}")
     assert ok
 
 

@@ -155,6 +155,17 @@ class TestCmdSimulate:
         first_t = float(lines[1].split(",")[0])
         assert first_t == 1e-8
 
+    def test_distinct_t0_values_name_distinct_files(self, tmp_path):
+        # 1.5e-6 and 2e-6 share the short form 2e-06; a T0 that the short
+        # form does not round-trip is named by its repr
+        cfg = ExperimentConfig("table1a", tmp_path, t0_list=(1.5e-6, 2e-6))
+        assert cmd_simulate(cfg) == 0
+        for stem, t0 in (("table1a_T0_1.5e-06", 1.5e-6), ("table1a_T0_2e-06", 2e-6)):
+            assert json.loads((tmp_path / f"{stem}.meta.json").read_text())["T0"] == t0
+            last_t = (tmp_path / f"{stem}.csv").read_text().splitlines()[-1].split(",")[0]
+            assert math.isclose(float(last_t), t0, rel_tol=1e-15)
+        assert len(list(tmp_path.glob("*.csv"))) == 2
+
     def test_table1b_one_trace_per_order(self, tmp_path):
         assert cmd_simulate(ExperimentConfig("table1b", tmp_path)) == 0
         alphas = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -245,9 +256,10 @@ class TestMainEntry:
         assert main(argv) == 2
         # a non-positive figure time range
         assert main(["simulate", "--experiment", "fig1", "--t-max", "-1", "--out", str(tmp_path)]) == 2
-        # an infinite T0, as for the time range
-        for t0 in ("inf", "1e-6,inf", "1e999"):
+        # an infinite T0, as for the time range, and a repeated T0
+        for t0 in ("inf", "1e-6,inf", "1e999", "1e-6,1e-6", "2e-6,1e-5,2e-06"):
             assert main(["fit", "--experiment", "table1a", "--t0", t0, "--out", str(tmp_path)]) == 2
+            assert main(["simulate", "--experiment", "table1a", "--t0", t0, "--out", str(tmp_path)]) == 2
         # bad values from the config file: other job counts, a kind that is
         # neither fp nor fr, scalars where lists belong, an unknown key, too
         # few points, a value of the wrong type

@@ -1,0 +1,49 @@
+"""ci/compare_outputs.py compare: the report of two small output trees."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "ci" / "compare_outputs.py"
+
+
+def _compare(a: Path, b: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), "compare", str(a), str(b)], capture_output=True, text=True
+    )
+
+
+def test_compare_reports_cells_lines_and_missing_files(tmp_path):
+    a = tmp_path / "a"
+    (a / "fit").mkdir(parents=True)
+    (a / "fit" / "table.csv").write_text("T0,alpha2,status\n1e-06,2.0,ok\n1e-05,0.7,ok\n")
+    (a / "fit" / "exit-codes.txt").write_text("table1a 0\n")
+    (a / "check.txt").write_text("PASS  one\nPASS  two\n")
+    b = tmp_path / "b"
+    shutil.copytree(a, b)
+
+    run = _compare(a, b)
+    assert run.returncode == 0, run.stdout
+    assert "fit/table.csv: 0 cells differ, largest relative difference 0," in run.stdout
+    assert "check.txt: 0 lines differ" in run.stdout
+    assert run.stdout.endswith("0 of 3 files differ\n")
+
+    # one numeric cell moves from 2.0 to 2.5: relative difference 0.5 / 2.5
+    (b / "fit" / "table.csv").write_text("T0,alpha2,status\n1e-06,2.5,ok\n1e-05,0.7,ok\n")
+    run = _compare(a, b)
+    assert run.returncode == 1
+    assert "fit/table.csv: 1 cells differ, largest relative difference 0.2, 0 differing" in run.stdout
+
+    shutil.rmtree(b)
+    shutil.copytree(a, b)
+    (b / "check.txt").unlink()
+    run = _compare(a, b)
+    assert run.returncode == 1
+    assert f"check.txt: only in {a}" in run.stdout
+
+    # bytes that parse to the same lines still differ
+    (b / "check.txt").write_text("PASS  one\r\nPASS  two\r\n")
+    run = _compare(a, b)
+    assert run.returncode == 1
+    assert "check.txt: 0 lines differ, but the bytes differ" in run.stdout
