@@ -10,6 +10,10 @@ Verbs:
     simulate   write trace CSVs (and figure CSVs with model overlays)
     fit        run recoveries, one CSV per (sub)table
     check      run the cross-module invariant suite, exit 0 iff all pass
+
+Exit codes: 0 when every row, panel, trace or check passed, 1 when one
+failed (the rest are still written), 2 for a usage or configuration error,
+3 for a crash (an uncaught exception, whose traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import logging
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,6 +67,10 @@ _KIND_BY_FLAG = {"fp": Kind.POLYNOMIAL, "fr": Kind.RATIONAL}
 _FLAG_BY_KIND = {v: k for k, v in _KIND_BY_FLAG.items()}
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -78,6 +87,9 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
             )
         if self.t0_list is not None:
+            if not isinstance(self.t0_list, (tuple, list)) or not all(map(_is_number, self.t0_list)):
+                raise DomainError(f"T0 values must be a list of numbers, got {self.t0_list!r}")
+            object.__setattr__(self, "t0_list", tuple(float(t) for t in self.t0_list))
             if len(self.t0_list) == 0:
                 raise DomainError("empty T0 list")
             if not all(0.0 < t < math.inf for t in self.t0_list):
@@ -90,14 +102,18 @@ class ExperimentConfig:
                     f"{self.experiment} labels its rows by order and takes one T0, "
                     f"got {len(self.t0_list)}"
                 )
-        if not self.kinds or any(k not in _KIND_BY_FLAG for k in self.kinds):
-            raise DomainError(f"kinds must be a non-empty list of 'fp' and 'fr', got {self.kinds}")
-        if self.n_points < 2:
-            raise DomainError(f"n_points must be at least 2, got {self.n_points}")
-        if self.fig_points < 2:
-            raise DomainError(f"fig_points must be at least 2, got {self.fig_points}")
-        if not 0.0 < self.t_max < math.inf:
-            raise DomainError(f"t_max must be positive and finite, got {self.t_max}")
+        kinds = self.kinds
+        if not isinstance(kinds, (tuple, list)) or not kinds or any(k not in _KIND_BY_FLAG for k in kinds):
+            raise DomainError(f"kinds must be a non-empty list of 'fp' and 'fr', got {kinds!r}")
+        object.__setattr__(self, "kinds", tuple(kinds))
+        for name in ("n_points", "fig_points"):
+            # a bool is an int, and a float would be truncated
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 2:
+                raise DomainError(f"{name} must be an integer of at least 2, got {value!r}")
+        if not _is_number(self.t_max) or not 0.0 < self.t_max < math.inf:
+            raise DomainError(f"t_max must be a positive finite number, got {self.t_max!r}")
+        object.__setattr__(self, "t_max", float(self.t_max))
 
 
 @dataclass(frozen=True)
@@ -455,16 +471,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise DomainError(f"{args.config}: the config file must hold a JSON object")
         if unknown := sorted(set(raw) - set(_CONFIG_KEYS)):
             raise DomainError(f"{args.config}: unknown keys {unknown}; known: {_CONFIG_KEYS}")
-        for key in ("t0", "kinds"):
-            if key in raw and not isinstance(raw[key], list):
-                raise DomainError(f"{args.config}: {key!r} must be a list, got {raw[key]!r}")
-        for key in ("n_points", "fig_points", "jobs"):
-            # type, not isinstance: a bool is an int; and no float is truncated
-            if key in raw and type(raw[key]) is not int:
-                raise DomainError(f"{args.config}: {key!r} must be an integer, got {raw[key]!r}")
-        for key, values in (("t_max", [raw.get("t_max", 1.0)]), ("t0", raw.get("t0", []))):
-            if any(type(x) not in (int, float) for x in values):
-                raise DomainError(f"{args.config}: {key!r} must hold numbers, got {raw[key]!r}")
+        if "t0" in raw and raw["t0"] is None:  # None would mean the default T0 list
+            raise DomainError(f"{args.config}: 't0' must be a list of numbers, got null")
     experiment = args.experiment or raw.get("experiment")
     if not experiment:
         raise DomainError("an experiment must be given via --experiment or --config")
@@ -480,20 +488,20 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if given:
         raise DomainError(f"experiment {experiment!r} does not read {', '.join(given)}")
     jobs = args.jobs if args.jobs is not None else raw.get("jobs", 1)
-    if jobs != 1:
+    # type, not ==: True == 1.0 == 1
+    if type(jobs) is not int or jobs != 1:
         raise DomainError(f"jobs must be 1 (the runner is serial), got {jobs!r}")
-    t0 = args.t0 if args.t0 is not None else raw.get("t0")
     if args.kind is None:
-        kinds = tuple(raw.get("kinds", ("fp", "fr")))
+        kinds = raw.get("kinds", ("fp", "fr"))
     else:
         kinds = ("fp", "fr") if args.kind == "both" else (args.kind,)
     return ExperimentConfig(
         experiment=experiment,
         out_dir=Path(args.out if args.out is not None else raw.get("out", "out")),
-        t0_list=None if t0 is None else tuple(float(x) for x in t0),
+        t0_list=args.t0 if args.t0 is not None else raw.get("t0"),
         kinds=kinds,
         n_points=raw.get("n_points", 100),
-        t_max=float(args.t_max if args.t_max is not None else raw.get("t_max", 1.0)),
+        t_max=args.t_max if args.t_max is not None else raw.get("t_max", 1.0),
         fig_points=raw.get("fig_points", 500),
     )
 
@@ -506,16 +514,20 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
-    if args.command == "check":
-        return cmd_check()
+    if args.command != "check":
+        try:
+            cfg = _config_from_args(args)
+        except (DomainError, OSError, ValueError, TypeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    # a crash exits 3, apart from the 1 of a failed row, panel or check
     try:
-        cfg = _config_from_args(args)
-    except (DomainError, OSError, ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.command == "simulate":
-        return cmd_simulate(cfg)
-    return cmd_fit(cfg)
+        if args.command == "check":
+            return cmd_check()
+        return cmd_simulate(cfg) if args.command == "simulate" else cmd_fit(cfg)
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from fracorder.specfun import DomainError
 __all__ = [
     "FitConfig",
     "FitResult",
-    "LinearInit",
     "RankDeficiencyError",
     "NumericsError",
     "objective",
@@ -128,11 +126,6 @@ class FitResult:
     assumptions: tuple[str, ...] = ()
 
 
-class LinearInit(NamedTuple):
-    c: np.ndarray
-    residual: float  # RMS misfit of the linearized regression
-
-
 # ---------------------------------------------------------------------------
 # objective
 # ---------------------------------------------------------------------------
@@ -176,9 +169,7 @@ def _lstsq_columns(columns: list[np.ndarray], y: np.ndarray, beta):
             f"number {cond:.3e}"
         )
     coef, *_ = np.linalg.lstsq(scaled, y, rcond=None)
-    c = coef / norms
-    resid = float(np.sqrt(np.mean((scaled @ coef - y) ** 2)))
-    return c, resid
+    return coef / norms
 
 
 def linear_init(
@@ -186,7 +177,7 @@ def linear_init(
     beta: tuple[float, ...],
     kind: Kind,
     case: Case,
-) -> LinearInit:
+) -> np.ndarray:
     """Amplitudes for fixed exponents by (linearized) linear least squares.
 
     Polynomial kinds are solved exactly.  For the rational kinds the problem
@@ -199,25 +190,24 @@ def linear_init(
     powers = [t**b for b in beta]
     if kind is Kind.POLYNOMIAL:
         cols = [np.ones_like(t)] * n_head(kind, case) + powers
-        return LinearInit(*_lstsq_columns(cols, g, beta))
+        return _lstsq_columns(cols, g, beta)
     if case is Case.INITIAL_DATA:
         c0 = float(g[0])
         if c0 == 0.0 or np.any(g == 0.0):
             raise RankDeficiencyError("rational initial-data regression needs g != 0")
         y = 1.0 / g - 1.0 / c0
-        d, resid = _lstsq_columns(powers, y, beta)
+        d = _lstsq_columns(powers, y, beta)
         # the regression fits D / c0, so rescale to the stored denominators
-        return LinearInit(np.concatenate(([c0], c0 * d)), resid)
+        return np.concatenate(([c0], c0 * d))
     # rational source: amplitude scale from a preliminary polynomial fit
-    cpoly, _ = _lstsq_columns(list(powers), g, beta)
+    cpoly = _lstsq_columns(list(powers), g, beta)
     ca = float(cpoly[0]) * math.gamma(beta[0] + 1.0)
     gmax = float(np.max(np.abs(g)))
     if gmax == 0.0:
         raise RankDeficiencyError("rational source regression needs nonzero data")
     ca = max(ca, (1.0 + 1e-3) * gmax)
     y = g / (ca - g)
-    d, resid = _lstsq_columns(powers, y, beta)
-    return LinearInit(np.concatenate(([ca], d)), resid)
+    return np.concatenate(([ca], _lstsq_columns(powers, y, beta)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +279,7 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
         return _grad_arrays(kind, case, c, powers, lnt, acc) @ r / n_norm
 
     beta0 = np.array(config.beta_init)
-    c0 = linear_init(sample, tuple(beta0), kind, case).c
+    c0 = linear_init(sample, tuple(beta0), kind, case)
     x = np.concatenate([c0, beta0])
 
     lo = np.concatenate([np.full(nc, -np.inf), np.full(config.n_terms, _BETA_LO)])
@@ -375,7 +365,7 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
         beta_cur = x_new[nc:]
         if any(abs(b - b0) > _REINIT_DRIFT for b, b0 in zip(beta_cur.tolist(), beta_ref)):
             try:
-                c_cand = linear_init(sample, tuple(beta_cur), kind, case).c
+                c_cand = linear_init(sample, tuple(beta_cur), kind, case)
             except RankDeficiencyError:
                 c_cand = None
             if c_cand is not None and np.all(np.isfinite(c_cand)):

@@ -30,7 +30,6 @@ __all__ = [
     "PhysicalParams",
     "IdentifiabilityError",
     "eval_model",
-    "grad_model",
     "to_physical",
     "from_physical",
 ]
@@ -156,18 +155,6 @@ def eval_model(params: ModelParams, t):
     arr, scalar = _as_times(t)
     out, _ = _eval_arrays(params.kind, params.case, params.c, [arr**b for b in params.beta])
     return float(out[0]) if scalar else out
-
-
-def grad_model(params: ModelParams, t):
-    """Partial derivatives with respect to (c..., beta...), in that order.
-
-    Returns shape (n_params,) for scalar t and (n_params, len(t)) otherwise.
-    """
-    arr, scalar = _as_times(t)
-    powers = [arr**b for b in params.beta]
-    _, acc = _eval_arrays(params.kind, params.case, params.c, powers)
-    out = _grad_arrays(params.kind, params.case, params.c, powers, np.log(arr), acc)
-    return out[:, 0] if scalar else out
 
 
 # ---------------------------------------------------------------------------

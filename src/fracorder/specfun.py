@@ -16,12 +16,12 @@ multiply-adds over its row.
 There is one series: the multinomial one, summed shell by shell.  The
 two-parameter function E_{alpha,beta}(z) is its one-argument case, and like
 beta0 of the multinomial function it needs beta > 0, so every Gamma argument
-of a term is positive.  Its arguments are reduced once, at the entry: mml
-drops every pair with z_j = 0, so the sum only ever sees z_j < 0, and the
-series kernels (s*_kernel_series, the only map from a mode kernel to its
-series arguments, which forward's "series" method calls) divide the equation
-by the leading weight themselves, so they take any positive weights, as the
-contour and hyperbola routes do.
+of a term is positive.  Its arguments are reduced once, at the entry that
+ml2 and mml share (_mml_value): it drops every pair with z_j = 0, so the sum
+only ever sees z_j < 0, and the series kernels (s*_kernel_series, the only
+map from a mode kernel to its series arguments, which forward's "series"
+method calls) divide the equation by the leading weight themselves, so they
+take any positive weights, as the contour and hyperbola routes do.
 
 The series is summed with compensated (Kahan) accumulation and certifies
 its own rounding envelope: the worst term magnitude is tracked
@@ -190,10 +190,6 @@ class MLArgs:
                 raise DomainError(
                     f"|z| = {abs(z)} exceeds Z_MAX = {Z_MAX}; series unreliable"
                 )
-
-    @property
-    def m(self) -> int:
-        return len(self.betas)
 
 
 @dataclass(frozen=True)
@@ -541,8 +537,21 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
 def _mml_value(
     beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float, shell_cap: int
 ) -> float:
-    """The double-precision sum of at most shell_cap + 1 shells when it
-    certifies itself, else the extended-precision one."""
+    """The common entry of ml2 and mml.  It rejects a bad rel_tol, drops every
+    zero argument (its pair keeps only the k_j = 0 terms, which are the series
+    of the other arguments), and takes the closed forms: 1/Gamma(beta0) with
+    no argument left and E_{1,1}(z) = exp(z).  Otherwise it returns the
+    double-precision sum of at most shell_cap + 1 shells when that certifies
+    itself, else the extended-precision one."""
+    if not 0.0 < rel_tol < math.inf:
+        raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+    live = [(b, z) for b, z in zip(betas, zs) if z != 0.0]
+    if not live:
+        return math.exp(-log_gamma(beta0))
+    betas, zs = zip(*live)
+    if betas == (1.0,) and beta0 == 1.0:
+        # exact classical limit; the raw series cancels hopelessly for large |z|
+        return math.exp(zs[0])
     m = len(betas)
     if math.comb(shell_cap + m, m) > _MAX_SERIES_TERMS:
         _mp_plan(beta0, betas, zs, rel_tol)  # the double sum alone could take long
@@ -563,13 +572,6 @@ def ml2(alpha: float, beta: float, z: float, *, rel_tol: float = 1e-10) -> float
         raise DomainError(f"only z <= 0 is supported, got {z}")
     if abs(z) > Z_MAX:
         raise DomainError(f"|z| = {abs(z)} exceeds Z_MAX = {Z_MAX}; series unreliable")
-    if not 0.0 < rel_tol < math.inf:
-        raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
-    if z == 0.0:
-        return math.exp(-log_gamma(beta))
-    if alpha == 1.0 and beta == 1.0:
-        # exact classical limit; the raw series cancels hopelessly for large |z|
-        return math.exp(z)
     return _mml_value(beta, (alpha,), (z,), rel_tol, _ML2_SHELL_CAP)
 
 
@@ -579,16 +581,9 @@ def mml(args: MLArgs, *, rel_tol: float = 1e-10) -> float:
     Double-precision k-shell summation truncated at DEFAULT_SHELL_CAP with
     early stop once a whole shell contributes below 1e-16 of the partial sum;
     falls back to extended precision when the cancellation certificate fails.
-    A zero argument keeps only the terms with k_j = 0, which are the series
-    of the other arguments, so its pair is dropped before any summing.
+    A zero argument's pair is dropped before any summing.
     """
-    if not 0.0 < rel_tol < math.inf:
-        raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
-    live = [(b, z) for b, z in zip(args.betas, args.zs) if z != 0.0]
-    if not live:
-        return math.exp(-log_gamma(args.beta0))
-    betas, zs = zip(*live)
-    return _mml_value(args.beta0, betas, zs, rel_tol, DEFAULT_SHELL_CAP)
+    return _mml_value(args.beta0, args.betas, args.zs, rel_tol, DEFAULT_SHELL_CAP)
 
 # ---------------------------------------------------------------------------
 # relaxation kernels, series route

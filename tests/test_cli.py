@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from scipy.special import erfcx
 
 import fracorder.cli as cli
@@ -27,6 +28,7 @@ from fracorder.checks import ml_identity_e12, ml_identity_erfc
 from fracorder.fit import FitConfig, FitResult, _attach_physical
 from fracorder.forward import Case
 from fracorder.models import Kind, ModelParams
+from fracorder.specfun import DomainError
 
 from conftest import count_calls
 
@@ -229,12 +231,19 @@ class TestCmdSimulate:
 
 class TestMainEntry:
     def test_import_loads_no_mpmath(self):
-        # mpmath loads when an extended-precision sum first runs, so a run
-        # that needs none does not pay for the import
-        code = "import sys, fracorder.cli; print('mpmath' in sys.modules)"
+        # a layer loads the package root, itself and the layers under it, and
+        # cli loads no checks; mpmath loads when an extended-precision sum
+        # first runs, so a run that needs none does not pay for the import
+        layers = ("specfun", "forward", "models", "fit", "cli")
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert (run.returncode, run.stdout) == (0, "False\n")
+        for i, layer in enumerate(layers):
+            code = (
+                f"import sys, fracorder.{layer}; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('fracorder', 'mpmath')))"
+            )
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            loaded = sorted(["fracorder", *(f"fracorder.{name}" for name in layers[: i + 1])])
+            assert (run.returncode, run.stdout) == (0, f"{loaded}\n"), layer
 
     def test_usage_errors_exit_2(self, tmp_path):
         assert main(["fit", "--experiment", "table1a", "--t0", "", "--out", str(tmp_path)]) == 2
@@ -266,7 +275,7 @@ class TestMainEntry:
         for bad in (
             {"jobs": 0}, {"jobs": -2}, {"jobs": 2},
             {"kinds": ["xx"]}, {"kinds": ["fp", "xx"]}, {"kinds": []}, {"kinds": "fp"},
-            {"t0": 1e-6}, {"t_0": [1e-6]}, {"n_points": 1}, {"n_points": None},
+            {"t0": 1e-6}, {"t0": None}, {"t_0": [1e-6]}, {"n_points": 1}, {"n_points": None},
             # point counts must be integers: no truncated float, no bool
             {"n_points": 2.9}, {"n_points": 100.0}, {"n_points": True}, {"n_points": "100"},
             # a job count is an integer and each T0 a number: no bool, no
@@ -287,6 +296,37 @@ class TestMainEntry:
             cfgfile.write_text(json.dumps({"experiment": "fig1", **bad}))
             assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
         assert list(tmp_path.glob("*.csv")) == []
+        # a config built in Python gets the same checks as one from the file
+        for experiment, bad in (
+            ("fig1", {"fig_points": 2.5}),
+            ("table1a", {"t0_list": (1e-6,), "n_points": 100.5}),
+            ("fig1", {"t_max": True}),
+            ("table1a", {"t0_list": (True,)}),
+        ):
+            with pytest.raises(DomainError):
+                ExperimentConfig(experiment, tmp_path, **bad)
+
+    def test_crash_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a crash is told apart from the exit 1 of a failed row: an --out
+        # under a regular file, then each command raising
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["fit", "--experiment", "table1a", "--t0", "1e-6", "--out", str(blocker / "out")]
+        assert main(argv) == 3
+        assert "NotADirectoryError" in capsys.readouterr().err
+
+        def crash(*args):
+            raise RuntimeError("boom")
+
+        out = ["--out", str(tmp_path)]
+        for name, argv in (
+            ("cmd_fit", ["fit", "--experiment", "table1a", "--t0", "1e-6", *out]),
+            ("cmd_simulate", ["simulate", "--experiment", "fig1", *out]),
+            ("cmd_check", ["check"]),
+        ):
+            monkeypatch.setattr(cli, name, crash)
+            assert main(argv) == 3
+            assert "RuntimeError: boom" in capsys.readouterr().err
 
     def test_unread_settings_exit_2(self, tmp_path, capsys):
         # a flag or config key that the experiment never reads is named, not
