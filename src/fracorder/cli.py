@@ -106,6 +106,8 @@ class ExperimentConfig:
         if not isinstance(kinds, (tuple, list)) or not kinds or any(k not in _KIND_BY_FLAG for k in kinds):
             raise DomainError(f"kinds must be a non-empty list of 'fp' and 'fr', got {kinds!r}")
         object.__setattr__(self, "kinds", tuple(kinds))
+        if len(set(self.kinds)) < len(self.kinds):
+            raise DomainError(f"repeated kind in {self.kinds}")
         for name in ("n_points", "fig_points"):
             # a bool is an int, and a float would be truncated
             value = getattr(self, name)

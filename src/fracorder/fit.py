@@ -99,6 +99,12 @@ class FitConfig:
                 f"kind must be a Kind and case a Case, got {self.kind!r}, {self.case!r}"
             )
         object.__setattr__(self, "beta_init", tuple(float(b) for b in self.beta_init))
+        for name in ("n_terms", "max_iter"):
+            # a bool is an int, and a float such as NaN or 2.5 slips past the
+            # range checks below
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n_terms not in (1, 2):
             raise DomainError("n_terms must be 1 or 2")
         if len(self.beta_init) != self.n_terms:

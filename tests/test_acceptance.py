@@ -2,17 +2,19 @@
 and prints one PASS/FAIL line (run with -s or -rA to see them).
 
 Published reference values quoted below are the recovered entries of the
-benchmark tables; the bands around them are part of the criteria.
+benchmark tables; the bands around them are part of the criteria.  Criteria
+5-8 run the `fracorder check` entry that states their invariant.
 """
 
 import math
 import time
 
 from fracorder.checks import (
-    gradient_check_max_err,
-    oracle_grid_max_err,
-    remainder_ratio_spread,
-    step2_laplace_value,
+    expansion_remainder_order_case_i,
+    expansion_remainder_order_case_ii,
+    laplace_step2_source_value,
+    objective_gradient_vs_fd,
+    oracle_grid_series_vs_contour,
 )
 from fracorder.cli import ExperimentConfig, cmd_fit
 from fracorder.fit import FitConfig, beta_init_from_alphas, recover
@@ -49,7 +51,7 @@ def test_criterion_1_table1a_reproduction():
         (Kind.RATIONAL, 1e-5): (0.7005, 10.95),
     }
     orders = OrderSpec((0.7,), (1.0,))
-    problem = build_example_4_1(orders)
+    problem = build_example_4_1()
     start = time.perf_counter()
     failures = []
     for (kind, T0), (a_ref, lam_ref) in published.items():
@@ -69,11 +71,11 @@ def test_criterion_1_table1a_reproduction():
 
 def test_criterion_2_table1b_trend():
     orders_grid = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    problem = build_example_4_1()
     failures = []
     fr_03_err = None
     for alpha in orders_grid:
         orders = OrderSpec((alpha,), (1.0,))
-        problem = build_example_4_1(orders)
         res = {}
         for kind in Kind:
             r = _fit(problem, orders, 1e-6, kind, Case.INITIAL_DATA, (0.5,), 1)
@@ -117,7 +119,7 @@ def test_criterion_4_table2a_reproduction():
     published = {1e-7: (0.5971, 0.8985), 1e-6: (0.5943, 0.8972), 1e-5: (0.5887, 0.8943)}
     wide = {1e-4: (0.5766, 0.8883)}
     orders = OrderSpec((0.6, 0.9), (0.5, 1.0))
-    problem = build_example_4_1(orders)
+    problem = build_example_4_1()
     failures = []
     for table, tol in ((published, 0.02), (wide, 0.05)):
         for T0, (a1_ref, a2_ref) in table.items():
@@ -133,39 +135,36 @@ def test_criterion_4_table2a_reproduction():
 
 
 def test_criterion_5_oracle_equivalence():
-    # series certified 100x tighter than the agreement bound, on the 36-point
-    # grid of the check battery
+    # series certified 100x tighter than the 1e-6 agreement bound, on the
+    # battery's 36-point grid
     start = time.perf_counter()
-    worst = oracle_grid_max_err()
+    result = oracle_grid_series_vs_contour()
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-6 and elapsed < 5.0
-    _report(5, ok, f"36-point grid, worst rel err {worst:.3e}, {elapsed:.2f}s")
-    assert worst <= 1e-6
+    ok = result.passed and elapsed < 5.0
+    _report(5, ok, f"36-point grid, {result.detail}, {elapsed:.2f}s")
+    assert result.passed
     assert elapsed < 5.0
 
 
 def test_criterion_6_remainder_order():
-    spreads = {case: remainder_ratio_spread(case) for case in ("i", "ii")}
-    ok = all(s <= 4.0 for s in spreads.values())
-    _report(6, ok, f"ratio spreads: case i {spreads['i']:.3f}, case ii {spreads['ii']:.3f}")
+    results = [expansion_remainder_order_case_i(), expansion_remainder_order_case_ii()]
+    ok = all(r.passed for r in results)
+    _report(6, ok, "; ".join(f"{r.name}: {r.detail}" for r in results))
     assert ok
 
 
 def test_criterion_7_laplace_step2():
-    val = step2_laplace_value(1e8)
-    err = abs(val - 2.5) / 2.5
-    ok = err < 0.01
-    _report(7, ok, f"value {val:.6f}, rel err {err:.2e}")
-    assert ok
+    result = laplace_step2_source_value()
+    _report(7, result.passed, result.detail)
+    assert result.passed
 
 
 def test_criterion_8_gradient_suite():
-    # the check battery's audit: 50 draws over all model shapes, each the
-    # relative error of the analytic gradient against central differences
-    worst = gradient_check_max_err()
-    ok = worst <= 1e-6
-    _report(8, ok, f"50 draws, worst rel err {worst:.3e}")
-    assert ok
+    # 50 draws over all model shapes, each the relative error of the
+    # analytic gradient against central differences
+    result = objective_gradient_vs_fd()
+    _report(8, result.passed, f"50 draws, {result.detail}")
+    assert result.passed
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from scipy.special import erfcx
 
+import fracorder.checks as checks
 import fracorder.cli as cli
 import fracorder.specfun as specfun
 from fracorder.cli import (
@@ -24,7 +25,7 @@ from fracorder.cli import (
     main,
     run_fit_row,
 )
-from fracorder.checks import ml_identity_e12, ml_identity_erfc
+from fracorder.checks import CHECKS, CheckResult, ml_identity_e12, ml_identity_erfc
 from fracorder.fit import FitConfig, FitResult, _attach_physical
 from fracorder.forward import Case
 from fracorder.models import Kind, ModelParams
@@ -275,6 +276,8 @@ class TestMainEntry:
         for bad in (
             {"jobs": 0}, {"jobs": -2}, {"jobs": 2},
             {"kinds": ["xx"]}, {"kinds": ["fp", "xx"]}, {"kinds": []}, {"kinds": "fp"},
+            # a repeated kind, which would fit and write each row twice
+            {"kinds": ["fp", "fp"]},
             {"t0": 1e-6}, {"t0": None}, {"t_0": [1e-6]}, {"n_points": 1}, {"n_points": None},
             # point counts must be integers: no truncated float, no bool
             {"n_points": 2.9}, {"n_points": 100.0}, {"n_points": True}, {"n_points": "100"},
@@ -302,6 +305,7 @@ class TestMainEntry:
             ("table1a", {"t0_list": (1e-6,), "n_points": 100.5}),
             ("fig1", {"t_max": True}),
             ("table1a", {"t0_list": (True,)}),
+            ("table1a", {"kinds": ("fp", "fp")}),
         ):
             with pytest.raises(DomainError):
                 ExperimentConfig(experiment, tmp_path, **bad)
@@ -415,6 +419,8 @@ class TestMainEntry:
 
 
 class TestCheckSuite:
+    # the battery's entries in report order; each entry is the only statement
+    # of its invariant, and test_entry_passes is the test that runs it
     NAMES = (
         "gamma-spot-values",
         "ml-identity-e12",
@@ -433,11 +439,24 @@ class TestCheckSuite:
         "objective-gradient-vs-fd",
     )
 
-    def test_fresh_build_passes(self, capsys):
-        assert cmd_check() == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.split()[:2] for line in lines[:-1]] == [["PASS", name] for name in self.NAMES]
-        assert lines[-1] == f"{len(self.NAMES)}/{len(self.NAMES)} checks passed"
+    # strict: a battery that gains or loses an entry fails collection here
+    @pytest.mark.parametrize("name, check", zip(NAMES, CHECKS, strict=True), ids=NAMES)
+    def test_entry_passes(self, name, check):
+        result = check()
+        assert (result.name, result.passed) == (name, True), result.detail
+
+    def test_failing_entry_exits_1(self, monkeypatch, capsys):
+        stubs = (
+            lambda: CheckResult("stub-ok", True, "fine"),
+            lambda: CheckResult("stub-failing", False, "off by 1"),
+        )
+        monkeypatch.setattr(checks, "CHECKS", stubs)
+        assert cmd_check() == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS  stub-ok       fine",
+            "FAIL  stub-failing  off by 1",
+            "1/2 checks passed",
+        ]
 
     def test_takes_no_experiment_flags(self, tmp_path, capsys):
         for flags in (

@@ -99,7 +99,7 @@ class TestLinearInit:
 
     def test_example_lambda_within_one_percent(self):
         orders = OrderSpec((0.7,), (1.0,))
-        problem = build_example_4_1(orders)
+        problem = build_example_4_1()
         sample = sample_trace(problem, orders, 1e-6, 100)
         c = linear_init(sample, (0.7,), Kind.POLYNOMIAL, Case.INITIAL_DATA)
         lam_hat = -c[1] * math.gamma(1.7)
@@ -154,7 +154,7 @@ class TestMinimize:
 
     def test_monotone_descent(self):
         orders = OrderSpec((0.7,), (1.0,))
-        sample = sample_trace(build_example_4_1(orders), orders, 1e-4, 100)
+        sample = sample_trace(build_example_4_1(), orders, 1e-4, 100)
         cfg = FitConfig(
             kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1, beta_init=(0.4,)
         )
@@ -177,7 +177,7 @@ class TestMinimize:
 
     def test_argmin_invariant_under_data_scaling(self):
         orders = OrderSpec((0.7,), (1.0,))
-        sample = sample_trace(build_example_4_1(orders), orders, 1e-5, 100)
+        sample = sample_trace(build_example_4_1(), orders, 1e-5, 100)
         cfg = FitConfig(
             kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1, beta_init=(0.5,)
         )
@@ -220,13 +220,22 @@ class TestMinimize:
         for kind, case in (("polynomial", Case.INITIAL_DATA), (Kind.RATIONAL, "source")):
             with pytest.raises(DomainError, match="kind must be a Kind"):
                 FitConfig(kind=kind, case=case, n_terms=1, beta_init=(0.5,))
+        # term and iteration counts are plain ints: NaN iterations ran none,
+        # 2.5 ran three, and a bool term count failed inside minimize
+        base = dict(kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1, beta_init=(0.5,))
+        for bad in (
+            {"max_iter": math.nan}, {"max_iter": 2.5}, {"max_iter": 200.0}, {"max_iter": True},
+            {"n_terms": True}, {"n_terms": 1.0},
+        ):
+            with pytest.raises(DomainError, match="must be an integer"):
+                FitConfig(**{**base, **bad})
 
     def test_gradient_formed_only_at_accepted_points(self, monkeypatch):
         # a fit that backtracks and re-solves its amplitudes: trial points
         # evaluate the objective only, so the Jacobian is built once at the
         # start, once per accepted step and once per accepted re-solve
         orders = OrderSpec((0.7,), (1.0,))
-        sample = sample_trace(build_example_4_1(orders), orders, 1e-4, 100)
+        sample = sample_trace(build_example_4_1(), orders, 1e-4, 100)
         evals = count_calls(monkeypatch, fit, "_eval_arrays")
         jacobians = count_calls(monkeypatch, fit, "_grad_arrays")
         cfg = FitConfig(
@@ -369,7 +378,7 @@ class TestRecover:
 
     def test_table_1b_rational_beats_polynomial_at_small_order(self):
         orders = OrderSpec((0.3,), (1.0,))
-        sample = sample_trace(build_example_4_1(orders), orders, 1e-6, 100)
+        sample = sample_trace(build_example_4_1(), orders, 1e-6, 100)
         res_p = recover(
             sample,
             FitConfig(kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1,
@@ -409,7 +418,7 @@ class TestRecover:
         # threshold; the trailing exponent is reported at its initialization
         # with zero amplitude
         orders = OrderSpec((0.6, 0.9), (0.5, 1.0))
-        sample = sample_trace(build_example_4_1(orders), orders, 1e-6, 100)
+        sample = sample_trace(build_example_4_1(), orders, 1e-6, 100)
         binit = beta_init_from_alphas((0.4, 0.8))
         cfg = FitConfig(
             kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=2, beta_init=binit
