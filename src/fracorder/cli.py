@@ -27,13 +27,13 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from fracorder import models, specfun
-from fracorder.fit import FitConfig, FitResult, beta_init_from_alphas, recover
+from fracorder.fit import FitConfig, FitResult, recover
 from fracorder.forward import (
     Case,
     SpectralProblem,
@@ -43,7 +43,7 @@ from fracorder.forward import (
     sample_trace,
     trace_initial,
 )
-from fracorder.models import Kind, PhysicalParams, from_physical
+from fracorder.models import Kind, PhysicalParams, exponents, from_physical
 from fracorder.specfun import DomainError, OrderSpec
 
 __all__ = ["main", "experiment_rows", "ExperimentConfig"]
@@ -73,10 +73,14 @@ def _is_number(x) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The settings of a `simulate` or `fit` run, named as the config file's
+    keys and the flags' destinations; t0 None is the experiment's T0 list."""
+
     experiment: str
-    out_dir: Path
-    t0_list: tuple[float, ...] | None = None
+    out: Path = Path("out")
+    t0: tuple[float, ...] | None = None
     kinds: tuple[str, ...] = ("fp", "fr")
+    jobs: int = 1
     n_points: int = 100
     t_max: float = 1.0
     fig_points: int = 500
@@ -86,21 +90,22 @@ class ExperimentConfig:
             raise DomainError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
             )
-        if self.t0_list is not None:
-            if not isinstance(self.t0_list, (tuple, list)) or not all(map(_is_number, self.t0_list)):
-                raise DomainError(f"T0 values must be a list of numbers, got {self.t0_list!r}")
-            object.__setattr__(self, "t0_list", tuple(float(t) for t in self.t0_list))
-            if len(self.t0_list) == 0:
+        object.__setattr__(self, "out", Path(self.out))
+        if self.t0 is not None:
+            if not isinstance(self.t0, (tuple, list)) or not all(map(_is_number, self.t0)):
+                raise DomainError(f"T0 values must be a list of numbers, got {self.t0!r}")
+            object.__setattr__(self, "t0", tuple(float(t) for t in self.t0))
+            if len(self.t0) == 0:
                 raise DomainError("empty T0 list")
-            if not all(0.0 < t < math.inf for t in self.t0_list):
-                raise DomainError(f"T0 values must be positive and finite, got {self.t0_list}")
-            if len(set(self.t0_list)) < len(self.t0_list):
-                raise DomainError(f"repeated T0 in {self.t0_list}")
+            if not all(0.0 < t < math.inf for t in self.t0):
+                raise DomainError(f"T0 values must be positive and finite, got {self.t0}")
+            if len(set(self.t0)) < len(self.t0):
+                raise DomainError(f"repeated T0 in {self.t0}")
             by_order = self.experiment in TABLES and TABLES[self.experiment][0] != "T0"
-            if by_order and len(self.t0_list) > 1:
+            if by_order and len(self.t0) > 1:
                 raise DomainError(
                     f"{self.experiment} labels its rows by order and takes one T0, "
-                    f"got {len(self.t0_list)}"
+                    f"got {len(self.t0)}"
                 )
         kinds = self.kinds
         if not isinstance(kinds, (tuple, list)) or not kinds or any(k not in _KIND_BY_FLAG for k in kinds):
@@ -108,6 +113,9 @@ class ExperimentConfig:
         object.__setattr__(self, "kinds", tuple(kinds))
         if len(set(self.kinds)) < len(self.kinds):
             raise DomainError(f"repeated kind in {self.kinds}")
+        # type, not ==: True == 1.0 == 1
+        if type(self.jobs) is not int or self.jobs != 1:
+            raise DomainError(f"jobs must be 1 (the runner is serial), got {self.jobs!r}")
         for name in ("n_points", "fig_points"):
             # a bool is an int, and a float would be truncated
             value = getattr(self, name)
@@ -130,8 +138,11 @@ class FitRow:
     T0: float
     kind: Kind
     beta_init: tuple[float, ...]
-    n_terms: int
     assumptions: tuple[str, ...] = ()
+
+    @property
+    def n_terms(self) -> int:
+        return len(self.beta_init)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +181,6 @@ FIGURES = {
 
 EXPERIMENTS = (*TABLES, *FIGURES)
 
-# the keys a JSON config file may set
-_CONFIG_KEYS = ("experiment", "out", "t0", "kinds", "jobs", "n_points", "t_max", "fig_points")
 # the settings that an experiment never reads: the figures draw fixed panels
 # on their own time grid, and the tables sample on (0, T0]
 _UNREAD = {
@@ -190,11 +199,11 @@ def experiment_rows(cfg: ExperimentConfig) -> list[FitRow]:
     if cfg.experiment not in TABLES:
         raise DomainError(f"experiment {cfg.experiment!r} has no fit rows (figure only)")
     label_column, default_t0, subtables = TABLES[cfg.experiment]
-    t0s = cfg.t0_list or default_t0
+    t0s = cfg.t0 or default_t0
     rows: list[FitRow] = []
     for table, problem, alphas, guess in subtables:
         orders = OrderSpec(alphas, _weights(alphas))
-        beta_init = beta_init_from_alphas(guess, problem.source_exponent, problem.case)
+        beta_init = exponents(guess, problem.case, problem.source_exponent)
         for t0 in t0s:
             for flag in cfg.kinds:
                 rows.append(
@@ -207,7 +216,6 @@ def experiment_rows(cfg: ExperimentConfig) -> list[FitRow]:
                         T0=t0,
                         kind=_KIND_BY_FLAG[flag],
                         beta_init=beta_init,
-                        n_terms=orders.n,
                         assumptions=(_R1_ASSUMED,) if orders.n == 2 else (),
                     )
                 )
@@ -284,7 +292,6 @@ def run_fit_group(rows: list[FitRow], n_points: int) -> list[dict]:
         config = FitConfig(
             kind=row.kind,
             case=row.problem.case,
-            n_terms=row.n_terms,
             beta_init=row.beta_init,
             source_exponent=row.problem.source_exponent,
         )
@@ -328,7 +335,7 @@ def _row_metadata(row: FitRow, n_points: int) -> dict:
 def cmd_fit(cfg: ExperimentConfig) -> int:
     rows = experiment_rows(cfg)
     groups = _sample_groups(rows)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    cfg.out.mkdir(parents=True, exist_ok=True)
     results = [out for group in groups for out in run_fit_group(group, cfg.n_points)]
 
     failures = sum(1 for r in results if r["status"] != "ok")
@@ -336,11 +343,11 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
     for table in tables:
         picked = [(row, res) for row, res in zip(rows, results) if row.table == table]
         header = [picked[0][0].label_column, *RESULT_COLUMNS]
-        _write_csv(cfg.out_dir / f"{table}.csv", header, [res for _, res in picked])
+        _write_csv(cfg.out / f"{table}.csv", header, [res for _, res in picked])
         meta = _row_metadata(picked[0][0], cfg.n_points)
         meta["T0_list"] = sorted({row.T0 for row, _ in picked})
-        _write_json(cfg.out_dir / f"{table}.meta.json", meta)
-    log.info("fit: wrote %d tables to %s (%d row failures)", len(tables), cfg.out_dir, failures)
+        _write_json(cfg.out / f"{table}.meta.json", meta)
+    log.info("fit: wrote %d tables to %s (%d row failures)", len(tables), cfg.out, failures)
     return 0 if failures == 0 else 1
 
 
@@ -374,11 +381,11 @@ def _write_fig_panel(path: Path, alphas: tuple[float, ...], cfg: ExperimentConfi
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    cfg.out.mkdir(parents=True, exist_ok=True)
     failures = 0
     if cfg.experiment in FIGURES:
         for name, alphas in FIGURES[cfg.experiment]:
-            path = cfg.out_dir / f"{cfg.experiment}_{name}.csv"
+            path = cfg.out / f"{cfg.experiment}_{name}.csv"
             try:
                 _write_fig_panel(path, alphas, cfg)
             except Exception as exc:
@@ -391,7 +398,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             "points": cfg.fig_points,
             "assumptions": [_R1_ASSUMED] if cfg.experiment == "fig2" else [],
         }
-        _write_json(cfg.out_dir / f"{cfg.experiment}.meta.json", meta)
+        _write_json(cfg.out / f"{cfg.experiment}.meta.json", meta)
         return 0 if failures == 0 else 1
 
     for group in _sample_groups(experiment_rows(cfg)):
@@ -403,10 +410,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         stem = f"{row.table}{order}_T0_{t0}"
         try:
             sample = make_sample(row, cfg.n_points)
-            sample.to_csv(cfg.out_dir / f"{stem}.csv")
+            sample.to_csv(cfg.out / f"{stem}.csv")
             meta = _row_metadata(row, cfg.n_points)
             meta["T0"] = row.T0
-            _write_json(cfg.out_dir / f"{stem}.meta.json", meta)
+            _write_json(cfg.out / f"{stem}.meta.json", meta)
         except Exception as exc:
             failures += 1
             log.error("trace %s failed: %s", stem, exc)
@@ -438,6 +445,27 @@ def _parse_t0_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad T0 list {text!r}: {exc}")
 
 
+def _parse_kinds(text: str) -> tuple[str, ...]:
+    """fp, fr, or both."""
+    if text not in ("fp", "fr", "both"):
+        raise argparse.ArgumentTypeError(f"invalid choice {text!r} (choose from fp, fr, both)")
+    return tuple(_KIND_BY_FLAG) if text == "both" else (text,)
+
+
+# the keys a JSON config file may set
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+# the flags of simulate and fit by the field they set; an unset flag (None)
+# leaves it to the file, then to its default, so a given flag always wins
+_FLAGS = {
+    "experiment": ("--experiment", {"choices": EXPERIMENTS}),
+    "out": ("--out", {"type": Path, "help": "output directory (default: out)"}),
+    "jobs": ("--jobs", {"type": int, "help": "accepted for compatibility; only 1"}),
+    "t0": ("--t0", {"type": _parse_t0_list, "help": "comma-separated T0 list"}),
+    "kinds": ("--kind", {"type": _parse_kinds, "metavar": "{fp,fr,both}", "help": "default: both"}),
+    "t_max": ("--t-max", {"type": float, "help": "figure time range"}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracorder",
@@ -453,18 +481,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, help="JSON config file")
-        p.add_argument("--experiment", choices=EXPERIMENTS)
-        # an unset flag (None) falls back to the config file, then to the
-        # default in _config_from_args, so a flag given at its default wins
-        p.add_argument("--out", type=Path, help="output directory (default: out)")
-        p.add_argument("--jobs", type=int, help="accepted for compatibility; only 1")
-        p.add_argument("--t0", type=_parse_t0_list, help="comma-separated T0 list")
-        p.add_argument("--kind", choices=("fp", "fr", "both"), help="default: both")
-        p.add_argument("--t-max", type=float, default=None, help="figure time range")
+        for key, (flag, spec) in _FLAGS.items():
+            p.add_argument(flag, dest=key, **spec)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file's settings, overlaid by the flags given."""
     raw: dict = {}
     if args.config is not None:
         with open(args.config) as fh:
@@ -473,9 +496,12 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise DomainError(f"{args.config}: the config file must hold a JSON object")
         if unknown := sorted(set(raw) - set(_CONFIG_KEYS)):
             raise DomainError(f"{args.config}: unknown keys {unknown}; known: {_CONFIG_KEYS}")
-        if "t0" in raw and raw["t0"] is None:  # None would mean the default T0 list
-            raise DomainError(f"{args.config}: 't0' must be a list of numbers, got null")
-    experiment = args.experiment or raw.get("experiment")
+        # None stands for an unset setting, such as the default T0 list
+        if nulls := [key for key, value in raw.items() if value is None]:
+            raise DomainError(f"{args.config}: {nulls} must not be null")
+    given = {key: value for key in _FLAGS if (value := getattr(args, key)) is not None}
+    settings = {**raw, **given}
+    experiment = settings.get("experiment")
     if not experiment:
         raise DomainError("an experiment must be given via --experiment or --config")
     if args.command == "fit" and experiment in FIGURES:
@@ -484,28 +510,11 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     unread = _UNREAD.get(experiment, ())
     if args.command == "simulate" and experiment in TABLES:
         unread += ("kinds",)  # one trace serves both model kinds
-    flags = {"t0": ("--t0", args.t0), "kinds": ("--kind", args.kind), "t_max": ("--t-max", args.t_max)}
-    given = [flag for key, (flag, value) in flags.items() if key in unread and value is not None]
-    given += [f"{key!r} in {args.config}" for key in unread if key in raw]
-    if given:
-        raise DomainError(f"experiment {experiment!r} does not read {', '.join(given)}")
-    jobs = args.jobs if args.jobs is not None else raw.get("jobs", 1)
-    # type, not ==: True == 1.0 == 1
-    if type(jobs) is not int or jobs != 1:
-        raise DomainError(f"jobs must be 1 (the runner is serial), got {jobs!r}")
-    if args.kind is None:
-        kinds = raw.get("kinds", ("fp", "fr"))
-    else:
-        kinds = ("fp", "fr") if args.kind == "both" else (args.kind,)
-    return ExperimentConfig(
-        experiment=experiment,
-        out_dir=Path(args.out if args.out is not None else raw.get("out", "out")),
-        t0_list=args.t0 if args.t0 is not None else raw.get("t0"),
-        kinds=kinds,
-        n_points=raw.get("n_points", 100),
-        t_max=args.t_max if args.t_max is not None else raw.get("t_max", 1.0),
-        fig_points=raw.get("fig_points", 500),
-    )
+    named = [_FLAGS[key][0] for key in given if key in unread]
+    named += [f"{key!r} in {args.config}" for key in unread if key in raw]
+    if named:
+        raise DomainError(f"experiment {experiment!r} does not read {', '.join(named)}")
+    return ExperimentConfig(**settings)
 
 
 def main(argv: list[str] | None = None) -> int:

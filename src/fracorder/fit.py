@@ -38,6 +38,7 @@ from fracorder.models import (
     PhysicalParams,
     _eval_arrays,
     _grad_arrays,
+    _shift,
     n_coeffs,
     n_head,
     to_physical,
@@ -54,7 +55,6 @@ __all__ = [
     "linear_init",
     "minimize",
     "recover",
-    "beta_init_from_alphas",
 ]
 
 # line search constants: halving factor, sufficient-decrease slope, max halvings
@@ -86,9 +86,10 @@ class NumericsError(ArithmeticError):
 
 @dataclass(frozen=True)
 class FitConfig:
+    """One fit: the model shape, and one starting exponent per power term."""
+
     kind: Kind
     case: Case
-    n_terms: int
     beta_init: tuple[float, ...]
     max_iter: int = 200
     source_exponent: float = 0.0
@@ -99,16 +100,12 @@ class FitConfig:
                 f"kind must be a Kind and case a Case, got {self.kind!r}, {self.case!r}"
             )
         object.__setattr__(self, "beta_init", tuple(float(b) for b in self.beta_init))
-        for name in ("n_terms", "max_iter"):
-            # a bool is an int, and a float such as NaN or 2.5 slips past the
-            # range checks below
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+        # a bool is an int, and a float such as NaN or 2.5 slips past the
+        # range check below
+        if not isinstance(self.max_iter, int) or isinstance(self.max_iter, bool):
+            raise DomainError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.n_terms not in (1, 2):
-            raise DomainError("n_terms must be 1 or 2")
-        if len(self.beta_init) != self.n_terms:
-            raise DomainError("beta_init length must equal n_terms")
+            raise DomainError(f"beta_init must hold one or two exponents, got {self.beta_init}")
         for b in self.beta_init:
             if not _BETA_LO <= b <= _BETA_HI:
                 raise DomainError(
@@ -116,15 +113,17 @@ class FitConfig:
                 )
         if self.max_iter < 1:
             raise DomainError("max_iter must be positive")
-        if not 0.0 <= self.source_exponent <= 1.0:
-            raise DomainError("source_exponent must lie in [0, 1]")
+        _shift(self.case, self.source_exponent)  # in [0, 1]; none on initial data
+
+    @property
+    def n_terms(self) -> int:
+        return len(self.beta_init)
 
 
 @dataclass(frozen=True)
 class FitResult:
     params: ModelParams
     physical: PhysicalParams | None
-    T0: float
     objective: float
     iterations: int
     converged: bool
@@ -392,7 +391,6 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
     return FitResult(
         params=params,
         physical=None,
-        T0=sample.T0,
         objective=objective(sample, params),
         iterations=iterations,
         converged=converged,
@@ -403,17 +401,6 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
 # ---------------------------------------------------------------------------
 # staged recovery with model-order gate
 # ---------------------------------------------------------------------------
-
-
-def beta_init_from_alphas(
-    alphas: tuple[float, ...], a: float = 0.0, case: Case = Case.INITIAL_DATA
-) -> tuple[float, ...]:
-    """Exponent initialization implied by an order guess (alpha_1[, alpha_N])."""
-    shift = a if case is Case.SOURCE else 0.0
-    if len(alphas) == 1:
-        return (alphas[0] + shift,)
-    a1, an = alphas
-    return (an + shift, 2.0 * an - a1 + shift)
 
 
 def _term_columns(params: ModelParams, t: np.ndarray) -> list[np.ndarray]:
@@ -467,7 +454,7 @@ def recover(sample: TraceSample, config: FitConfig) -> FitResult:
     if config.n_terms == 1:
         return _attach_physical(minimize(sample, config), config)
 
-    cfg1 = replace(config, n_terms=1, beta_init=(config.beta_init[0],))
+    cfg1 = replace(config, beta_init=(config.beta_init[0],))
     res1 = minimize(sample, cfg1)
     res2 = minimize(sample, config)
     rel = second_term_relative(sample, res2.params)
@@ -491,7 +478,6 @@ def recover(sample: TraceSample, config: FitConfig) -> FitResult:
     embedded = FitResult(
         params=params,
         physical=None,
-        T0=sample.T0,
         objective=objective(sample, params),
         iterations=res1.iterations + res2.iterations,
         converged=res1.converged,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +78,12 @@ class SpectralProblem:
             raise DomainError(f"source scale must be finite, got {self.source_scale}")
         if self.case is Case.SOURCE and not 0.0 <= self.source_exponent <= 1.0:
             raise DomainError("source exponent must lie in [0, 1]")
+        # the scalars of the other case are an error, not a no-op
+        source = ("source_exponent", "source_scale", "ref_f_x0")
+        unread = source if self.case is Case.INITIAL_DATA else ("ref_u0_x0", "ref_Au0_x0")
+        given = [f.name for f in fields(self) if f.name in unread and getattr(self, f.name) != f.default]
+        if given:
+            raise DomainError(f"the {self.case.value} case reads no {', '.join(given)}")
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ __all__ = [
     "eval_model",
     "to_physical",
     "from_physical",
+    "exponents",
 ]
 
 
@@ -162,21 +163,39 @@ def eval_model(params: ModelParams, t):
 # ---------------------------------------------------------------------------
 
 
+def _shift(case: Case, a: float) -> float:
+    """The exponent shift: the source exponent a in [0, 1], which only the
+    source case has."""
+    if case is Case.INITIAL_DATA and a != 0.0:
+        raise DomainError(f"the initial-data case has no source exponent, got a = {a!r}")
+    if not 0.0 <= a <= 1.0:
+        raise DomainError(f"source_exponent must lie in [0, 1], got {a!r}")
+    return a
+
+
+def exponents(alphas: tuple[float, ...], case: Case, a: float = 0.0) -> tuple[float, ...]:
+    """The exponents implied by the orders (alpha_1[, alpha_N]):
+    beta_1 = alpha_N (+ a) and beta_2 = 2 alpha_N - alpha_1 (+ a)."""
+    if len(alphas) not in (1, 2):
+        raise DomainError("physical inversion supports one or two orders")
+    shift = _shift(case, a)
+    alpha_n = alphas[-1]
+    if len(alphas) == 1:
+        return (alpha_n + shift,)
+    return (alpha_n + shift, 2.0 * alpha_n - alphas[0] + shift)
+
+
 def to_physical(params: ModelParams, a: float = 0.0) -> PhysicalParams:
     """Map fitted (c, beta) to orders, weight ratio and amplitude.
 
-    The source case undoes the exponent shift by a.  The leading-order
-    correspondence is
-
-        beta_1 = alpha_N (+ a),   beta_2 = 2 alpha_N - alpha_1 (+ a),
-
-    with the beta_2 term entering the expansion with the opposite sign of the
-    beta_1 term; the leading weight is fixed to one.
+    Inverts the exponent map of `exponents`, undoing the source case's shift
+    by a, with the beta_2 term entering the expansion with the opposite sign
+    of the beta_1 term; the leading weight is fixed to one.
     """
     m = params.n_terms
     if m not in (1, 2):
         raise DomainError("physical inversion supports one or two power terms")
-    shift = a if params.case is Case.SOURCE else 0.0
+    shift = _shift(params.case, a)
     b = params.beta
     alpha_n = b[0] - shift
     c = params.c
@@ -209,15 +228,8 @@ def from_physical(
     phys: PhysicalParams, kind: Kind, case: Case, a: float = 0.0
 ) -> ModelParams:
     """Exact inverse of to_physical (source case shifts the exponents by a)."""
-    n = len(phys.alphas)
-    if n not in (1, 2):
-        raise DomainError("physical inversion supports one or two orders")
-    shift = a if case is Case.SOURCE else 0.0
-    alpha_n = phys.alphas[-1]
-    b0 = alpha_n + shift
-    beta = [b0]
-    if n == 2:
-        beta.append(2.0 * alpha_n - phys.alphas[0] + shift)
+    beta = exponents(phys.alphas, case, a)
+    n, b0 = len(beta), beta[0]
     amp = phys.amplitude
     r1 = phys.weights[0] if n == 2 else None
     if kind is Kind.POLYNOMIAL:

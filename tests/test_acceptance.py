@@ -17,9 +17,9 @@ from fracorder.checks import (
     oracle_grid_series_vs_contour,
 )
 from fracorder.cli import ExperimentConfig, cmd_fit
-from fracorder.fit import FitConfig, beta_init_from_alphas, recover
+from fracorder.fit import FitConfig, recover
 from fracorder.forward import Case, build_example_4_1, build_example_4_2, sample_trace
-from fracorder.models import Kind
+from fracorder.models import Kind, exponents
 from fracorder.specfun import OrderSpec
 
 PI2 = math.pi * math.pi
@@ -29,15 +29,9 @@ def _report(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'}  {detail}")
 
 
-def _fit(problem, orders, T0, kind, case, alpha_init, n_terms, a=0.0):
+def _fit(problem, orders, T0, kind, case, alpha_init):
     sample = sample_trace(problem, orders, T0, 100)
-    cfg = FitConfig(
-        kind=kind,
-        case=case,
-        n_terms=n_terms,
-        beta_init=beta_init_from_alphas(alpha_init, a, case),
-        source_exponent=a,
-    )
+    cfg = FitConfig(kind=kind, case=case, beta_init=exponents(alpha_init, case))
     return recover(sample, cfg)
 
 
@@ -55,7 +49,7 @@ def test_criterion_1_table1a_reproduction():
     start = time.perf_counter()
     failures = []
     for (kind, T0), (a_ref, lam_ref) in published.items():
-        res = _fit(problem, orders, T0, kind, Case.INITIAL_DATA, (0.5,), 1)
+        res = _fit(problem, orders, T0, kind, Case.INITIAL_DATA, (0.5,))
         a_hat = res.physical.alphas[0]
         lam_hat = res.physical.amplitude
         if abs(a_hat - a_ref) > 0.01:
@@ -78,7 +72,7 @@ def test_criterion_2_table1b_trend():
         orders = OrderSpec((alpha,), (1.0,))
         res = {}
         for kind in Kind:
-            r = _fit(problem, orders, 1e-6, kind, Case.INITIAL_DATA, (0.5,), 1)
+            r = _fit(problem, orders, 1e-6, kind, Case.INITIAL_DATA, (0.5,))
             res[kind] = r.physical.alphas[0]
         e_p = abs(res[Kind.POLYNOMIAL] - alpha)
         e_r = abs(res[Kind.RATIONAL] - alpha)
@@ -103,7 +97,7 @@ def test_criterion_3_table3a_reproduction():
     problem = build_example_4_2("i")
     failures = []
     for (kind, T0), (a1_ref, a2_ref, amp_ref) in published.items():
-        res = _fit(problem, orders, T0, kind, Case.INITIAL_DATA, (0.3, 0.7), 2)
+        res = _fit(problem, orders, T0, kind, Case.INITIAL_DATA, (0.3, 0.7))
         p = res.physical
         if abs(p.alphas[0] - a1_ref) > 0.01 or abs(p.alphas[1] - a2_ref) > 0.01:
             failures.append(f"alphas {p.alphas} vs ({a1_ref},{a2_ref}) at T0={T0:g} {kind.value}")
@@ -124,7 +118,7 @@ def test_criterion_4_table2a_reproduction():
     for table, tol in ((published, 0.02), (wide, 0.05)):
         for T0, (a1_ref, a2_ref) in table.items():
             for kind in Kind:
-                res = _fit(problem, orders, T0, kind, Case.INITIAL_DATA, (0.4, 0.8), 2)
+                res = _fit(problem, orders, T0, kind, Case.INITIAL_DATA, (0.4, 0.8))
                 p = res.physical
                 if abs(p.alphas[0] - a1_ref) > tol or abs(p.alphas[1] - a2_ref) > tol:
                     failures.append(

@@ -63,7 +63,7 @@ class TestExperimentRegistry:
 class TestCmdFit:
     def test_table1a_output(self, tmp_path):
         cfg = ExperimentConfig(
-            "table1a", tmp_path, t0_list=(1e-6,), kinds=("fp", "fr")
+            "table1a", tmp_path, t0=(1e-6,), kinds=("fp", "fr")
         )
         assert cmd_fit(cfg) == 0
         rows = _read_csv(tmp_path / "table1a.csv")
@@ -76,7 +76,7 @@ class TestCmdFit:
         assert meta["n_points"] == 100
 
     def test_table3_subtables(self, tmp_path):
-        cfg = ExperimentConfig("table3", tmp_path, t0_list=(1e-8,))
+        cfg = ExperimentConfig("table3", tmp_path, t0=(1e-8,))
         assert cmd_fit(cfg) == 0
         a = _read_csv(tmp_path / "table3a.csv")
         b = _read_csv(tmp_path / "table3b.csv")
@@ -85,8 +85,8 @@ class TestCmdFit:
         assert any("r1" in s for s in meta["assumptions"])
 
     def test_determinism(self, tmp_path):
-        cfg1 = ExperimentConfig("table1a", tmp_path / "a", t0_list=(1e-6, 1e-5))
-        cfg2 = ExperimentConfig("table1a", tmp_path / "b", t0_list=(1e-6, 1e-5))
+        cfg1 = ExperimentConfig("table1a", tmp_path / "a", t0=(1e-6, 1e-5))
+        cfg2 = ExperimentConfig("table1a", tmp_path / "b", t0=(1e-6, 1e-5))
         cmd_fit(cfg1)
         cmd_fit(cfg2)
         b1 = (tmp_path / "a" / "table1a.csv").read_bytes()
@@ -96,7 +96,7 @@ class TestCmdFit:
     def test_partial_failure_exit_code(self, tmp_path):
         # a horizon far outside the series envelope fails per-row but the
         # run continues and reports exit code 1
-        cfg = ExperimentConfig("table1a", tmp_path, t0_list=(1e6, 1e-6))
+        cfg = ExperimentConfig("table1a", tmp_path, t0=(1e6, 1e-6))
         assert cmd_fit(cfg) == 1
         rows = _read_csv(tmp_path / "table1a.csv")
         statuses = {r["T0"]: r["status"] for r in rows if r["kind"] == "fp"}
@@ -113,13 +113,13 @@ class TestCmdFit:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cli, "sample_trace", counted)
-        assert cmd_fit(ExperimentConfig("table1a", tmp_path, t0_list=(1e-6,))) == 0
+        assert cmd_fit(ExperimentConfig("table1a", tmp_path, t0=(1e-6,))) == 0
         assert len(calls) == 1
         assert len(_read_csv(tmp_path / "table1a.csv")) == 2
 
     def test_inadmissible_row_is_not_ok(self):
         # the two-term rational fit at T0 = 1e-3 lands on r1 < 0
-        rows = experiment_rows(ExperimentConfig("table2", Path("unused"), t0_list=(1e-3,), kinds=("fr",)))
+        rows = experiment_rows(ExperimentConfig("table2", Path("unused"), t0=(1e-3,), kinds=("fr",)))
         row = next(r for r in rows if r.table == "table2a")
         out = run_fit_row(row, 100)
         assert float(out["r1"]) < 0.0
@@ -139,8 +139,8 @@ class TestResultCsv:
     def test_identifiability_status_has_one_prefix(self):
         # beta_2 > 2 beta_1 maps to a negative first order
         params = ModelParams(Kind.POLYNOMIAL, Case.INITIAL_DATA, (1.0, -1.0, 0.1), (0.5, 1.2))
-        config = FitConfig(kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=2, beta_init=(0.5, 1.2))
-        result = _attach_physical(FitResult(params, None, 1e-3, 1.0, 5, True), config)
+        config = FitConfig(kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, beta_init=(0.5, 1.2))
+        result = _attach_physical(FitResult(params, None, 1.0, 5, True), config)
         assert result.physical is None
         out = {}
         cli._fill_result(out, result)
@@ -150,7 +150,7 @@ class TestResultCsv:
 
 class TestCmdSimulate:
     def test_trace_files(self, tmp_path):
-        cfg = ExperimentConfig("table1a", tmp_path, t0_list=(1e-6,))
+        cfg = ExperimentConfig("table1a", tmp_path, t0=(1e-6,))
         assert cmd_simulate(cfg) == 0
         lines = (tmp_path / "table1a_T0_1e-06.csv").read_text().splitlines()
         assert lines[0] == "t,g"
@@ -161,7 +161,7 @@ class TestCmdSimulate:
     def test_distinct_t0_values_name_distinct_files(self, tmp_path):
         # 1.5e-6 and 2e-6 share the short form 2e-06; a T0 that the short
         # form does not round-trip is named by its repr
-        cfg = ExperimentConfig("table1a", tmp_path, t0_list=(1.5e-6, 2e-6))
+        cfg = ExperimentConfig("table1a", tmp_path, t0=(1.5e-6, 2e-6))
         assert cmd_simulate(cfg) == 0
         for stem, t0 in (("table1a_T0_1.5e-06", 1.5e-6), ("table1a_T0_2e-06", 2e-6)):
             assert json.loads((tmp_path / f"{stem}.meta.json").read_text())["T0"] == t0
@@ -302,9 +302,9 @@ class TestMainEntry:
         # a config built in Python gets the same checks as one from the file
         for experiment, bad in (
             ("fig1", {"fig_points": 2.5}),
-            ("table1a", {"t0_list": (1e-6,), "n_points": 100.5}),
+            ("table1a", {"t0": (1e-6,), "n_points": 100.5}),
             ("fig1", {"t_max": True}),
-            ("table1a", {"t0_list": (True,)}),
+            ("table1a", {"t0": (True,)}),
             ("table1a", {"kinds": ("fp", "fp")}),
         ):
             with pytest.raises(DomainError):
@@ -369,7 +369,7 @@ class TestMainEntry:
         # there is, from the file or from the flag
         def config(verb, *argv):
             cfg = _config_from_args(_build_parser().parse_args([verb, *argv]))
-            return cfg.t0_list, cfg.t_max
+            return cfg.t0, cfg.t_max
 
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"experiment": "table1a", "t0": [1e-6, 1], "jobs": 1}))
@@ -409,7 +409,7 @@ class TestMainEntry:
 
         def config(*argv):
             cfg = _config_from_args(_build_parser().parse_args(["fit", *argv]))
-            return cfg.out_dir, cfg.kinds
+            return cfg.out, cfg.kinds
 
         both = ("fp", "fr")
         flags = ("--out", "out", "--kind", "both")

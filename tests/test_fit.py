@@ -12,7 +12,6 @@ from fracorder.fit import (
     FitConfig,
     NumericsError,
     RankDeficiencyError,
-    beta_init_from_alphas,
     linear_init,
     minimize,
     objective,
@@ -31,6 +30,7 @@ from fracorder.models import (
     ModelParams,
     PhysicalParams,
     eval_model,
+    exponents,
     from_physical,
 )
 from fracorder.specfun import DomainError, OrderSpec
@@ -134,7 +134,7 @@ class TestMinimize:
         params = ModelParams(Kind.POLYNOMIAL, Case.INITIAL_DATA, (1.0, -4.0), (0.7,))
         sample = _grid_sample(params, T0=1e-2)
         cfg = FitConfig(
-            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1, beta_init=(0.7,)
+            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, beta_init=(0.7,)
         )
         res = minimize(sample, cfg)
         assert res.iterations <= 2
@@ -146,7 +146,7 @@ class TestMinimize:
         params = from_physical(phys, Kind.RATIONAL, Case.INITIAL_DATA)
         sample = _grid_sample(params, T0=1e-2)
         cfg = FitConfig(
-            kind=Kind.RATIONAL, case=Case.INITIAL_DATA, n_terms=1, beta_init=(0.6,)
+            kind=Kind.RATIONAL, case=Case.INITIAL_DATA, beta_init=(0.6,)
         )
         res = minimize(sample, cfg)
         assert res.converged
@@ -156,7 +156,7 @@ class TestMinimize:
         orders = OrderSpec((0.7,), (1.0,))
         sample = sample_trace(build_example_4_1(), orders, 1e-4, 100)
         cfg = FitConfig(
-            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1, beta_init=(0.4,)
+            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, beta_init=(0.4,)
         )
         res = minimize(sample, cfg)
         hist = np.array(res.history)
@@ -168,7 +168,7 @@ class TestMinimize:
         t = np.arange(1, 101) / 100.0
         sample = TraceSample(t, 1.0 - t**2.5, T0=1.0)
         cfg = FitConfig(
-            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1, beta_init=(0.5,)
+            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, beta_init=(0.5,)
         )
         res = minimize(sample, cfg)
         assert res.params.beta == (1.99,)
@@ -179,7 +179,7 @@ class TestMinimize:
         orders = OrderSpec((0.7,), (1.0,))
         sample = sample_trace(build_example_4_1(), orders, 1e-5, 100)
         cfg = FitConfig(
-            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1, beta_init=(0.5,)
+            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, beta_init=(0.5,)
         )
         res1 = minimize(sample, cfg)
         scaled = TraceSample(sample.times, 37.0 * sample.values, T0=sample.T0)
@@ -192,43 +192,43 @@ class TestMinimize:
         g[3] = np.nan
         sample = TraceSample(t, g, T0=1.0)
         cfg = FitConfig(
-            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1, beta_init=(0.5,)
+            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, beta_init=(0.5,)
         )
         with pytest.raises(NumericsError):
             minimize(sample, cfg)
 
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            FitConfig(
-                kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=3,
-                beta_init=(0.3, 0.5, 0.9),
-            )
+        # one or two terms, one starting exponent each
+        for binit in ((), (0.3, 0.5, 0.9)):
+            with pytest.raises(DomainError, match="one or two exponents"):
+                FitConfig(kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, beta_init=binit)
         # every exponent starts inside the fixed box [0.01, 1.99]
         for binit in ((0.0,), (0.009,), (1.995,), (2.5,), (0.5, 1.991), (-0.3, 0.7)):
             with pytest.raises(DomainError, match="outside the exponent box"):
                 FitConfig(
-                    kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=len(binit),
-                    beta_init=binit,
+                    kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, beta_init=binit,
                 )
         for binit in ((0.01,), (1.99,), (0.01, 1.99)):
             cfg = FitConfig(
-                kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=len(binit),
-                beta_init=binit,
+                kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, beta_init=binit,
             )
-            assert cfg.beta_init == binit
+            assert (cfg.beta_init, cfg.n_terms) == (binit, len(binit))
         # a kind or case given by its string value
         for kind, case in (("polynomial", Case.INITIAL_DATA), (Kind.RATIONAL, "source")):
             with pytest.raises(DomainError, match="kind must be a Kind"):
-                FitConfig(kind=kind, case=case, n_terms=1, beta_init=(0.5,))
-        # term and iteration counts are plain ints: NaN iterations ran none,
-        # 2.5 ran three, and a bool term count failed inside minimize
-        base = dict(kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1, beta_init=(0.5,))
+                FitConfig(kind=kind, case=case, beta_init=(0.5,))
+        # the iteration count is a plain int: NaN iterations ran none and 2.5
+        # ran three
+        base = dict(kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, beta_init=(0.5,))
         for bad in (
             {"max_iter": math.nan}, {"max_iter": 2.5}, {"max_iter": 200.0}, {"max_iter": True},
-            {"n_terms": True}, {"n_terms": 1.0},
         ):
             with pytest.raises(DomainError, match="must be an integer"):
                 FitConfig(**{**base, **bad})
+        # initial data has no source exponent; recover returned the same
+        # physical values with and without one
+        with pytest.raises(DomainError, match="no source exponent"):
+            FitConfig(**base, source_exponent=0.9)
 
     def test_gradient_formed_only_at_accepted_points(self, monkeypatch):
         # a fit that backtracks and re-solves its amplitudes: trial points
@@ -239,7 +239,7 @@ class TestMinimize:
         evals = count_calls(monkeypatch, fit, "_eval_arrays")
         jacobians = count_calls(monkeypatch, fit, "_grad_arrays")
         cfg = FitConfig(
-            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1, beta_init=(0.4,)
+            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, beta_init=(0.4,)
         )
         res = minimize(sample, cfg)
         # the history holds the start, each accepted step and each accepted
@@ -344,7 +344,7 @@ def _iterate_bits(name: str) -> dict:
     build, alphas, weights, T0 = FIT_SAMPLES[sample_name]
     problem = build()
     sample = sample_trace(problem, OrderSpec(alphas, weights), T0, 100)
-    cfg = FitConfig(kind=kind, case=problem.case, n_terms=len(beta_init), beta_init=beta_init)
+    cfg = FitConfig(kind=kind, case=problem.case, beta_init=beta_init)
     res = minimize(sample, cfg)
     return {
         "c": hexes(res.params.c),
@@ -370,7 +370,7 @@ class TestRecover:
         params = from_physical(phys, Kind.POLYNOMIAL, Case.INITIAL_DATA)
         sample = _grid_sample(params, T0=1e-3)
         cfg = FitConfig(
-            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1, beta_init=(0.7,)
+            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, beta_init=(0.7,)
         )
         res = recover(sample, cfg)
         assert res.objective < 1e-20
@@ -381,13 +381,11 @@ class TestRecover:
         sample = sample_trace(build_example_4_1(), orders, 1e-6, 100)
         res_p = recover(
             sample,
-            FitConfig(kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=1,
-                      beta_init=(0.5,)),
+            FitConfig(kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, beta_init=(0.5,)),
         )
         res_r = recover(
             sample,
-            FitConfig(kind=Kind.RATIONAL, case=Case.INITIAL_DATA, n_terms=1,
-                      beta_init=(0.5,)),
+            FitConfig(kind=Kind.RATIONAL, case=Case.INITIAL_DATA, beta_init=(0.5,)),
         )
         a_p = res_p.physical.alphas[0]
         a_r = res_r.physical.alphas[0]
@@ -403,8 +401,7 @@ class TestRecover:
         cfg = FitConfig(
             kind=Kind.POLYNOMIAL,
             case=Case.INITIAL_DATA,
-            n_terms=2,
-            beta_init=beta_init_from_alphas((0.45, 0.75)),
+            beta_init=exponents((0.45, 0.75), Case.INITIAL_DATA),
             max_iter=1000,
         )
         res = recover(sample, cfg)
@@ -419,9 +416,9 @@ class TestRecover:
         # with zero amplitude
         orders = OrderSpec((0.6, 0.9), (0.5, 1.0))
         sample = sample_trace(build_example_4_1(), orders, 1e-6, 100)
-        binit = beta_init_from_alphas((0.4, 0.8))
+        binit = exponents((0.4, 0.8), Case.INITIAL_DATA)
         cfg = FitConfig(
-            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, n_terms=2, beta_init=binit
+            kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, beta_init=binit
         )
         res = recover(sample, cfg)
         assert res.params.c[-1] == 0.0
@@ -438,7 +435,6 @@ class TestRecover:
         cfg = FitConfig(
             kind=Kind.POLYNOMIAL,
             case=Case.INITIAL_DATA,
-            n_terms=2,
             beta_init=(0.5, 1.3),
         )
         res = recover(sample, cfg)

@@ -84,6 +84,16 @@ class TestBuilders:
         with pytest.raises(DomainError, match="source scale must be finite, got nan"):
             SpectralProblem(((1.0, 1.0),), Case.SOURCE, source_scale=math.nan)
 
+    # each case reads its own scalars; one of the other case's is an error
+    @pytest.mark.parametrize("case, given", [
+        (Case.INITIAL_DATA, {"source_exponent": 0.7, "source_scale": 3.0}),
+        (Case.INITIAL_DATA, {"ref_f_x0": 2.5}),
+        (Case.SOURCE, {"ref_u0_x0": 1.0}),
+    ])
+    def test_other_case_scalars_rejected(self, case, given):
+        with pytest.raises(DomainError, match=f"reads no {', '.join(given)}"):
+            SpectralProblem(((1.0, 1.0),), case, **given)
+
 
 class TestTraceInitial:
     def test_single_mode_closed_form(self):

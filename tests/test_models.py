@@ -16,6 +16,7 @@ from fracorder.models import (
     _eval_arrays,
     _grad_arrays,
     eval_model,
+    exponents,
     from_physical,
     n_coeffs,
     to_physical,
@@ -221,6 +222,18 @@ class TestPhysicalMap:
         phys = PhysicalParams((0.5, 0.7), (0.5, 1.0), 2.5, None)
         m = from_physical(phys, Kind.POLYNOMIAL, Case.SOURCE, a=0.5)
         assert m.beta == pytest.approx((1.2, 1.4), abs=1e-15)
+        assert m.beta == exponents((0.5, 0.7), Case.SOURCE, a=0.5)
+        assert exponents((0.5, 0.7), Case.INITIAL_DATA) == pytest.approx((0.7, 0.9), abs=1e-15)
+        # initial data has no source exponent; the map ignored one
+        init = PhysicalParams((0.5, 0.7), (0.5, 1.0), 2.5, 1.0)
+        model = from_physical(init, Kind.POLYNOMIAL, Case.INITIAL_DATA)
+        for call in (
+            lambda: exponents((0.5, 0.7), Case.INITIAL_DATA, a=0.5),
+            lambda: from_physical(init, Kind.POLYNOMIAL, Case.INITIAL_DATA, a=0.5),
+            lambda: to_physical(model, a=0.5),
+        ):
+            with pytest.raises(DomainError, match="no source exponent"):
+                call()
 
     def test_source_amplitude_estimate(self):
         # a = 0: amplitude = c1 Gamma(beta1 + 1) estimates c0 f(x0)
