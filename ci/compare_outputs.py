@@ -15,6 +15,9 @@ into OUT, which must not exist yet:
     kernels.txt       the repr of each kernel value of the benchmark's
                       `kernels` inputs for seeds 101, 202 and 303, read from
                       the perfbench/workloads.py beside this script
+    source.txt        the repr of each `trace_source(..., method="auto")`
+                      value of the benchmark's `figures` inputs for the same
+                      seeds, read from the same file
 
 Each of fit/, simulate/, check/ and warm/ holds the stdout and the exit code
 of its commands.  `capture` exits 1 when a command exits above 1 (`fit` on
@@ -40,7 +43,7 @@ from pathlib import Path
 
 TABLES = ("table1a", "table1b", "table2", "table3")
 SIMULATED = ("fig1", "fig2", *TABLES)
-KERNEL_SEEDS = (101, 202, 303)
+SEEDS = (101, 202, 303)
 HERE = Path(__file__).resolve().parent
 
 
@@ -82,7 +85,7 @@ def kernel_values(out: str) -> None:
     from workloads import call_kernel, make_inputs
 
     lines = []
-    for seed in KERNEL_SEEDS:
+    for seed in SEEDS:
         for op in make_inputs("kernels", seed)["ops"]:
             try:
                 value = repr(call_kernel(specfun, op))
@@ -90,6 +93,24 @@ def kernel_values(out: str) -> None:
                 value = f"{type(exc).__name__}: {exc}"
             lines.append(f"{op['id']} {value}\n")
     Path(out, "kernels.txt").write_text("".join(lines))
+
+
+def source_values(out: str) -> None:
+    """Evaluate the figures benchmark's source-case points, one line per time."""
+    from fracorder import forward, specfun
+    from workloads import SOURCE_ORDERS, make_inputs
+
+    problem = forward.build_example_4_2("ii")
+    orders = specfun.OrderSpec(*SOURCE_ORDERS)
+    lines = []
+    for seed in SEEDS:
+        for t in make_inputs("figures", seed)["source_ts"]:
+            try:
+                value = repr(forward.trace_source(problem, orders, t, method="auto"))
+            except (ArithmeticError, ValueError) as exc:
+                value = f"{type(exc).__name__}: {exc}"
+            lines.append(f"t={t!r} {value}\n")
+    Path(out, "source.txt").write_text("".join(lines))
 
 
 def capture(src: Path, out: Path) -> int:
@@ -113,7 +134,8 @@ def capture(src: Path, out: Path) -> int:
             failed.append(f"{' '.join(args[:3])} exited with {code}")
     # the helpers run here, imported beside SRC's fracorder in a new process
     call = "import sys, compare_outputs as c; getattr(c, sys.argv[1])(*sys.argv[2:])"
-    for helper, *args in (("warm_fits", src, out), ("kernel_values", out)):
+    helpers = (("warm_fits", src, out), ("kernel_values", out), ("source_values", out))
+    for helper, *args in helpers:
         if code := python("-c", call, helper, *map(str, args), path=(HERE, HERE.parent / "perfbench")):
             failed.append(f"{helper} exited with {code}")
     for line in failed:

@@ -203,27 +203,37 @@ def laplace_consistency() -> CheckResult:
     return _max_rel_err("laplace-consistency", err, 1e-4)
 
 
+def _boundary_values(problem) -> tuple[float, float]:
+    """sum w_n and sum lambda_n w_n over the modes: u0(x0) and Au0(x0) of
+    an initial-data problem, and f(x0) (the first) of a source."""
+    return (
+        math.fsum(w for _, w in problem.modes),
+        math.fsum(lam * w for lam, w in problem.modes),
+    )
+
+
 def laplace_initial_value_recovery() -> CheckResult:
     """p ghat(p) tends to the initial trace value as p -> infinity."""
     problem = build_example_4_2("i")
     orders = OrderSpec((0.5, 0.8), (0.5, 1.0))
     p = 1e6
     val = p * laplace_trace(problem, orders, p)
-    ref = sum(w for _, w in problem.modes)
+    ref, _ = _boundary_values(problem)
     err = abs(val - ref) / ref
     return CheckResult("laplace-initial-value-recovery", bool(err < 1e-2), f"rel err {err:.3e}")
 
 
 def laplace_step2_source_value() -> CheckResult:
-    """Large-p limit p^(a+1) q(p) ghat(p) / c0 that recovers the boundary
-    value f(x0) = 2.5 of the source profile."""
+    """Large-p limit p^(a+1) q(p) ghat(p) that recovers the boundary value
+    f(x0) of the source profile."""
     problem = build_example_4_2("ii")
     orders = OrderSpec((0.5, 0.7), (0.5, 1.0))
     p = 1e8
     q = math.fsum(r * p**a for a, r in zip(orders.alphas, orders.weights))
     a = problem.source_exponent
-    val = p ** (a + 1.0) * q * laplace_trace(problem, orders, p) / problem.source_scale
-    err = abs(val - 2.5) / 2.5
+    val = p ** (a + 1.0) * q * laplace_trace(problem, orders, p)
+    f_x0, _ = _boundary_values(problem)
+    err = abs(val - f_x0) / f_x0
     return CheckResult(
         "laplace-step2-source-value", bool(err < 0.01), f"value {val!r}, rel err {err:.3e}"
     )
@@ -233,16 +243,15 @@ def _remainder_order(case: str) -> CheckResult:
     """Spread (max/min) of |g - two-term expansion| / t^(2 alpha_N) over
     three small-time decades for a square-domain example."""
     problem = build_example_4_2(case)
+    w_sum, lam_w_sum = _boundary_values(problem)
     if case == "i":
         orders = OrderSpec((0.5, 0.8), (0.5, 1.0))
-        phys = PhysicalParams(
-            orders.alphas, orders.weights, problem.ref_Au0_x0, problem.ref_u0_x0
-        )
+        phys = PhysicalParams(orders.alphas, orders.weights, lam_w_sum, w_sum)
         model = from_physical(phys, Kind.POLYNOMIAL, Case.INITIAL_DATA)
         trace = lambda t: trace_initial(problem, orders, t)
     else:
         orders = OrderSpec((0.5, 0.7), (0.5, 1.0))
-        phys = PhysicalParams(orders.alphas, orders.weights, problem.ref_f_x0, None)
+        phys = PhysicalParams(orders.alphas, orders.weights, w_sum, None)
         model = from_physical(phys, Kind.POLYNOMIAL, Case.SOURCE, a=0.0)
         trace = lambda t: trace_source(problem, orders, t)
     an = orders.alphas[-1]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from fracorder.forward import Case, TraceSample
+from fracorder.forward import Case, TraceSample, _shift
 from fracorder.models import (
     IdentifiabilityError,
     Kind,
@@ -38,7 +38,6 @@ from fracorder.models import (
     PhysicalParams,
     _eval_arrays,
     _grad_arrays,
-    _shift,
     n_coeffs,
     n_head,
     to_physical,

@@ -6,14 +6,19 @@ expansion coefficient of the datum (initial value or source profile) and the
 boundary trace of the eigenfunction at the observation point.  For the
 cosine-product examples below every eigenfunction equals one at the corner,
 so w_n is just the raw expansion coefficient.
+
+The trace reads the problem only through these modes, so the boundary
+values recovered next to the orders are sums over them too: u0(x0) = g(0+)
+= sum w_n and Au0(x0) = sum lambda_n w_n for initial data, and f(x0) =
+sum w_n for a source.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +26,7 @@ import numpy as np
 from fracorder.specfun import (
     DomainError,
     OrderSpec,
+    _check_source_exponent,
     _hyperbola_integral,
     _laplace_numerator,
     s1_kernel_series,
@@ -47,17 +53,23 @@ class Case(enum.Enum):
     SOURCE = "source"
 
 
+def _shift(case: Case, a: float) -> float:
+    """The source exponent a, the shift of the exponents: a in [0, 1] in the
+    source case, and a = 0 on initial data, which has none."""
+    if case is Case.INITIAL_DATA and a != 0.0:
+        raise DomainError(f"the initial-data case has no source exponent, got a = {a!r}")
+    _check_source_exponent(a)
+    return a
+
+
 @dataclass(frozen=True)
 class SpectralProblem:
-    """Eigenvalues with fused boundary weights plus optional reference scalars."""
+    """Eigenvalues with fused boundary weights, and the source case's time
+    exponent a (the time factor s^a / Gamma(a+1))."""
 
     modes: tuple[tuple[float, float], ...]
     case: Case
     source_exponent: float = 0.0
-    source_scale: float = 1.0
-    ref_u0_x0: float | None = None
-    ref_Au0_x0: float | None = None
-    ref_f_x0: float | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.case, Case):
@@ -74,16 +86,7 @@ class SpectralProblem:
             raise DomainError("eigenvalues must be nondecreasing")
         if not all(math.isfinite(w) for _, w in self.modes):
             raise DomainError(f"mode weights must be finite, got {[w for _, w in self.modes]}")
-        if not math.isfinite(self.source_scale):
-            raise DomainError(f"source scale must be finite, got {self.source_scale}")
-        if self.case is Case.SOURCE and not 0.0 <= self.source_exponent <= 1.0:
-            raise DomainError("source exponent must lie in [0, 1]")
-        # the scalars of the other case are an error, not a no-op
-        source = ("source_exponent", "source_scale", "ref_f_x0")
-        unread = source if self.case is Case.INITIAL_DATA else ("ref_u0_x0", "ref_Au0_x0")
-        given = [f.name for f in fields(self) if f.name in unread and getattr(self, f.name) != f.default]
-        if given:
-            raise DomainError(f"the {self.case.value} case reads no {', '.join(given)}")
+        _shift(self.case, self.source_exponent)
 
 
 @dataclass(frozen=True)
@@ -118,32 +121,6 @@ class TraceSample:
             fh.write("t,g\n")
             for t, g in zip(self.times, self.values):
                 fh.write(f"{t:.17g},{g:.17g}\n")
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "TraceSample":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DomainError(f"{path}: empty trace file")
-            if header[:2] != ["t", "g"]:
-                raise DomainError(f"unexpected trace header {header}")
-            # the t and g columns; a figure CSV has more after them
-            rows = []
-            for cells in reader:
-                if len(cells) < 2:
-                    raise DomainError(f"{path}, line {reader.line_num}: expected t,g, got {cells}")
-                try:
-                    rows.append((float(cells[0]), float(cells[1])))
-                except ValueError:
-                    raise DomainError(
-                        f"{path}, line {reader.line_num}: non-numeric t,g {cells[:2]}"
-                    ) from None
-        if not rows:
-            raise DomainError(f"{path}: trace file has no samples")
-        t = np.array([r[0] for r in rows])
-        g = np.array([r[1] for r in rows])
-        return cls(t, g, T0=float(t[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +198,12 @@ def trace_source(
     problem: SpectralProblem, spec: OrderSpec, t: float | np.ndarray, *, method: str = "series"
 ) -> float | np.ndarray:
     """g(t) for the source case with power-law time factor
-    sigma(s) = c0 s^a / Gamma(a+1), at a float t or a 1-d array of times.
+    sigma(s) = s^a / Gamma(a+1), at a float t or a 1-d array of times.
     method is "series" or "auto" (see _mode_sum)."""
     if problem.case is not Case.SOURCE:
         raise DomainError("trace_source requires a source problem")
     g, scalar = _mode_sum(problem, spec, t, method)
-    c0 = problem.source_scale
-    return c0 * g[0] if scalar else c0 * np.array(g)
+    return g[0] if scalar else np.array(g)
 
 
 def laplace_trace(problem: SpectralProblem, spec: OrderSpec, p: float) -> float:
@@ -238,7 +214,7 @@ def laplace_trace(problem: SpectralProblem, spec: OrderSpec, p: float) -> float:
     if problem.case is Case.INITIAL_DATA:
         num = math.fsum(r * p ** (a - 1.0) for a, r in zip(spec.alphas, spec.weights))
         return math.fsum(w * num / (lam + q) for lam, w in problem.modes)
-    sig_hat = problem.source_scale * p ** (-problem.source_exponent - 1.0)
+    sig_hat = p ** (-problem.source_exponent - 1.0)
     return sig_hat * math.fsum(w / (lam + q) for lam, w in problem.modes)
 
 
@@ -255,20 +231,14 @@ def build_example_4_1(orders: OrderSpec | None = None) -> SpectralProblem:
             raise DomainError("the single-mode example uses at most two orders")
         if abs(orders.weights[-1] - 1.0) > 1e-12:
             raise DomainError("the leading weight must be normalized to 1")
-    lam = PI2 + 1.0
-    return SpectralProblem(
-        modes=((lam, 1.0),),
-        case=Case.INITIAL_DATA,
-        ref_u0_x0=1.0,
-        ref_Au0_x0=lam,
-    )
+    return SpectralProblem(modes=((PI2 + 1.0, 1.0),), case=Case.INITIAL_DATA)
 
 
 def build_example_4_2(case: str) -> SpectralProblem:
     """Square-domain cosine problems observed at the corner.
 
     Case "i": initial datum with modes at 2 pi^2, 5 pi^2 (twice), 8 pi^2.
-    Case "ii": separable source with unit time factor (a = 0, c0 = 1).
+    Case "ii": separable source with unit time factor (a = 0).
     """
     if case == "i":
         modes = (
@@ -277,12 +247,7 @@ def build_example_4_2(case: str) -> SpectralProblem:
             (5.0 * PI2, 0.25),
             (8.0 * PI2, 0.125),
         )
-        return SpectralProblem(
-            modes=modes,
-            case=Case.INITIAL_DATA,
-            ref_u0_x0=1.625,
-            ref_Au0_x0=5.5 * PI2,
-        )
+        return SpectralProblem(modes=modes, case=Case.INITIAL_DATA)
     if case == "ii":
         modes = (
             (2.0 * PI2, 1.0),
@@ -291,13 +256,7 @@ def build_example_4_2(case: str) -> SpectralProblem:
             (10.0 * PI2, 0.25),
             (10.0 * PI2, 0.25),
         )
-        return SpectralProblem(
-            modes=modes,
-            case=Case.SOURCE,
-            source_exponent=0.0,
-            source_scale=1.0,
-            ref_f_x0=2.5,
-        )
+        return SpectralProblem(modes=modes, case=Case.SOURCE)
     raise DomainError(f"unknown case {case!r}; expected 'i' or 'ii'")
 
 
@@ -306,6 +265,10 @@ def sample_trace(problem: SpectralProblem, spec: OrderSpec, T0: float, n: int) -
     by the series route, the last time first: |z| grows with t, so the worst
     arguments come first, and one beyond Z_MAX raises before any other time
     is summed.  The values are returned in ascending time order."""
+    try:
+        n = operator.index(n)  # a float n would shift the grid past T0
+    except TypeError:
+        raise DomainError(f"n must be an integer, got {n!r}") from None
     if n < 2:
         raise DomainError(f"need n >= 2 grid points, got {n}")
     if not T0 > 0.0:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fracorder.forward import Case, _as_times
+from fracorder.forward import Case, _as_times, _shift
 from fracorder.specfun import DomainError, gamma
 
 __all__ = [
@@ -163,16 +163,6 @@ def eval_model(params: ModelParams, t):
 # ---------------------------------------------------------------------------
 
 
-def _shift(case: Case, a: float) -> float:
-    """The exponent shift: the source exponent a in [0, 1], which only the
-    source case has."""
-    if case is Case.INITIAL_DATA and a != 0.0:
-        raise DomainError(f"the initial-data case has no source exponent, got a = {a!r}")
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"source_exponent must lie in [0, 1], got {a!r}")
-    return a
-
-
 def exponents(alphas: tuple[float, ...], case: Case, a: float = 0.0) -> tuple[float, ...]:
     """The exponents implied by the orders (alpha_1[, alpha_N]):
     beta_1 = alpha_N (+ a) and beta_2 = 2 alpha_N - alpha_1 (+ a)."""
@@ -229,26 +219,14 @@ def from_physical(
 ) -> ModelParams:
     """Exact inverse of to_physical (source case shifts the exponents by a)."""
     beta = exponents(phys.alphas, case, a)
-    n, b0 = len(beta), beta[0]
-    amp = phys.amplitude
-    r1 = phys.weights[0] if n == 2 else None
+    amp, c0 = phys.amplitude, phys.constant
+    # the head amplitudes, and the lead c[h] Gamma(beta_1 + 1) that
+    # to_physical divides out, as num / den: -A, A, A / c0 or 1
     if kind is Kind.POLYNOMIAL:
-        if case is Case.INITIAL_DATA:
-            c = [phys.constant, -amp / gamma(b0 + 1.0)]
-            if n == 2:
-                c.append(amp * r1 / gamma(beta[1] + 1.0))
-        else:
-            c = [amp / gamma(b0 + 1.0)]
-            if n == 2:
-                c.append(-amp * r1 / gamma(beta[1] + 1.0))
+        head, num, den = ([c0], -amp, 1.0) if case is Case.INITIAL_DATA else ([], amp, 1.0)
     else:
-        if case is Case.INITIAL_DATA:
-            c0 = phys.constant
-            c = [c0, amp / (c0 * gamma(b0 + 1.0))]
-            if n == 2:
-                c.append(-amp * r1 / (c0 * gamma(beta[1] + 1.0)))
-        else:
-            c = [amp, 1.0 / gamma(b0 + 1.0)]
-            if n == 2:
-                c.append(-r1 / gamma(beta[1] + 1.0))
+        head, num, den = ([c0], amp, c0) if case is Case.INITIAL_DATA else ([amp], 1.0, 1.0)
+    c = head + [num / (den * gamma(beta[0] + 1.0))]
+    if len(beta) == 2:
+        c.append(-num * phys.weights[0] / (den * gamma(beta[1] + 1.0)))
     return ModelParams(kind, case, tuple(c), tuple(beta))

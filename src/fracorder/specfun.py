@@ -209,8 +209,8 @@ class ContourSpec:
             raise DomainError(f"delta must be positive, got {self.delta}")
         if self.n_radial < 16:
             raise DomainError(f"n_radial must be >= 16, got {self.n_radial}")
-        if not self.r_max > self.delta:
-            raise DomainError("r_max must exceed delta")
+        if not self.delta < self.r_max < math.inf:
+            raise DomainError(f"r_max must be finite and exceed delta, got {self.r_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -591,15 +591,15 @@ def mml(args: MLArgs, *, rel_tol: float = 1e-10) -> float:
 
 
 def _check_kernel_inputs(lam: float, t: float) -> None:
-    if not lam > 0.0:
-        raise DomainError(f"lambda must be positive, got {lam}")
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"lambda must be positive and finite, got {lam}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
 
 
 def _check_source_exponent(a: float) -> None:
     if not 0.0 <= a <= 1.0:
-        raise DomainError(f"a must lie in [0, 1], got {a}")
+        raise DomainError(f"source exponent a must lie in [0, 1], got {a!r}")
 
 
 def _series_args(lam: float, spec: OrderSpec, t: float, beta0: float) -> MLArgs:
@@ -653,8 +653,8 @@ def tight_contour(t: float, n_radial: int = 4000) -> ContourSpec:
     """Contour for oracle-grade agreement checks: theta = 5 pi / 6, delta =
     max(1, 1/t), radial truncation where exp(t r cos theta) falls below
     1e-18."""
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     theta = 5.0 * math.pi / 6.0
     delta = max(1.0, 1.0 / t)
     r_max = max(_RMAX_LOG / (t * abs(math.cos(theta))), 2.0 * delta)

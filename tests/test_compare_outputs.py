@@ -1,9 +1,15 @@
-"""ci/compare_outputs.py compare: the report of two small output trees."""
+"""ci/compare_outputs.py: the report of two small output trees, and the
+record of the figures benchmark's source-case values."""
 
+import os
+import runpy
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from fracorder.forward import build_example_4_2, trace_source
+from fracorder.specfun import OrderSpec
 
 SCRIPT = Path(__file__).resolve().parents[1] / "ci" / "compare_outputs.py"
 
@@ -47,3 +53,24 @@ def test_compare_reports_cells_lines_and_missing_files(tmp_path):
     run = _compare(a, b)
     assert run.returncode == 1
     assert "check.txt: 0 lines differ, but the bytes differ" in run.stdout
+
+
+def test_source_values_records_each_figures_source_time(tmp_path):
+    # one line per source time of the figures benchmark inputs at the three
+    # seeds, each the repr of the value in this process
+    root = SCRIPT.parents[1]
+    path = os.pathsep.join(str(root / d) for d in ("src", "ci", "perfbench"))
+    run = subprocess.run(
+        [sys.executable, "-c", f"import compare_outputs; compare_outputs.source_values({str(tmp_path)!r})"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    workloads = runpy.run_path(str(root / "perfbench" / "workloads.py"))
+    problem = build_example_4_2("ii")
+    orders = OrderSpec(*workloads["SOURCE_ORDERS"])
+    lines = (tmp_path / "source.txt").read_text().splitlines()
+    inputs = [workloads["make_inputs"]("figures", seed) for seed in (101, 202, 303)]
+    times = [t for i in inputs for t in i["source_ts"]]
+    assert len(lines) == len(times)
+    for line, t in zip(lines, times):
+        assert line == f"t={t!r} {trace_source(problem, orders, t, method='auto')!r}"

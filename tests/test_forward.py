@@ -37,8 +37,6 @@ class TestBuilders:
         p = build_example_4_1()
         assert p.modes == ((PI2 + 1.0, 1.0),)
         assert p.case is Case.INITIAL_DATA
-        assert p.ref_u0_x0 == 1.0
-        assert rel_err(p.ref_Au0_x0, 10.869604401089358) < 1e-15
 
     def test_example_4_1_requires_unit_leading_weight(self):
         with pytest.raises(DomainError):
@@ -46,20 +44,17 @@ class TestBuilders:
 
     def test_example_4_2_case_i(self):
         p = build_example_4_2("i")
+        # u0(x0) and Au0(x0), the latter reported as 5.428e1
         assert sum(w for _, w in p.modes) == 1.625
-        assert rel_err(p.ref_Au0_x0, 5.5 * PI2) < 1e-15
-        # reported as 5.428e1
-        assert abs(p.ref_Au0_x0 - 54.28) < 0.01
-        assert rel_err(
-            sum(l * w for l, w in p.modes), p.ref_Au0_x0
-        ) < 1e-15
+        au0 = sum(l * w for l, w in p.modes)
+        assert rel_err(au0, 5.5 * PI2) < 1e-15
+        assert abs(au0 - 54.28) < 0.01
 
     def test_example_4_2_case_ii(self):
         p = build_example_4_2("ii")
         assert p.case is Case.SOURCE
         assert p.source_exponent == 0.0
-        assert p.source_scale == 1.0
-        assert p.ref_f_x0 == 2.5
+        # f(x0)
         assert sum(w for _, w in p.modes) == 2.5
 
     def test_unknown_case(self):
@@ -80,19 +75,17 @@ class TestBuilders:
         with pytest.raises(DomainError, match="eigenvalues must be positive and finite, got .*inf"):
             SpectralProblem(((1.0, 1.0), (math.inf, 1.0)), Case.INITIAL_DATA)
 
-    def test_nan_source_scale(self):
-        with pytest.raises(DomainError, match="source scale must be finite, got nan"):
-            SpectralProblem(((1.0, 1.0),), Case.SOURCE, source_scale=math.nan)
-
-    # each case reads its own scalars; one of the other case's is an error
-    @pytest.mark.parametrize("case, given", [
-        (Case.INITIAL_DATA, {"source_exponent": 0.7, "source_scale": 3.0}),
-        (Case.INITIAL_DATA, {"ref_f_x0": 2.5}),
-        (Case.SOURCE, {"ref_u0_x0": 1.0}),
+    # a source exponent lies in [0, 1], and initial data has none
+    @pytest.mark.parametrize("case, a, message", [
+        (Case.INITIAL_DATA, 0.7, "initial-data case has no source exponent, got a = 0.7"),
+        (Case.INITIAL_DATA, math.nan, "initial-data case has no source exponent, got a = nan"),
+        (Case.SOURCE, -0.5, r"source exponent a must lie in \[0, 1\], got -0.5"),
+        (Case.SOURCE, 1.5, r"source exponent a must lie in \[0, 1\], got 1.5"),
+        (Case.SOURCE, math.nan, r"source exponent a must lie in \[0, 1\], got nan"),
     ])
-    def test_other_case_scalars_rejected(self, case, given):
-        with pytest.raises(DomainError, match=f"reads no {', '.join(given)}"):
-            SpectralProblem(((1.0, 1.0),), case, **given)
+    def test_source_exponent_rule(self, case, a, message):
+        with pytest.raises(DomainError, match=message):
+            SpectralProblem(((1.0, 1.0),), case, source_exponent=a)
 
 
 class TestTraceInitial:
@@ -115,7 +108,9 @@ class TestTraceInitial:
         # discrepancy against the two-term small-time model decays like t^1.6
         orders = OrderSpec((0.5, 0.8), (0.5, 1.0))
         p = build_example_4_2("i")
-        phys = PhysicalParams(orders.alphas, orders.weights, p.ref_Au0_x0, p.ref_u0_x0)
+        u0 = sum(w for _, w in p.modes)
+        au0 = sum(l * w for l, w in p.modes)
+        phys = PhysicalParams(orders.alphas, orders.weights, au0, u0)
         model = from_physical(phys, Kind.POLYNOMIAL, Case.INITIAL_DATA)
         ratios = []
         for t in (1e-6, 1e-5, 1e-4):
@@ -146,13 +141,22 @@ class TestTraceSource:
 
     def test_single_mode_reduction(self):
         orders = OrderSpec((0.5,), (1.0,))
-        p = SpectralProblem(
-            ((3.0, 0.5),), Case.SOURCE, source_exponent=0.0, source_scale=2.0
-        )
+        p = SpectralProblem(((3.0, 2.0 * 0.5),), Case.SOURCE)
         for t in (1e-4, 1e-2):
             a = trace_source(p, orders, t)
             b = 2.0 * 0.5 * t**0.5 * ml2(0.5, 1.5, -3.0 * t**0.5)
             assert rel_err(a, b) < 1e-12
+
+    @pytest.mark.parametrize("method", ["series", "auto"])
+    def test_doubling_the_weights_doubles_the_trace(self, method):
+        # the trace is linear in the weights: doubling each one doubles g
+        # to the last bit, so a time factor c0 s^a / Gamma(a+1) is c0 on w_n
+        orders = OrderSpec((0.5, 0.7), (0.5, 1.0))
+        p = build_example_4_2("ii")
+        doubled = SpectralProblem(tuple((l, 2.0 * w) for l, w in p.modes), Case.SOURCE)
+        times = np.geomspace(1e-6, 1e-2, 5)
+        g = trace_source(p, orders, times, method=method)
+        assert np.array_equal(trace_source(doubled, orders, times, method=method), 2.0 * g)
 
 
 class TestRepeatedEigenvalues:
@@ -347,9 +351,7 @@ class TestSeriesFailsFast:
 class TestLaplaceTrace:
     def test_source_single_mode_closed_form(self):
         orders = OrderSpec((0.4,), (0.7,))
-        p = SpectralProblem(
-            ((5.0, 1.3),), Case.SOURCE, source_exponent=0.0, source_scale=2.0
-        )
+        p = SpectralProblem(((5.0, 2.0 * 1.3),), Case.SOURCE)
         for pp in (0.5, 3.0, 40.0):
             a = laplace_trace(p, orders, pp)
             b = 2.0 * 1.3 / (pp * (5.0 + 0.7 * pp**0.4))
@@ -381,10 +383,16 @@ class TestSampleTrace:
         orders = OrderSpec((0.7,), (1.0,))
         with pytest.raises(DomainError):
             sample_trace(build_example_4_1(), orders, 1e-6, 1)
+        # a float n would put the grid past T0 or pass as an integer
+        for n in (2.5, 100.5):
+            with pytest.raises(DomainError, match=f"n must be an integer, got {n}"):
+                sample_trace(build_example_4_1(), orders, 1e-6, n)
+        assert len(sample_trace(build_example_4_1(), orders, 1e-6, np.int64(3))) == 3
 
 
 class TestTraceSampleCsv:
     def test_round_trip_and_format(self, tmp_path):
+        # simulate writes its trace files through to_csv
         orders = OrderSpec((0.7,), (1.0,))
         p = build_example_4_1()
         s = sample_trace(p, orders, 1e-6, 10)
@@ -393,9 +401,8 @@ class TestTraceSampleCsv:
         text = path.read_text().splitlines()
         assert text[0] == "t,g"
         assert len(text) == 11
-        back = TraceSample.from_csv(path)
-        assert np.array_equal(back.times, s.times)
-        assert np.array_equal(back.values, s.values)
+        cells = [[float(c) for c in line.split(",")] for line in text[1:]]
+        assert np.array_equal(np.array(cells), np.column_stack([s.times, s.values]))
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -404,36 +411,3 @@ class TestTraceSampleCsv:
             TraceSample(np.array([2.0, 1.0]), np.array([1.0, 2.0]), T0=2.0)
         with pytest.raises(DomainError):
             TraceSample(np.array([1.0]), np.array([1.0, 2.0]), T0=1.0)
-
-    def test_empty_and_header_only_files(self, tmp_path):
-        empty = tmp_path / "empty.csv"
-        empty.write_text("")
-        header_only = tmp_path / "header.csv"
-        header_only.write_text("t,g\n")
-        for path in (empty, header_only):
-            with pytest.raises(DomainError, match=path.name):
-                TraceSample.from_csv(path)
-
-    def test_figure_csv_reads_t_and_g(self, tmp_path):
-        # a simulate figure panel has the header t,g,fp,fr
-        assert cli.cmd_simulate(cli.ExperimentConfig("fig1", tmp_path, fig_points=40)) == 0
-        path = tmp_path / "fig1_alpha0.50.csv"
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,g,fp,fr"
-        back = TraceSample.from_csv(path)
-        cells = [line.split(",") for line in lines[1:]]
-        assert len(back) == 40
-        assert back.times.tolist() == [float(c[0]) for c in cells]
-        assert back.values.tolist() == [float(c[1]) for c in cells]
-        assert back.T0 == back.times[-1]
-        # a row with fewer than two cells names the file and the line
-        lines.insert(3, "0.5")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DomainError, match=rf"{path.name}, line 4"):
-            TraceSample.from_csv(path)
-
-    def test_non_numeric_cell_names_file_and_line(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("t,g\n1e-6,0.5\n2e-6,abc\n")
-        with pytest.raises(DomainError, match=rf"{path.name}, line 3"):
-            TraceSample.from_csv(path)

@@ -236,7 +236,7 @@ class TestPhysicalMap:
                 call()
 
     def test_source_amplitude_estimate(self):
-        # a = 0: amplitude = c1 Gamma(beta1 + 1) estimates c0 f(x0)
+        # a = 0: amplitude = c1 Gamma(beta1 + 1) estimates f(x0)
         beta1 = 0.7
         c1 = 2.5 / math.gamma(beta1 + 1.0)
         p = ModelParams(Kind.POLYNOMIAL, Case.SOURCE, (c1,), (beta1,))

@@ -566,6 +566,17 @@ class TestContourKernels:
             ContourSpec(theta=2.6, delta=1.0, n_radial=8, r_max=10.0)
         with pytest.raises(DomainError):
             ContourSpec(theta=2.6, delta=1.0, n_radial=400, r_max=0.5)
+        # non-finite inputs raise rather than give nan or 0
+        with pytest.raises(DomainError, match="r_max must be finite"):
+            ContourSpec(theta=5 * math.pi / 6, delta=1.0, n_radial=400, r_max=math.inf)
+        with pytest.raises(DomainError, match="t must be positive and finite"):
+            tight_contour(math.inf)
+        spec = OrderSpec((0.7,), (1.0,))
+        for kernel in (s1_kernel_contour, s2_kernel_contour):
+            with pytest.raises(DomainError, match="t must be positive and finite"):
+                kernel(1.0, spec, math.inf, tight_contour(1.0, 400))
+            with pytest.raises(DomainError, match="lambda must be positive and finite"):
+                kernel(math.inf, spec, 0.1, tight_contour(0.1, 400))
 
     def test_truncation_guard(self):
         # r_max far too small for this t: the tail estimate must trip
