@@ -43,7 +43,7 @@ from fracorder.forward import (
     sample_trace,
     trace_initial,
 )
-from fracorder.models import Kind, PhysicalParams, exponents, from_physical
+from fracorder.models import Kind, PhysicalParams, exponents, from_physical, to_physical
 from fracorder.specfun import DomainError, OrderSpec
 
 __all__ = ["main", "experiment_rows", "ExperimentConfig"]
@@ -238,7 +238,7 @@ def make_sample(row: FitRow, n_points: int) -> TraceSample:
 
 
 def _inadmissible(phys: PhysicalParams) -> list[str]:
-    """The physical constraints that the recovered values break."""
+    """The physical constraints that the recovered values break; none, and the row is ok."""
     a1, a2, r1 = phys.alphas[0], phys.alphas[-1], phys.weights[0]
     two_term = len(phys.alphas) == 2
     broken = {
@@ -250,14 +250,11 @@ def _inadmissible(phys: PhysicalParams) -> list[str]:
     return [what for what, is_broken in broken.items() if is_broken]
 
 
-def _fill_result(out: dict, result: FitResult) -> None:
+def _fill_result(out: dict, result: FitResult, phys: PhysicalParams) -> None:
+    """Write a fit and its physical values, converged or not, judged by _inadmissible."""
     out["objective"] = repr(result.objective)
     out["iterations"] = repr(result.iterations)
     out["converged"] = repr(result.converged)
-    phys = result.physical
-    if phys is None:
-        out["status"] = "; ".join(a for a in result.assumptions if a.startswith("identifiability"))
-        return
     if len(phys.alphas) == 2:
         out["alpha1"] = repr(phys.alphas[0])
         out["r1"] = repr(phys.weights[0])
@@ -289,14 +286,9 @@ def run_fit_group(rows: list[FitRow], n_points: int) -> list[dict]:
             out["status"] = _error_status(exc)
         return outs
     for row, out in zip(rows, outs):
-        config = FitConfig(
-            kind=row.kind,
-            case=row.problem.case,
-            beta_init=row.beta_init,
-            source_exponent=row.problem.source_exponent,
-        )
         try:
-            _fill_result(out, recover(sample, config))
+            result = recover(sample, FitConfig(row.kind, row.problem.case, row.beta_init))
+            _fill_result(out, result, to_physical(result.params, row.problem.source_exponent))
         except Exception as exc:
             out["status"] = _error_status(exc)
     return outs

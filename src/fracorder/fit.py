@@ -1,5 +1,8 @@
 """Box-constrained nonlinear least-squares recovery of (c, beta).
 
+`minimize` and `recover` return the fitted (c, beta) only; the models
+module maps them to orders, weight ratio and amplitude.
+
 The driver is a hand-rolled projected limited-memory BFGS: two-loop recursion
 for the search direction, projection of trial points onto the exponent box
 [0.01, 1.99] (one fixed box for every term of every fit), backtracking line
@@ -30,17 +33,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from fracorder.forward import Case, TraceSample, _shift
+from fracorder.forward import Case, TraceSample
 from fracorder.models import (
-    IdentifiabilityError,
     Kind,
     ModelParams,
-    PhysicalParams,
     _eval_arrays,
     _grad_arrays,
     n_coeffs,
     n_head,
-    to_physical,
 )
 from fracorder.specfun import DomainError
 
@@ -91,7 +91,6 @@ class FitConfig:
     case: Case
     beta_init: tuple[float, ...]
     max_iter: int = 200
-    source_exponent: float = 0.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, Kind) or not isinstance(self.case, Case):
@@ -112,7 +111,6 @@ class FitConfig:
                 )
         if self.max_iter < 1:
             raise DomainError("max_iter must be positive")
-        _shift(self.case, self.source_exponent)  # in [0, 1]; none on initial data
 
     @property
     def n_terms(self) -> int:
@@ -121,8 +119,11 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit: its params, objective J, iterations (both stages' for a
+    one-term fallback), the optimizer's own converged flag, the history of
+    J over accepted points and the assumptions made."""
+
     params: ModelParams
-    physical: PhysicalParams | None
     objective: float
     iterations: int
     converged: bool
@@ -389,7 +390,6 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
     params = _sorted_exit_params(kind, case, x_final[:nc], x_final[nc:])
     return FitResult(
         params=params,
-        physical=None,
         objective=objective(sample, params),
         iterations=iterations,
         converged=converged,
@@ -427,21 +427,8 @@ def _embed_single_term(res1: FitResult, config: FitConfig) -> ModelParams:
     return ModelParams(p1.kind, p1.case, (*p1.c, 0.0), (p1.beta[0], beta2))
 
 
-def _attach_physical(res: FitResult, config: FitConfig) -> FitResult:
-    try:
-        phys = to_physical(res.params, a=config.source_exponent)
-    except IdentifiabilityError as exc:
-        return replace(
-            res,
-            physical=None,
-            converged=False,
-            assumptions=res.assumptions + (f"identifiability: {exc}",),
-        )
-    return replace(res, physical=phys)
-
-
 def recover(sample: TraceSample, config: FitConfig) -> FitResult:
-    """Fit the sample and map the result to physical parameters.
+    """Fit the sample, gating the second term on the data.
 
     With two terms requested, a one-term fit is run first and the two-term
     fit is accepted only when its trailing term is actually resolved by the
@@ -451,7 +438,7 @@ def recover(sample: TraceSample, config: FitConfig) -> FitResult:
     initialization, recorded in the assumptions list.
     """
     if config.n_terms == 1:
-        return _attach_physical(minimize(sample, config), config)
+        return minimize(sample, config)
 
     cfg1 = replace(config, beta_init=(config.beta_init[0],))
     res1 = minimize(sample, cfg1)
@@ -464,9 +451,7 @@ def recover(sample: TraceSample, config: FitConfig) -> FitResult:
             f"(relative contribution {rel:.3e}; J1={res1.objective!r}, "
             f"J2={res2.objective!r})"
         )
-        return _attach_physical(
-            replace(res2, assumptions=res2.assumptions + (note,)), config
-        )
+        return replace(res2, assumptions=res2.assumptions + (note,))
     params = _embed_single_term(res1, config)
     note = (
         f"model-order check: second term unresolved at this horizon "
@@ -474,13 +459,11 @@ def recover(sample: TraceSample, config: FitConfig) -> FitResult:
         f"initialization {config.beta_init[1]!r} with zero amplitude "
         f"(J1={res1.objective!r}, J2={res2.objective!r})"
     )
-    embedded = FitResult(
+    return FitResult(
         params=params,
-        physical=None,
         objective=objective(sample, params),
         iterations=res1.iterations + res2.iterations,
         converged=res1.converged,
         history=res1.history,
         assumptions=res1.assumptions + (note,),
     )
-    return _attach_physical(embedded, config)

@@ -106,8 +106,8 @@ class TraceSample:
             raise DomainError("times and values must be 1-d arrays of equal length")
         if len(t) == 0:
             raise DomainError("empty sample")
-        if not self.T0 > 0.0:
-            raise DomainError("T0 must be positive")
+        if not 0.0 < self.T0 < math.inf:
+            raise DomainError(f"T0 must be positive and finite, got {self.T0}")
         if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
             raise DomainError("times must be strictly increasing and positive")
         if t[-1] > self.T0 * (1.0 + 1e-12):
@@ -129,15 +129,15 @@ class TraceSample:
 
 
 def _as_times(t) -> tuple[np.ndarray, bool]:
-    """t as a 1-d array of positive times, and whether it was a scalar."""
+    """t as a 1-d array of positive finite times, and whether it was a scalar."""
     times = np.asarray(t, dtype=float)
     scalar = times.ndim == 0
     times = np.atleast_1d(times)
     if times.ndim != 1 or times.size == 0:
         raise DomainError(f"t must be a float or a non-empty 1-d array, got shape {times.shape}")
-    bad = np.flatnonzero(~(times > 0.0))
+    bad = np.flatnonzero(~((times > 0.0) & (times < math.inf)))
     if bad.size:
-        raise DomainError(f"t must be positive, got {times[bad[0]]}")
+        raise DomainError(f"t must be positive and finite, got {times[bad[0]]}")
     return times, scalar
 
 
@@ -271,8 +271,8 @@ def sample_trace(problem: SpectralProblem, spec: OrderSpec, T0: float, n: int) -
         raise DomainError(f"n must be an integer, got {n!r}") from None
     if n < 2:
         raise DomainError(f"need n >= 2 grid points, got {n}")
-    if not T0 > 0.0:
-        raise DomainError(f"T0 must be positive, got {T0}")
+    if not 0.0 < T0 < math.inf:
+        raise DomainError(f"T0 must be positive and finite, got {T0}")
     times = np.arange(1, n + 1) * (T0 / n)
     trace = trace_initial if problem.case is Case.INITIAL_DATA else trace_source
     last = trace(problem, spec, times[-1])

@@ -10,7 +10,8 @@ Two model kinds are supported, each in an initial-data and a source flavour:
 The amplitudes are stored raw; the Gamma factors that link them to physical
 quantities (orders, weights, boundary values of the datum) appear only in
 to_physical / from_physical, so the optimizer never differentiates through
-Gamma.
+Gamma.  to_physical maps any fit and passes no verdict: whether the values
+are physically admissible is decided where the result rows are written.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "Kind",
     "ModelParams",
     "PhysicalParams",
-    "IdentifiabilityError",
     "eval_model",
     "to_physical",
     "from_physical",
@@ -39,10 +39,6 @@ __all__ = [
 class Kind(enum.Enum):
     POLYNOMIAL = "polynomial"
     RATIONAL = "rational"
-
-
-class IdentifiabilityError(ValueError):
-    """The fitted exponents do not map to admissible physical orders."""
 
 
 def n_head(kind: Kind, case: Case) -> int:
@@ -180,7 +176,8 @@ def to_physical(params: ModelParams, a: float = 0.0) -> PhysicalParams:
 
     Inverts the exponent map of `exponents`, undoing the source case's shift
     by a, with the beta_2 term entering the expansion with the opposite sign
-    of the beta_1 term; the leading weight is fixed to one.
+    of the beta_1 term; the leading weight is fixed to one.  Any fit maps,
+    alpha_1 <= 0 included: judging the values is the caller's.
     """
     m = params.n_terms
     if m not in (1, 2):
@@ -200,17 +197,10 @@ def to_physical(params: ModelParams, a: float = 0.0) -> PhysicalParams:
     else:
         amplitude = lead
     constant = c[0] if params.case is Case.INITIAL_DATA else None
-    r1 = None
-    if m == 2:
-        r1 = (-c[h + 1] * gamma(b[1] + 1.0) / lead + 0.0) if lead != 0.0 else math.nan
     if m == 1:
         return PhysicalParams((alpha_n,), (1.0,), amplitude, constant)
+    r1 = (-c[h + 1] * gamma(b[1] + 1.0) / lead + 0.0) if lead != 0.0 else math.nan
     alpha_1 = 2.0 * b[0] - b[1] - shift
-    if alpha_1 <= 0.0:
-        raise IdentifiabilityError(
-            f"exponents beta={b} map to a non-positive first order "
-            f"alpha_1 = {alpha_1:.6g}"
-        )
     return PhysicalParams((alpha_1, alpha_n), (r1, 1.0), amplitude, constant)
 
 

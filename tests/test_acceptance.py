@@ -19,7 +19,7 @@ from fracorder.checks import (
 from fracorder.cli import ExperimentConfig, cmd_fit
 from fracorder.fit import FitConfig, recover
 from fracorder.forward import Case, build_example_4_1, build_example_4_2, sample_trace
-from fracorder.models import Kind, exponents
+from fracorder.models import Kind, exponents, to_physical
 from fracorder.specfun import OrderSpec
 
 PI2 = math.pi * math.pi
@@ -30,9 +30,10 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _fit(problem, orders, T0, kind, case, alpha_init):
+    """The physical values of one recovery."""
     sample = sample_trace(problem, orders, T0, 100)
     cfg = FitConfig(kind=kind, case=case, beta_init=exponents(alpha_init, case))
-    return recover(sample, cfg)
+    return to_physical(recover(sample, cfg).params)
 
 
 def test_criterion_1_table1a_reproduction():
@@ -49,9 +50,9 @@ def test_criterion_1_table1a_reproduction():
     start = time.perf_counter()
     failures = []
     for (kind, T0), (a_ref, lam_ref) in published.items():
-        res = _fit(problem, orders, T0, kind, Case.INITIAL_DATA, (0.5,))
-        a_hat = res.physical.alphas[0]
-        lam_hat = res.physical.amplitude
+        p = _fit(problem, orders, T0, kind, Case.INITIAL_DATA, (0.5,))
+        a_hat = p.alphas[0]
+        lam_hat = p.amplitude
         if abs(a_hat - a_ref) > 0.01:
             failures.append(f"alpha {a_hat:.4f} vs {a_ref} at T0={T0:g} {kind.value}")
         if abs(lam_hat - lam_ref) / lam_ref > 0.10:
@@ -72,8 +73,7 @@ def test_criterion_2_table1b_trend():
         orders = OrderSpec((alpha,), (1.0,))
         res = {}
         for kind in Kind:
-            r = _fit(problem, orders, 1e-6, kind, Case.INITIAL_DATA, (0.5,))
-            res[kind] = r.physical.alphas[0]
+            res[kind] = _fit(problem, orders, 1e-6, kind, Case.INITIAL_DATA, (0.5,)).alphas[0]
         e_p = abs(res[Kind.POLYNOMIAL] - alpha)
         e_r = abs(res[Kind.RATIONAL] - alpha)
         if e_r > e_p + 0.005:
@@ -97,8 +97,7 @@ def test_criterion_3_table3a_reproduction():
     problem = build_example_4_2("i")
     failures = []
     for (kind, T0), (a1_ref, a2_ref, amp_ref) in published.items():
-        res = _fit(problem, orders, T0, kind, Case.INITIAL_DATA, (0.3, 0.7))
-        p = res.physical
+        p = _fit(problem, orders, T0, kind, Case.INITIAL_DATA, (0.3, 0.7))
         if abs(p.alphas[0] - a1_ref) > 0.01 or abs(p.alphas[1] - a2_ref) > 0.01:
             failures.append(f"alphas {p.alphas} vs ({a1_ref},{a2_ref}) at T0={T0:g} {kind.value}")
         if abs(p.amplitude - amp_ref) / amp_ref > 0.05:
@@ -118,8 +117,7 @@ def test_criterion_4_table2a_reproduction():
     for table, tol in ((published, 0.02), (wide, 0.05)):
         for T0, (a1_ref, a2_ref) in table.items():
             for kind in Kind:
-                res = _fit(problem, orders, T0, kind, Case.INITIAL_DATA, (0.4, 0.8))
-                p = res.physical
+                p = _fit(problem, orders, T0, kind, Case.INITIAL_DATA, (0.4, 0.8))
                 if abs(p.alphas[0] - a1_ref) > tol or abs(p.alphas[1] - a2_ref) > tol:
                     failures.append(
                         f"alphas {p.alphas} vs ({a1_ref},{a2_ref}) +-{tol} at T0={T0:g} {kind.value}"

@@ -26,9 +26,9 @@ from fracorder.cli import (
     run_fit_row,
 )
 from fracorder.checks import CHECKS, CheckResult, ml_identity_e12, ml_identity_erfc
-from fracorder.fit import FitConfig, FitResult, _attach_physical
-from fracorder.forward import Case
-from fracorder.models import Kind, ModelParams
+from fracorder.fit import FitResult
+from fracorder.forward import Case, SpectralProblem
+from fracorder.models import Kind, ModelParams, exponents, to_physical
 from fracorder.specfun import DomainError
 
 from conftest import count_calls
@@ -125,27 +125,48 @@ class TestCmdFit:
         assert float(out["r1"]) < 0.0
         assert out["status"] == "inadmissible: r1 < 0"
 
+    def test_row_maps_with_its_own_source_exponent(self):
+        # a source problem with a = 0.5: the fitted exponent near 1.2 reads
+        # as alpha2 near 0.7 only when the row's a is undone (a = 0 would
+        # read 1.2, inadmissible); the cells are pinned as first written
+        problem = SpectralProblem(((2.0 * math.pi**2, 1.0),), Case.SOURCE, source_exponent=0.5)
+        orders = specfun.OrderSpec((0.7,), (1.0,))
+        pinned = {
+            "fp": ("0.6996374080550323", "0.994081251097907", "1.672674171643436e-31", "75", "True"),
+            "fr": ("0.6996374185045431", "0.9940814599246127", "1.6716657322004265e-31", "70", "False"),
+        }
+        for kind in Kind:
+            row = cli.FitRow(
+                "source", "1e-06", "T0", problem, orders, 1e-6, kind,
+                exponents((0.5,), Case.SOURCE, 0.5),
+            )
+            out = run_fit_row(row, 100)
+            cells = ("alpha2", "amplitude", "objective", "iterations", "converged")
+            assert tuple(out[c] for c in cells) == pinned[out["kind"]]
+            assert (out["alpha1"], out["r1"], out["constant"], out["status"]) == ("", "", "", "ok")
+
 
 class TestResultCsv:
     def test_status_with_commas_and_quotes_round_trips(self, tmp_path):
         header = ["T0", *cli.RESULT_COLUMNS]
-        status = 'identifiability: exponents beta=(0.88, 1.85) map to "alpha_1", not > 0'
+        status = 'DomainError: exponents must lie in (0, 2), got (0.88, "2.5")'
         cli._write_csv(tmp_path / "t.csv", header, [{"T0": "0.1", "kind": "fr", "status": status}])
         (row,) = _read_csv(tmp_path / "t.csv")
         assert list(row) == header
         assert row["status"] == status
         assert row["alpha1"] == ""
 
-    def test_identifiability_status_has_one_prefix(self):
-        # beta_2 > 2 beta_1 maps to a negative first order
+    def test_negative_first_order_is_written_inadmissible(self):
+        # beta_2 > 2 beta_1 maps to a negative first order: the row keeps its
+        # values and the optimizer's flag, and the admissibility rule judges it
         params = ModelParams(Kind.POLYNOMIAL, Case.INITIAL_DATA, (1.0, -1.0, 0.1), (0.5, 1.2))
-        config = FitConfig(kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, beta_init=(0.5, 1.2))
-        result = _attach_physical(FitResult(params, None, 1.0, 5, True), config)
-        assert result.physical is None
-        out = {}
-        cli._fill_result(out, result)
-        assert out["status"].startswith("identifiability: ")
-        assert out["status"].count("identifiability") == 1
+        phys = to_physical(params)
+        out = {"status": "ok"}
+        cli._fill_result(out, FitResult(params, 1.0, 5, True), phys)
+        assert out["status"] == "inadmissible: alpha1 <= 0 or > alpha2"
+        assert float(out["alpha1"]) == phys.alphas[0] == 2.0 * 0.5 - 1.2
+        assert out["alpha2"] == "0.5"
+        assert out["converged"] == "True"
 
 
 class TestCmdSimulate:

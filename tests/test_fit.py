@@ -32,6 +32,7 @@ from fracorder.models import (
     eval_model,
     exponents,
     from_physical,
+    to_physical,
 )
 from fracorder.specfun import DomainError, OrderSpec
 
@@ -225,10 +226,6 @@ class TestMinimize:
         ):
             with pytest.raises(DomainError, match="must be an integer"):
                 FitConfig(**{**base, **bad})
-        # initial data has no source exponent; recover returned the same
-        # physical values with and without one
-        with pytest.raises(DomainError, match="no source exponent"):
-            FitConfig(**base, source_exponent=0.9)
 
     def test_gradient_formed_only_at_accepted_points(self, monkeypatch):
         # a fit that backtracks and re-solves its amplitudes: trial points
@@ -374,7 +371,7 @@ class TestRecover:
         )
         res = recover(sample, cfg)
         assert res.objective < 1e-20
-        assert rel_err(res.physical.alphas[0], 0.7) < 1e-9
+        assert rel_err(to_physical(res.params).alphas[0], 0.7) < 1e-9
 
     def test_table_1b_rational_beats_polynomial_at_small_order(self):
         orders = OrderSpec((0.3,), (1.0,))
@@ -387,8 +384,8 @@ class TestRecover:
             sample,
             FitConfig(kind=Kind.RATIONAL, case=Case.INITIAL_DATA, beta_init=(0.5,)),
         )
-        a_p = res_p.physical.alphas[0]
-        a_r = res_r.physical.alphas[0]
+        a_p = to_physical(res_p.params).alphas[0]
+        a_r = to_physical(res_r.params).alphas[0]
         assert abs(a_r - 0.3034) < 0.01
         assert abs(a_r - 0.3) < abs(a_p - 0.3)
 
@@ -405,9 +402,10 @@ class TestRecover:
             max_iter=1000,
         )
         res = recover(sample, cfg)
-        assert rel_err(res.physical.alphas[0], 0.5) < 1e-4
-        assert rel_err(res.physical.alphas[1], 0.8) < 1e-4
-        assert rel_err(res.physical.weights[0], 0.5) < 1e-3
+        phys = to_physical(res.params)
+        assert rel_err(phys.alphas[0], 0.5) < 1e-4
+        assert rel_err(phys.alphas[1], 0.8) < 1e-4
+        assert rel_err(phys.weights[0], 0.5) < 1e-3
         assert not any("unresolved" in a for a in res.assumptions)
 
     def test_two_term_unresolved_reports_frozen_exponent(self):
@@ -423,11 +421,13 @@ class TestRecover:
         res = recover(sample, cfg)
         assert res.params.c[-1] == 0.0
         assert res.params.beta[1] == binit[1]
-        assert res.physical.weights[0] == 0.0
+        assert to_physical(res.params).weights[0] == 0.0
         assert any("unresolved" in a for a in res.assumptions)
 
-    def test_identifiability_surfaces_as_unconverged(self):
-        # force beta_2 > 2 beta_1 so the recovered first order is negative
+    def test_negative_first_order_keeps_the_optimizer_verdict(self):
+        # force beta_2 > 2 beta_1 so the recovered first order is negative:
+        # the fit reports the optimizer's own flag, and the map still reads
+        # the orders, alpha_1 = 2 beta_1 - beta_2 included
         params = ModelParams(
             Kind.POLYNOMIAL, Case.INITIAL_DATA, (1.0, -1.0, 0.5), (0.5, 1.3)
         )
@@ -438,6 +438,7 @@ class TestRecover:
             beta_init=(0.5, 1.3),
         )
         res = recover(sample, cfg)
-        assert res.physical is None
-        assert not res.converged
-        assert any("identifiability" in a for a in res.assumptions)
+        assert res.converged == minimize(sample, cfg).converged
+        alpha_1 = to_physical(res.params).alphas[0]
+        assert alpha_1 == 2.0 * res.params.beta[0] - res.params.beta[1]
+        assert rel_err(alpha_1, -0.3) < 1e-6

@@ -1,6 +1,7 @@
 """Spectral forward model: traces, Laplace transforms, example problems."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -18,7 +19,7 @@ from fracorder.forward import (
     trace_initial,
     trace_source,
 )
-from fracorder.models import Kind, PhysicalParams, eval_model, from_physical
+from fracorder.models import Kind, ModelParams, PhysicalParams, eval_model, from_physical
 from fracorder.specfun import (
     DomainError,
     OrderSpec,
@@ -314,6 +315,7 @@ class TestTimeArrays:
             np.array([1e-4, 0.0]),
             np.array([1e-4, -1e-3]),
             np.array([1e-4, math.nan]),
+            np.array([1e-4, math.inf]),
             np.full((2, 2), 1e-4),
             np.array([]),
         )
@@ -341,11 +343,20 @@ class TestSeriesFailsFast:
             sample_trace(self.PROBLEM, self.ORDERS, 0.3, 5)
         assert sums == []
 
-    def test_non_positive_time(self):
-        for t in (0.0, -0.1):
-            for method in ("series", "auto"):
-                with pytest.raises(DomainError):
-                    trace_source(self.PROBLEM, self.ORDERS, t, method=method)
+    def test_non_positive_or_infinite_time(self):
+        # both routes, and the regressor, reject the time before any
+        # arithmetic: at t = inf no quadrature runs and no warning is emitted
+        model = ModelParams(Kind.POLYNOMIAL, Case.SOURCE, (1.0,), (0.7,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (0.0, -0.1, math.inf):
+                for call in (
+                    lambda: eval_model(model, t),
+                    lambda: trace_source(self.PROBLEM, self.ORDERS, t, method="series"),
+                    lambda: trace_source(self.PROBLEM, self.ORDERS, t, method="auto"),
+                ):
+                    with pytest.raises(DomainError, match="t must be positive and finite"):
+                        call()
 
 
 class TestLaplaceTrace:
@@ -389,6 +400,11 @@ class TestSampleTrace:
                 sample_trace(build_example_4_1(), orders, 1e-6, n)
         assert len(sample_trace(build_example_4_1(), orders, 1e-6, np.int64(3))) == 3
 
+    def test_non_finite_horizon(self):
+        orders = OrderSpec((0.7,), (1.0,))
+        with pytest.raises(DomainError, match="T0 must be positive and finite"):
+            sample_trace(build_example_4_1(), orders, math.inf, 4)
+
 
 class TestTraceSampleCsv:
     def test_round_trip_and_format(self, tmp_path):
@@ -411,3 +427,5 @@ class TestTraceSampleCsv:
             TraceSample(np.array([2.0, 1.0]), np.array([1.0, 2.0]), T0=2.0)
         with pytest.raises(DomainError):
             TraceSample(np.array([1.0]), np.array([1.0, 2.0]), T0=1.0)
+        with pytest.raises(DomainError, match="T0 must be positive and finite"):
+            TraceSample([1.0, 2.0], [1.0, 2.0], T0=math.inf)

@@ -9,7 +9,6 @@ import pytest
 
 from fracorder.forward import Case
 from fracorder.models import (
-    IdentifiabilityError,
     Kind,
     ModelParams,
     PhysicalParams,
@@ -242,10 +241,15 @@ class TestPhysicalMap:
         p = ModelParams(Kind.POLYNOMIAL, Case.SOURCE, (c1,), (beta1,))
         assert rel_err(to_physical(p).amplitude, 2.5) < 1e-14
 
-    def test_identifiability_error(self):
+    def test_negative_first_order_maps(self):
+        # beta_2 > 2 beta_1 maps to alpha_1 = 2 beta_1 - beta_2 <= 0, which
+        # to_physical reports and from_physical inverts
         p = ModelParams(Kind.POLYNOMIAL, Case.INITIAL_DATA, (1.0, -1.0, 0.1), (0.5, 1.2))
-        with pytest.raises(IdentifiabilityError):
-            to_physical(p)
+        phys = to_physical(p)
+        assert phys.alphas == (2.0 * 0.5 - 1.2, 0.5)
+        assert phys.alphas[0] <= 0.0
+        back = from_physical(phys, Kind.POLYNOMIAL, Case.INITIAL_DATA)
+        assert all(rel_err(x, y) < 1e-14 for x, y in zip((*back.c, *back.beta), (*p.c, *p.beta)))
 
     def test_three_terms_rejected(self):
         p = ModelParams(
