@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fracorder import models, specfun
+from fracorder import models
 from fracorder.fit import FitConfig, FitResult, recover
 from fracorder.forward import (
     Case,
@@ -319,7 +319,6 @@ def _row_metadata(row: FitRow, n_points: int) -> dict:
         "weights": list(row.orders.weights),
         "modes": [list(m) for m in row.problem.modes],
         "n_points": n_points,
-        "series_truncation_k": specfun.DEFAULT_SHELL_CAP,
         "assumptions": list(row.assumptions),
     }
 

@@ -1,7 +1,8 @@
 """Box-constrained nonlinear least-squares recovery of (c, beta).
 
 `minimize` and `recover` return the fitted (c, beta) only; the models
-module maps them to orders, weight ratio and amplitude.
+module maps them to orders, weight ratio and amplitude.  A two-term
+`recover` that falls back to one term reads as a zero trailing amplitude.
 
 The driver is a hand-rolled projected limited-memory BFGS: two-loop recursion
 for the search direction, projection of trial points onto the exponent box
@@ -9,7 +10,8 @@ for the search direction, projection of trial points onto the exponent box
 search with sufficient decrease along the projected path, and an alternation
 step that re-solves the amplitudes by linear least squares whenever the
 exponents have drifted.  Trial points evaluate the objective only, computing
-the powers t**beta_i once; the gradient is formed from the residual at the
+the powers t**beta_i once.  The gradient, the model Jacobian (which the
+`model-jacobian-vs-fd` check audits) times the residual, is formed at the
 start, at each accepted point and at an accepted re-solve, from that point's
 powers (and, for the rational kinds, its denominator) and one ln t per fit.
 Each memory pair keeps its curvature scalars.
@@ -50,7 +52,6 @@ __all__ = [
     "RankDeficiencyError",
     "NumericsError",
     "objective",
-    "objective_grad",
     "linear_init",
     "minimize",
     "recover",
@@ -120,15 +121,14 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitResult:
     """A fit: its params, objective J, iterations (both stages' for a
-    one-term fallback), the optimizer's own converged flag, the history of
-    J over accepted points and the assumptions made."""
+    one-term fallback), the optimizer's own converged flag and the history
+    of J over accepted points."""
 
     params: ModelParams
     objective: float
     iterations: int
     converged: bool
     history: tuple[float, ...] = ()
-    assumptions: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +143,6 @@ def objective(sample: TraceSample, params: ModelParams) -> float:
     f, _ = _eval_arrays(params.kind, params.case, params.c, powers)
     r = f - sample.values
     return 0.5 * (sample.T0 / n) * float(r @ r)
-
-
-def objective_grad(sample: TraceSample, params: ModelParams) -> np.ndarray:
-    """Gradient of the objective over (c..., beta...)."""
-    n = len(sample)
-    t = sample.times
-    powers = [t**b for b in params.beta]
-    f, acc = _eval_arrays(params.kind, params.case, params.c, powers)
-    g = _grad_arrays(params.kind, params.case, params.c, powers, np.log(t), acc)
-    r = f - sample.values
-    return (sample.T0 / n) * (g @ r)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +227,8 @@ def _two_loop(grad: np.ndarray, memory) -> np.ndarray:
 
 
 def _sorted_exit_params(kind: Kind, case: Case, c: np.ndarray, beta: np.ndarray) -> ModelParams:
-    """Sort exponents ascending (permuting their amplitudes), enforce the
-    minimum gap, and clip into the open (0, 2) range required of the model."""
+    """Sort exponents ascending (permuting their amplitudes) and enforce the
+    minimum gap; the box keeps them inside the model's open (0, 2)."""
     nb = len(beta)
     h = n_head(kind, case)
     head = list(c[:h])
@@ -250,7 +239,6 @@ def _sorted_exit_params(kind: Kind, case: Case, c: np.ndarray, beta: np.ndarray)
     for i in range(1, nb):
         if beta_sorted[i] < beta_sorted[i - 1] + _MIN_GAP:
             beta_sorted[i] = beta_sorted[i - 1] + _MIN_GAP
-    beta_sorted = [min(max(b, 1e-6), 2.0 - 1e-6) for b in beta_sorted]
     return ModelParams(kind, case, tuple(head + amps_sorted), tuple(beta_sorted))
 
 
@@ -402,29 +390,12 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _term_columns(params: ModelParams, t: np.ndarray) -> list[np.ndarray]:
-    """Per-exponent contributions: power terms for the polynomial kinds,
-    denominator components for the rational kinds."""
-    amps = params.c[n_head(params.kind, params.case) :]
-    return [ai * t**bi for ai, bi in zip(amps, params.beta)]
-
-
-def second_term_relative(sample: TraceSample, params: ModelParams) -> float:
-    """Peak contribution of the trailing term relative to the leading term."""
-    cols = _term_columns(params, sample.times)
-    lead = float(np.max(np.abs(cols[0])))
-    trail = float(np.max(np.abs(cols[-1])))
+def _trailing_share(sample: TraceSample, params: ModelParams) -> float:
+    """Peak |a_i t^beta_i| of the trailing term over that of the leading one:
+    power terms, or for the rational kinds denominator components."""
+    t, amps = sample.times, params.c[n_head(params.kind, params.case) :]
+    lead, trail = (float(np.max(np.abs(amps[i] * t ** params.beta[i]))) for i in (0, -1))
     return trail / max(lead, 1e-300)
-
-
-def _embed_single_term(res1: FitResult, config: FitConfig) -> ModelParams:
-    """Express a one-term fit in two-term form with zero trailing amplitude
-    and the trailing exponent held at its initialization."""
-    p1 = res1.params
-    beta2 = config.beta_init[1]
-    if beta2 < p1.beta[0] + _MIN_GAP:
-        beta2 = p1.beta[0] + _MIN_GAP
-    return ModelParams(p1.kind, p1.case, (*p1.c, 0.0), (p1.beta[0], beta2))
 
 
 def recover(sample: TraceSample, config: FitConfig) -> FitResult:
@@ -434,36 +405,23 @@ def recover(sample: TraceSample, config: FitConfig) -> FitResult:
     fit is accepted only when its trailing term is actually resolved by the
     data (it lowers the objective and contributes a non-negligible fraction
     of the leading term).  Otherwise the one-term fit is reported in
-    two-term form: zero trailing amplitude, trailing exponent left at its
-    initialization, recorded in the assumptions list.
+    two-term form: zero trailing amplitude, which is how a fallback reads,
+    and the trailing exponent left at its initialization.
     """
     if config.n_terms == 1:
         return minimize(sample, config)
 
-    cfg1 = replace(config, beta_init=(config.beta_init[0],))
-    res1 = minimize(sample, cfg1)
+    res1 = minimize(sample, replace(config, beta_init=config.beta_init[:1]))
     res2 = minimize(sample, config)
-    rel = second_term_relative(sample, res2.params)
     improved = res2.objective <= res1.objective * (1.0 + 1e-12)
-    if improved and rel >= _SECOND_TERM_MIN_REL:
-        note = (
-            f"model-order check: second term resolved "
-            f"(relative contribution {rel:.3e}; J1={res1.objective!r}, "
-            f"J2={res2.objective!r})"
-        )
-        return replace(res2, assumptions=res2.assumptions + (note,))
-    params = _embed_single_term(res1, config)
-    note = (
-        f"model-order check: second term unresolved at this horizon "
-        f"(relative contribution {rel:.3e}); trailing exponent held at its "
-        f"initialization {config.beta_init[1]!r} with zero amplitude "
-        f"(J1={res1.objective!r}, J2={res2.objective!r})"
-    )
-    return FitResult(
+    if improved and _trailing_share(sample, res2.params) >= _SECOND_TERM_MIN_REL:
+        return res2
+    p1 = res1.params
+    beta = (p1.beta[0], max(config.beta_init[1], p1.beta[0] + _MIN_GAP))
+    params = replace(p1, c=(*p1.c, 0.0), beta=beta)
+    return replace(
+        res1,
         params=params,
         objective=objective(sample, params),
         iterations=res1.iterations + res2.iterations,
-        converged=res1.converged,
-        history=res1.history,
-        assumptions=res1.assumptions + (note,),
     )

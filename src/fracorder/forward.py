@@ -106,6 +106,10 @@ class TraceSample:
             raise DomainError("times and values must be 1-d arrays of equal length")
         if len(t) == 0:
             raise DomainError("empty sample")
+        for name, arr in (("time", t), ("value", v)):
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise DomainError(f"{name} {arr[bad[0]]} at index {bad[0]} is not finite")
         if not 0.0 < self.T0 < math.inf:
             raise DomainError(f"T0 must be positive and finite, got {self.T0}")
         if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):

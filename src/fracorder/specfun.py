@@ -60,7 +60,6 @@ import numpy as np
 
 __all__ = [
     "Z_MAX",
-    "DEFAULT_SHELL_CAP",
     "MAX_ML_TERMS",
     "DomainError",
     "AccuracyError",
@@ -82,9 +81,9 @@ __all__ = [
 # Series evaluation envelope: beyond this argument size the alternating series
 # is never attempted, even in extended precision.
 Z_MAX = 40.0
-# Shell truncation of the multinomial series in the double-precision path;
-# ml2 alone allows more shells.
-DEFAULT_SHELL_CAP = 100
+# Shells the double-precision sum may take before extended precision takes
+# over; ml2 alone allows more.
+_SHELL_CAP = 100
 _ML2_SHELL_CAP = 400
 # Cap on the number of Mittag-Leffler arguments (compositions blow up fast).
 MAX_ML_TERMS = 4
@@ -287,7 +286,7 @@ def _logs(comps: np.ndarray, coef: np.ndarray, lg: np.ndarray, lnz) -> np.ndarra
 # pairs, each holding its shells 0, 1, ... while they total at most
 # _MEMO_TERMS terms: 2048 shells at m = 1, 63 at m = 2, 22 at m = 3.  The
 # fits reach shell 42 at most, 946 terms at m = 2; a three-order series can
-# run to DEFAULT_SHELL_CAP, 176k terms, and past the table its shells are
+# run to _SHELL_CAP, 176k terms, and past the table its shells are
 # built per call and not kept.
 _MEMO_TABLES = 16
 _MEMO_TERMS = 2048
@@ -578,12 +577,13 @@ def ml2(alpha: float, beta: float, z: float, *, rel_tol: float = 1e-10) -> float
 def mml(args: MLArgs, *, rel_tol: float = 1e-10) -> float:
     """Multinomial Mittag-Leffler function for non-positive real arguments.
 
-    Double-precision k-shell summation truncated at DEFAULT_SHELL_CAP with
-    early stop once a whole shell contributes below 1e-16 of the partial sum;
-    falls back to extended precision when the cancellation certificate fails.
+    Double-precision k-shell summation over at most _SHELL_CAP + 1 shells
+    with early stop once a whole shell contributes below 1e-16 of the partial
+    sum; falls back to extended precision when the sum has not converged by
+    then or the cancellation certificate fails.
     A zero argument's pair is dropped before any summing.
     """
-    return _mml_value(args.beta0, args.betas, args.zs, rel_tol, DEFAULT_SHELL_CAP)
+    return _mml_value(args.beta0, args.betas, args.zs, rel_tol, _SHELL_CAP)
 
 # ---------------------------------------------------------------------------
 # relaxation kernels, series route

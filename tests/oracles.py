@@ -83,16 +83,3 @@ def trapezoid_convolution(kernel, sigma, t: float, n: int = 10_000) -> float:
     s = np.geomspace(t * 1e-12, t, n)
     vals = np.array([kernel(float(x)) * sigma(t - float(x)) for x in s])
     return float(np.trapezoid(vals, s))
-
-
-def central_difference(f, x: np.ndarray, rel_step: float = 1e-7) -> np.ndarray:
-    """Central-difference gradient with relative steps."""
-    g = np.zeros_like(x, dtype=float)
-    for i in range(len(x)):
-        h = rel_step * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g

@@ -13,7 +13,7 @@ from fracorder.checks import (
     expansion_remainder_order_case_i,
     expansion_remainder_order_case_ii,
     laplace_step2_source_value,
-    objective_gradient_vs_fd,
+    model_jacobian_vs_fd,
     oracle_grid_series_vs_contour,
 )
 from fracorder.cli import ExperimentConfig, cmd_fit
@@ -152,9 +152,9 @@ def test_criterion_7_laplace_step2():
 
 
 def test_criterion_8_gradient_suite():
-    # 50 draws over all model shapes, each the relative error of the
-    # analytic gradient against central differences
-    result = objective_gradient_vs_fd()
+    # 50 draws over all model shapes, each the relative error of the model
+    # Jacobian that every fit forms against central differences
+    result = model_jacobian_vs_fd()
     _report(8, result.passed, f"50 draws, {result.detail}")
     assert result.passed
 

@@ -13,6 +13,7 @@ from scipy.special import erfcx
 
 import fracorder.checks as checks
 import fracorder.cli as cli
+import fracorder.models as models
 import fracorder.specfun as specfun
 from fracorder.cli import (
     ExperimentConfig,
@@ -25,7 +26,17 @@ from fracorder.cli import (
     main,
     run_fit_row,
 )
-from fracorder.checks import CHECKS, CheckResult, ml_identity_e12, ml_identity_erfc
+from fracorder.checks import (
+    CHECKS,
+    CheckResult,
+    expansion_remainder_order_case_i,
+    expansion_remainder_order_case_ii,
+    laplace_step2_source_value,
+    ml_identity_e12,
+    ml_identity_erfc,
+    model_jacobian_vs_fd,
+    oracle_grid_series_vs_contour,
+)
 from fracorder.fit import FitResult
 from fracorder.forward import Case, SpectralProblem
 from fracorder.models import Kind, ModelParams, exponents, to_physical
@@ -439,9 +450,20 @@ class TestMainEntry:
         assert config("--experiment", "table1a") == (Path("out"), both)
 
 
+# the entries that criteria 5-8 of test_acceptance.py run
+BY_CRITERIA = (
+    oracle_grid_series_vs_contour,
+    expansion_remainder_order_case_i,
+    expansion_remainder_order_case_ii,
+    laplace_step2_source_value,
+    model_jacobian_vs_fd,
+)
+
+
 class TestCheckSuite:
     # the battery's entries in report order; each entry is the only statement
-    # of its invariant, and test_entry_passes is the test that runs it
+    # of its invariant, run once per pass: by criteria 5-8 of
+    # test_acceptance.py, or else by test_entry_passes
     NAMES = (
         "gamma-spot-values",
         "ml-identity-e12",
@@ -457,11 +479,18 @@ class TestCheckSuite:
         "expansion-remainder-order-case-i",
         "expansion-remainder-order-case-ii",
         "model-asymptotic-tightness",
-        "objective-gradient-vs-fd",
+        "model-jacobian-vs-fd",
     )
 
     # strict: a battery that gains or loses an entry fails collection here
-    @pytest.mark.parametrize("name, check", zip(NAMES, CHECKS, strict=True), ids=NAMES)
+    @pytest.mark.parametrize(
+        "name, check",
+        [
+            pytest.param(name, check, id=name)
+            for name, check in zip(NAMES, CHECKS, strict=True)
+            if check not in BY_CRITERIA
+        ],
+    )
     def test_entry_passes(self, name, check):
         result = check()
         assert (result.name, result.passed) == (name, True), result.detail
@@ -496,3 +525,32 @@ class TestCheckSuite:
         monkeypatch.setattr(specfun, "log_gamma", corrupted)
         ml_checks = [ml_identity_e12(), ml_identity_erfc()]
         assert any(not c.passed for c in ml_checks)
+
+    # every block of Jacobian rows (head coefficients, amplitudes, exponents)
+    # of every model shape is audited: a 1e-4 relative error in one of them
+    # must fail the 1e-6 bound (the polynomial source model has no head)
+    @pytest.mark.parametrize(
+        "kind, case, block",
+        [
+            (k, c, b)
+            for k in Kind
+            for c in Case
+            for b in ("head", "amplitude", "exponent")
+            if b != "head" or models.n_head(k, c)
+        ],
+    )
+    def test_corrupted_jacobian_fails_audit(self, monkeypatch, kind, case, block):
+        real = models._grad_arrays
+
+        def corrupted(k, cs, c, powers, lnt, acc):
+            rows = real(k, cs, c, powers, lnt, acc)
+            if (k, cs) == (kind, case):
+                head, m = models.n_head(k, cs), len(powers)
+                start = {"head": 0, "amplitude": head, "exponent": head + m}[block]
+                stop = {"head": head, "amplitude": head + m, "exponent": head + 2 * m}[block]
+                rows[start:stop] *= 1.0 + 1e-4
+            return rows
+
+        monkeypatch.setattr(models, "_grad_arrays", corrupted)
+        result = model_jacobian_vs_fd()
+        assert not result.passed, result.detail

@@ -429,3 +429,11 @@ class TestTraceSampleCsv:
             TraceSample(np.array([1.0]), np.array([1.0, 2.0]), T0=1.0)
         with pytest.raises(DomainError, match="T0 must be positive and finite"):
             TraceSample([1.0, 2.0], [1.0, 2.0], T0=math.inf)
+        # every ordering test on NaN is false, so finiteness is checked first
+        for times, values, bad in (
+            ([1.0, math.nan], [1.0, 2.0], "time nan at index 1"),
+            ([math.nan, 1.0], [1.0, 2.0], "time nan at index 0"),
+            ([0.5, 1.0], [math.inf, 2.0], "value inf at index 0"),
+        ):
+            with pytest.raises(DomainError, match=f"{bad} is not finite"):
+                TraceSample(times, values, T0=2.0)

@@ -278,11 +278,11 @@ class TestShellMemo:
         assert self.values() == golden
 
     def test_term_limit_holds_to_the_shell_cap(self):
-        # the double sum runs all DEFAULT_SHELL_CAP + 1 shells (176k terms)
+        # the double sum runs all _SHELL_CAP + 1 shells (176k terms)
         # without converging; the cache keeps only the leading ones
         specfun._leading_shells.cache_clear()
         args = (1.8, (0.8, 0.6, 0.3), (-6.0, -0.5, -0.5))
-        _, _, converged = specfun._mml_double(*args, specfun.DEFAULT_SHELL_CAP)
+        _, _, converged = specfun._mml_double(*args, specfun._SHELL_CAP)
         assert not converged
         assert specfun._leading_shells.cache_info().currsize == 1
         *_, starts = specfun._leading_shells(specfun.log_gamma, *args[:2])
