@@ -11,6 +11,10 @@ Verbs:
     fit        run recoveries, one CSV per (sub)table
     check      run the cross-module invariant suite, exit 0 iff all pass
 
+simulate and fit take the ExperimentConfig fields as --config keys and all
+but fig_points as flags, plus --jobs 1.  FRACORDER_LOG names the log level
+(default WARNING), in any case.
+
 Exit codes: 0 when every row, panel, trace or check passed, 1 when one
 failed (the rest are still written), 2 for a usage or configuration error,
 3 for a crash (an uncaught exception, whose traceback goes to stderr).
@@ -29,6 +33,7 @@ import sys
 import traceback
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,8 +68,7 @@ RESULT_COLUMNS = (
     "objective", "iterations", "converged", "status",
 )
 
-_KIND_BY_FLAG = {"fp": Kind.POLYNOMIAL, "fr": Kind.RATIONAL}
-_FLAG_BY_KIND = {v: k for k, v in _KIND_BY_FLAG.items()}
+_FLAG_BY_KIND = {Kind.POLYNOMIAL: "fp", Kind.RATIONAL: "fr"}
 
 
 def _is_number(x) -> bool:
@@ -74,15 +78,15 @@ def _is_number(x) -> bool:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The settings of a `simulate` or `fit` run, named as the config file's
-    keys and the flags' destinations; t0 None is the experiment's T0 list."""
+    keys and the flags' destinations; t0 None is the experiment's T0 list.
+    Fixed: every table sample has n_points times, every figure ends at t_max."""
+
+    n_points: ClassVar[int] = 100
+    t_max: ClassVar[float] = 1.0
 
     experiment: str
     out: Path = Path("out")
     t0: tuple[float, ...] | None = None
-    kinds: tuple[str, ...] = ("fp", "fr")
-    jobs: int = 1
-    n_points: int = 100
-    t_max: float = 1.0
     fig_points: int = 500
 
     def __post_init__(self) -> None:
@@ -107,23 +111,10 @@ class ExperimentConfig:
                     f"{self.experiment} labels its rows by order and takes one T0, "
                     f"got {len(self.t0)}"
                 )
-        kinds = self.kinds
-        if not isinstance(kinds, (tuple, list)) or not kinds or any(k not in _KIND_BY_FLAG for k in kinds):
-            raise DomainError(f"kinds must be a non-empty list of 'fp' and 'fr', got {kinds!r}")
-        object.__setattr__(self, "kinds", tuple(kinds))
-        if len(set(self.kinds)) < len(self.kinds):
-            raise DomainError(f"repeated kind in {self.kinds}")
-        # type, not ==: True == 1.0 == 1
-        if type(self.jobs) is not int or self.jobs != 1:
-            raise DomainError(f"jobs must be 1 (the runner is serial), got {self.jobs!r}")
-        for name in ("n_points", "fig_points"):
-            # a bool is an int, and a float would be truncated
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 2:
-                raise DomainError(f"{name} must be an integer of at least 2, got {value!r}")
-        if not _is_number(self.t_max) or not 0.0 < self.t_max < math.inf:
-            raise DomainError(f"t_max must be a positive finite number, got {self.t_max!r}")
-        object.__setattr__(self, "t_max", float(self.t_max))
+        # a bool is an int, and a float would be truncated
+        points = self.fig_points
+        if not isinstance(points, int) or isinstance(points, bool) or points < 2:
+            raise DomainError(f"fig_points must be an integer of at least 2, got {points!r}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +129,6 @@ class FitRow:
     T0: float
     kind: Kind
     beta_init: tuple[float, ...]
-    assumptions: tuple[str, ...] = ()
 
     @property
     def n_terms(self) -> int:
@@ -154,7 +144,7 @@ _EX_4_1 = build_example_4_1()
 # experiment -> (label column, default T0 list, sub-tables); a sub-table is
 # (table name, example problem, true orders, order guess), and everything else
 # about its rows follows from those: one order means one term, two orders two
-# terms, the weights (R1, 1) and the assumption that names R1
+# terms, the weights (R1, 1) and, in the sidecar, the assumption that names R1
 TABLES = {
     "table1a": ("T0", (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1), (
         ("table1a", _EX_4_1, (0.7,), (0.5,)),
@@ -183,10 +173,7 @@ EXPERIMENTS = (*TABLES, *FIGURES)
 
 # the settings that an experiment never reads: the figures draw fixed panels
 # on their own time grid, and the tables sample on (0, T0]
-_UNREAD = {
-    **dict.fromkeys(FIGURES, ("t0", "kinds", "n_points")),
-    **dict.fromkeys(TABLES, ("t_max", "fig_points")),
-}
+_UNREAD = {**dict.fromkeys(FIGURES, ("t0",)), **dict.fromkeys(TABLES, ("fig_points",))}
 
 
 def _weights(alphas: tuple[float, ...]) -> tuple[float, ...]:
@@ -205,7 +192,7 @@ def experiment_rows(cfg: ExperimentConfig) -> list[FitRow]:
         orders = OrderSpec(alphas, _weights(alphas))
         beta_init = exponents(guess, problem.case, problem.source_exponent)
         for t0 in t0s:
-            for flag in cfg.kinds:
+            for kind in Kind:
                 rows.append(
                     FitRow(
                         table=table,
@@ -214,9 +201,8 @@ def experiment_rows(cfg: ExperimentConfig) -> list[FitRow]:
                         problem=problem,
                         orders=orders,
                         T0=t0,
-                        kind=_KIND_BY_FLAG[flag],
+                        kind=kind,
                         beta_init=beta_init,
-                        assumptions=(_R1_ASSUMED,) if orders.n == 2 else (),
                     )
                 )
     return rows
@@ -319,7 +305,7 @@ def _row_metadata(row: FitRow, n_points: int) -> dict:
         "weights": list(row.orders.weights),
         "modes": [list(m) for m in row.problem.modes],
         "n_points": n_points,
-        "assumptions": list(row.assumptions),
+        "assumptions": [_R1_ASSUMED] if row.orders.n == 2 else [],
     }
 
 
@@ -436,13 +422,7 @@ def _parse_t0_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad T0 list {text!r}: {exc}")
 
 
-def _parse_kinds(text: str) -> tuple[str, ...]:
-    """fp, fr, or both."""
-    if text not in ("fp", "fr", "both"):
-        raise argparse.ArgumentTypeError(f"invalid choice {text!r} (choose from fp, fr, both)")
-    return tuple(_KIND_BY_FLAG) if text == "both" else (text,)
-
-
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 # the keys a JSON config file may set
 _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 # the flags of simulate and fit by the field they set; an unset flag (None)
@@ -450,10 +430,7 @@ _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 _FLAGS = {
     "experiment": ("--experiment", {"choices": EXPERIMENTS}),
     "out": ("--out", {"type": Path, "help": "output directory (default: out)"}),
-    "jobs": ("--jobs", {"type": int, "help": "accepted for compatibility; only 1"}),
     "t0": ("--t0", {"type": _parse_t0_list, "help": "comma-separated T0 list"}),
-    "kinds": ("--kind", {"type": _parse_kinds, "metavar": "{fp,fr,both}", "help": "default: both"}),
-    "t_max": ("--t-max", {"type": float, "help": "figure time range"}),
 }
 
 
@@ -474,6 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="JSON config file")
         for key, (flag, spec) in _FLAGS.items():
             p.add_argument(flag, dest=key, **spec)
+        p.add_argument("--jobs", type=int, choices=(1,), help="only 1: the runner is serial")
     return parser
 
 
@@ -499,8 +477,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raise DomainError(f"experiment {experiment!r} has no fit rows; use simulate")
     # a setting that the experiment never reads is an error, not a no-op
     unread = _UNREAD.get(experiment, ())
-    if args.command == "simulate" and experiment in TABLES:
-        unread += ("kinds",)  # one trace serves both model kinds
     named = [_FLAGS[key][0] for key in given if key in unread]
     named += [f"{key!r} in {args.config}" for key in unread if key in raw]
     if named:
@@ -509,19 +485,20 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("FRACORDER_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
-    if args.command != "check":
-        try:
-            cfg = _config_from_args(args)
-        except (DomainError, OSError, ValueError, TypeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    level = os.environ.get("FRACORDER_LOG", "WARNING")
+    try:
+        if level.upper() not in _LOG_LEVELS:
+            raise DomainError(f"FRACORDER_LOG={level!r} is not one of {_LOG_LEVELS}")
+        cfg = None if args.command == "check" else _config_from_args(args)
+    except (DomainError, OSError, ValueError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level.upper())
     # a crash exits 3, apart from the 1 of a failed row, panel or check
     try:
         if args.command == "check":

@@ -248,12 +248,16 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
     t, g = sample.times, sample.values
     nc = n_coeffs(kind, case, config.n_terms)
 
-    gbar = float(np.mean(g))
-    var = float(np.mean((g - gbar) ** 2))
+    # finite data whose scale overflows abort here, before numpy warns
+    with np.errstate(over="ignore", invalid="ignore"):
+        gbar = float(np.mean(g))
+        var = float(np.mean((g - gbar) ** 2))
     norm = var if var > 0.0 else max(1.0, gbar * gbar)
     # pinned objective = jtilde * T0 * norm
     j_scale = sample.T0 * norm
     n_norm = len(sample) * norm
+    if not (math.isfinite(gbar) and math.isfinite(n_norm)):
+        raise NumericsError(f"variance scale of the data not finite (mean {gbar}, scale {norm})")
     lnt = np.log(t)
 
     def value(x: np.ndarray) -> tuple[float, tuple]:

@@ -81,10 +81,8 @@ __all__ = [
 # Series evaluation envelope: beyond this argument size the alternating series
 # is never attempted, even in extended precision.
 Z_MAX = 40.0
-# Shells the double-precision sum may take before extended precision takes
-# over; ml2 alone allows more.
+# Shells the double-precision sum may take before extended precision takes over.
 _SHELL_CAP = 100
-_ML2_SHELL_CAP = 400
 # Cap on the number of Mittag-Leffler arguments (compositions blow up fast).
 MAX_ML_TERMS = 4
 
@@ -343,12 +341,12 @@ def _shells(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], kmax:
         yield (shell.tolist(), flat) if with_comps else flat
 
 
-def _mml_double(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], shell_cap: int):
+def _mml_double(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...]):
     # Kahan-compensated sum s of the shells, c its running compensation
     s = c = 0.0
     peak_log = -math.inf
     quiet = 0
-    for k, logs in enumerate(_shells(beta0, betas, zs, shell_cap)):
+    for k, logs in enumerate(_shells(beta0, betas, zs, _SHELL_CAP)):
         peak_log = max(peak_log, max(logs))
         if peak_log > 700.0:
             return math.nan, peak_log, False
@@ -534,13 +532,13 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
 
 
 def _mml_value(
-    beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float, shell_cap: int
+    beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float
 ) -> float:
     """The common entry of ml2 and mml.  It rejects a bad rel_tol, drops every
     zero argument (its pair keeps only the k_j = 0 terms, which are the series
     of the other arguments), and takes the closed forms: 1/Gamma(beta0) with
     no argument left and E_{1,1}(z) = exp(z).  Otherwise it returns the
-    double-precision sum of at most shell_cap + 1 shells when that certifies
+    double-precision sum of at most _SHELL_CAP + 1 shells when that certifies
     itself, else the extended-precision one."""
     if not 0.0 < rel_tol < math.inf:
         raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
@@ -552,9 +550,9 @@ def _mml_value(
         # exact classical limit; the raw series cancels hopelessly for large |z|
         return math.exp(zs[0])
     m = len(betas)
-    if math.comb(shell_cap + m, m) > _MAX_SERIES_TERMS:
+    if math.comb(_SHELL_CAP + m, m) > _MAX_SERIES_TERMS:
         _mp_plan(beta0, betas, zs, rel_tol)  # the double sum alone could take long
-    value, peak_log, converged = _mml_double(beta0, betas, zs, shell_cap)
+    value, peak_log, converged = _mml_double(beta0, betas, zs)
     if converged and _certified(value, peak_log, rel_tol):
         return value
     return _mml_mp(beta0, betas, zs, rel_tol)
@@ -571,7 +569,7 @@ def ml2(alpha: float, beta: float, z: float, *, rel_tol: float = 1e-10) -> float
         raise DomainError(f"only z <= 0 is supported, got {z}")
     if abs(z) > Z_MAX:
         raise DomainError(f"|z| = {abs(z)} exceeds Z_MAX = {Z_MAX}; series unreliable")
-    return _mml_value(beta, (alpha,), (z,), rel_tol, _ML2_SHELL_CAP)
+    return _mml_value(beta, (alpha,), (z,), rel_tol)
 
 
 def mml(args: MLArgs, *, rel_tol: float = 1e-10) -> float:
@@ -583,7 +581,7 @@ def mml(args: MLArgs, *, rel_tol: float = 1e-10) -> float:
     then or the cancellation certificate fails.
     A zero argument's pair is dropped before any summing.
     """
-    return _mml_value(args.beta0, args.betas, args.zs, rel_tol, _SHELL_CAP)
+    return _mml_value(args.beta0, args.betas, args.zs, rel_tol)
 
 # ---------------------------------------------------------------------------
 # relaxation kernels, series route

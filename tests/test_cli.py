@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -64,18 +65,17 @@ class TestExperimentRegistry:
         assert len(rows) == 20  # 2 sub-tables x 5 horizons x 2 kinds
         names = {r.table for r in rows}
         assert names == {"table3a", "table3b"}
-        assert all("r1" in r.assumptions[0] for r in rows)
+        assert all("r1" in cli._row_metadata(r, 100)["assumptions"][0] for r in rows)
 
-    def test_kind_filter(self):
-        cfg = ExperimentConfig("table1a", Path("unused"), kinds=("fp",))
-        assert len(experiment_rows(cfg)) == 7
+    def test_each_horizon_fits_both_kinds_in_order(self):
+        rows = experiment_rows(ExperimentConfig("table1a", Path("unused")))
+        assert [r.kind for r in rows] == [Kind.POLYNOMIAL, Kind.RATIONAL] * 7
+        assert all(cli._row_metadata(r, 100)["assumptions"] == [] for r in rows)
 
 
 class TestCmdFit:
     def test_table1a_output(self, tmp_path):
-        cfg = ExperimentConfig(
-            "table1a", tmp_path, t0=(1e-6,), kinds=("fp", "fr")
-        )
+        cfg = ExperimentConfig("table1a", tmp_path, t0=(1e-6,))
         assert cmd_fit(cfg) == 0
         rows = _read_csv(tmp_path / "table1a.csv")
         assert len(rows) == 2
@@ -130,8 +130,8 @@ class TestCmdFit:
 
     def test_inadmissible_row_is_not_ok(self):
         # the two-term rational fit at T0 = 1e-3 lands on r1 < 0
-        rows = experiment_rows(ExperimentConfig("table2", Path("unused"), t0=(1e-3,), kinds=("fr",)))
-        row = next(r for r in rows if r.table == "table2a")
+        rows = experiment_rows(ExperimentConfig("table2", Path("unused"), t0=(1e-3,)))
+        row = next(r for r in rows if r.table == "table2a" and r.kind is Kind.RATIONAL)
         out = run_fit_row(row, 100)
         assert float(out["r1"]) < 0.0
         assert out["status"] == "inadmissible: r1 < 0"
@@ -289,44 +289,29 @@ class TestMainEntry:
         # a figure has no fit rows
         for fig in ("fig1", "fig2"):
             assert main(["fit", "--experiment", fig, "--out", str(tmp_path)]) == 2
-        # the runner is serial: --jobs takes only 1
-        for jobs in ("0", "-2", "2"):
-            argv = ["fit", "--experiment", "table1a", "--t0", "1e-6", "--jobs", jobs]
-            assert main([*argv, "--out", str(tmp_path)]) == 2
         # more than one T0 for a table whose rows are labelled by order
         argv = ["fit", "--experiment", "table1b", "--t0", "1e-5,1e-4", "--out", str(tmp_path)]
         assert main(argv) == 2
-        # a non-positive figure time range
-        assert main(["simulate", "--experiment", "fig1", "--t-max", "-1", "--out", str(tmp_path)]) == 2
-        # an infinite T0, as for the time range, and a repeated T0
+        # an infinite T0 and a repeated T0
         for t0 in ("inf", "1e-6,inf", "1e999", "1e-6,1e-6", "2e-6,1e-5,2e-06"):
             assert main(["fit", "--experiment", "table1a", "--t0", t0, "--out", str(tmp_path)]) == 2
             assert main(["simulate", "--experiment", "table1a", "--t0", t0, "--out", str(tmp_path)]) == 2
-        # bad values from the config file: other job counts, a kind that is
-        # neither fp nor fr, scalars where lists belong, an unknown key, too
-        # few points, a value of the wrong type
+        # bad values from the config file: a scalar where a list belongs, a
+        # null, an unknown key, and a T0 that is not a number: no bool, no
+        # string
         for bad in (
-            {"jobs": 0}, {"jobs": -2}, {"jobs": 2},
-            {"kinds": ["xx"]}, {"kinds": ["fp", "xx"]}, {"kinds": []}, {"kinds": "fp"},
-            # a repeated kind, which would fit and write each row twice
-            {"kinds": ["fp", "fp"]},
-            {"t0": 1e-6}, {"t0": None}, {"t_0": [1e-6]}, {"n_points": 1}, {"n_points": None},
-            # point counts must be integers: no truncated float, no bool
-            {"n_points": 2.9}, {"n_points": 100.0}, {"n_points": True}, {"n_points": "100"},
-            # a job count is an integer and each T0 a number: no bool, no
-            # float job count, no string
-            {"jobs": True}, {"jobs": 1.0},
+            {"t0": 1e-6}, {"t0": None}, {"t_0": [1e-6]},
             {"t0": [True]}, {"t0": [1e-6, False]}, {"t0": ["1e-6"]},
             # a T0 that parses as inf (json writes it as Infinity)
             {"t0": [1e-6, math.inf]},
         ):
             cfgfile.write_text(json.dumps({"experiment": "table1a", "t0": [1e-6], **bad}))
             assert main(["fit", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
-        # the figure settings, on a figure, which reads them: a point count
-        # is an integer of at least 2 and a time range a number
+        # the figure point count, on a figure, which reads it: an integer of
+        # at least 2, no truncated float, no bool, no string
         for bad in (
-            {"fig_points": 0}, {"fig_points": 2.5}, {"fig_points": True},
-            {"t_max": True}, {"t_max": "1"}, {"jobs": True, "t_max": True},
+            {"fig_points": 0}, {"fig_points": 2.5}, {"fig_points": 500.0},
+            {"fig_points": True}, {"fig_points": "500"},
         ):
             cfgfile.write_text(json.dumps({"experiment": "fig1", **bad}))
             assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
@@ -334,13 +319,48 @@ class TestMainEntry:
         # a config built in Python gets the same checks as one from the file
         for experiment, bad in (
             ("fig1", {"fig_points": 2.5}),
-            ("table1a", {"t0": (1e-6,), "n_points": 100.5}),
-            ("fig1", {"t_max": True}),
             ("table1a", {"t0": (True,)}),
-            ("table1a", {"kinds": ("fp", "fp")}),
         ):
             with pytest.raises(DomainError):
                 ExperimentConfig(experiment, tmp_path, **bad)
+
+    def test_fixed_values_are_not_settings(self, tmp_path, capsys):
+        # the model kinds, the sample size and the figure time range are
+        # constants, and the job count is a flag that takes only 1
+        assert [f.name for f in fields(ExperimentConfig)] == ["experiment", "out", "t0", "fig_points"]
+        cfg = ExperimentConfig("table1a", tmp_path)
+        assert (cfg.n_points, cfg.t_max) == (100, 1.0)
+        assert (type(cfg.n_points), type(cfg.t_max)) == (int, float)
+        for name in ("kinds", "n_points", "t_max", "jobs"):
+            with pytest.raises(TypeError):
+                ExperimentConfig("table1a", tmp_path, **{name: 1})
+        out = ["--out", str(tmp_path)]
+        cfgfile = tmp_path / "cfg.json"
+        for key, value in (("kinds", ["fp"]), ("n_points", 100), ("t_max", 1.0), ("jobs", 1)):
+            cfgfile.write_text(json.dumps({"experiment": "table1a", "t0": [1e-6], key: value}))
+            assert main(["fit", "--config", str(cfgfile), *out]) == 2
+            assert f"unknown keys ['{key}']" in capsys.readouterr().err
+        for flags in (["--kind", "fp"], ["--kind", "both"], ["--t-max", "1"]):
+            assert main(["fit", "--experiment", "table1a", "--t0", "1e-6", *flags, *out]) == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        for jobs in ("0", "-2", "2", "True", "1.0"):
+            assert main(["simulate", "--experiment", "fig1", "--jobs", jobs, *out]) == 2
+            assert "--jobs: invalid" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == []
+        args = _build_parser().parse_args(["fit", "--experiment", "table1a", "--jobs", "1"])
+        assert _config_from_args(args) == ExperimentConfig("table1a")
+
+    def test_log_level_from_environment(self, monkeypatch, capsys):
+        # the five level names in any case; any other value is a usage error
+        # that names it, not a silent WARNING or a crash in logging
+        monkeypatch.setattr(cli, "cmd_check", lambda: 0)
+        for level in ("debug", "Info", "WARNING", "error", "critical"):
+            monkeypatch.setenv("FRACORDER_LOG", level)
+            assert main(["check"]) == 0
+        for level in ("verbose", "basic_format", "", "10"):
+            monkeypatch.setenv("FRACORDER_LOG", level)
+            assert main(["check"]) == 2
+            assert f"FRACORDER_LOG={level!r}" in capsys.readouterr().err
 
     def test_crash_exits_3(self, tmp_path, monkeypatch, capsys):
         # a crash is told apart from the exit 1 of a failed row: an --out
@@ -366,88 +386,70 @@ class TestMainEntry:
 
     def test_unread_settings_exit_2(self, tmp_path, capsys):
         # a flag or config key that the experiment never reads is named, not
-        # dropped: the figures read no T0, kinds or sample size, the tables
-        # no figure time range or figure point count, and simulate on a table
-        # no kinds
+        # dropped: the figures read no T0, the tables no figure point count
         out = ["--out", str(tmp_path)]
-        for argv, named in (
-            (["simulate", "--experiment", "fig1", "--t0", "1e-3", "--kind", "fp"], "--t0, --kind"),
-            (["simulate", "--experiment", "fig2", "--kind", "both"], "--kind"),
-            (["fit", "--experiment", "table1a", "--t-max", "5"], "--t-max"),
-            (["simulate", "--experiment", "table2", "--t-max", "1"], "--t-max"),
-            (["simulate", "--experiment", "table1a", "--kind", "fp"], "--kind"),
-        ):
-            assert main([*argv, *out]) == 2
-            assert f"does not read {named}" in capsys.readouterr().err
+        for fig in ("fig1", "fig2"):
+            assert main(["simulate", "--experiment", fig, "--t0", "1e-3", *out]) == 2
+            assert "does not read --t0" in capsys.readouterr().err
         cfgfile = tmp_path / "cfg.json"
         for cfg, verb, key in (
-            ({"experiment": "fig1", "n_points": 100}, "simulate", "n_points"),
             ({"experiment": "fig2", "t0": [1e-6]}, "simulate", "t0"),
-            ({"experiment": "fig1", "kinds": ["fp"]}, "simulate", "kinds"),
+            ({"experiment": "fig1", "t0": [1e-6], "fig_points": 3}, "simulate", "t0"),
             ({"experiment": "table1a", "fig_points": 500}, "fit", "fig_points"),
-            ({"experiment": "table3", "t_max": 1.0}, "simulate", "t_max"),
-            ({"experiment": "table1b", "kinds": ["fr"]}, "simulate", "kinds"),
+            ({"experiment": "table3", "fig_points": 500}, "simulate", "fig_points"),
         ):
             cfgfile.write_text(json.dumps(cfg))
             assert main([verb, "--config", str(cfgfile), *out]) == 2
             assert f"does not read {key!r} in {cfgfile}" in capsys.readouterr().err
         assert list(tmp_path.glob("*.csv")) == []
         # the one job count, and the figure point count on a figure, stay
-        cfgfile.write_text(json.dumps({"experiment": "fig1", "fig_points": 3, "jobs": 1}))
+        cfgfile.write_text(json.dumps({"experiment": "fig1", "fig_points": 3}))
         assert main(["simulate", "--config", str(cfgfile), "--jobs", "1", *out]) == 0
 
     def test_numbers_accepted(self, tmp_path):
-        # integers and floats where numbers belong, and the one job count
-        # there is, from the file or from the flag
+        # integers and floats where T0 values belong, from the file or from
+        # the flag, and the one job count there is
         def config(verb, *argv):
-            cfg = _config_from_args(_build_parser().parse_args([verb, *argv]))
-            return cfg.t0, cfg.t_max
+            return _config_from_args(_build_parser().parse_args([verb, *argv])).t0
 
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"experiment": "table1a", "t0": [1e-6, 1], "jobs": 1}))
-        assert config("fit", "--config", str(cfgfile)) == ((1e-6, 1.0), 1.0)
-        # the time range on a figure, which reads it
-        cfgfile.write_text(json.dumps({"experiment": "fig1", "jobs": 1, "t_max": 2}))
-        assert config("simulate", "--config", str(cfgfile)) == (None, 2.0)
-        assert config("fit", "--experiment", "table1a", "--jobs", "1") == (None, 1.0)
+        cfgfile.write_text(json.dumps({"experiment": "table1a", "t0": [1e-6, 1]}))
+        assert config("fit", "--config", str(cfgfile), "--jobs", "1") == (1e-6, 1.0)
+        assert config("simulate", "--experiment", "table1a", "--t0", "1e-6,1") == (1e-6, 1.0)
+        assert config("fit", "--experiment", "table1a", "--jobs", "1") is None
 
     def test_fit_via_flags(self, tmp_path):
-        rc = main(
-            ["fit", "--experiment", "table1a", "--out", str(tmp_path),
-             "--t0", "1e-6", "--kind", "fp"]
-        )
+        rc = main(["fit", "--experiment", "table1a", "--out", str(tmp_path), "--t0", "1e-6"])
         assert rc == 0
         rows = _read_csv(tmp_path / "table1a.csv")
-        assert len(rows) == 1 and rows[0]["kind"] == "fp"
+        assert [(r["T0"], r["kind"]) for r in rows] == [("1e-06", "fp"), ("1e-06", "fr")]
 
     def test_config_file(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(
             json.dumps(
-                {"experiment": "table1a", "t0": [1e-6], "kinds": ["fr"],
-                 "out": str(tmp_path / "out")}
+                {"experiment": "table1a", "t0": [1e-5], "out": str(tmp_path / "out")}
             )
         )
         assert main(["fit", "--config", str(cfgfile)]) == 0
         rows = _read_csv(tmp_path / "out" / "table1a.csv")
-        assert len(rows) == 1 and rows[0]["kind"] == "fr"
+        assert [(r["T0"], r["kind"]) for r in rows] == [("1e-05", "fp"), ("1e-05", "fr")]
 
     def test_explicit_flags_override_config_file(self, tmp_path):
         # a flag given with its default value still wins over the file
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(
-            json.dumps({"experiment": "table1a", "out": "elsewhere", "kinds": ["fr"]})
+            json.dumps({"experiment": "table1b", "out": "elsewhere", "t0": [1e-5]})
         )
 
         def config(*argv):
             cfg = _config_from_args(_build_parser().parse_args(["fit", *argv]))
-            return cfg.out, cfg.kinds
+            return cfg.experiment, cfg.out, cfg.t0
 
-        both = ("fp", "fr")
-        flags = ("--out", "out", "--kind", "both")
-        assert config("--config", str(cfgfile), *flags) == (Path("out"), both)
-        assert config("--config", str(cfgfile)) == (Path("elsewhere"), ("fr",))
-        assert config("--experiment", "table1a") == (Path("out"), both)
+        flags = ("--experiment", "table1a", "--out", "out", "--t0", "1e-6")
+        assert config("--config", str(cfgfile), *flags) == ("table1a", Path("out"), (1e-6,))
+        assert config("--config", str(cfgfile)) == ("table1b", Path("elsewhere"), (1e-5,))
+        assert config("--experiment", "table1a") == ("table1a", Path("out"), None)
 
 
 # the entries that criteria 5-8 of test_acceptance.py run

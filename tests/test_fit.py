@@ -178,18 +178,17 @@ class TestMinimize:
         with pytest.raises(DomainError, match="value nan at index 3 is not finite"):
             TraceSample(t, g, T0=1.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_residual_aborts(self):
-        # finite data whose squared residual overflows
+        # finite data whose variance overflows, or whose mean does, abort
+        # with NumericsError and not with a numpy warning raised as an error
         t = np.arange(1, 11) / 10.0
-        sample = TraceSample(t, np.where(np.arange(10) % 2, 1e160, -1e160), T0=1.0)
         cfg = FitConfig(
             kind=Kind.POLYNOMIAL, case=Case.INITIAL_DATA, beta_init=(0.5,)
         )
-        with (
-            pytest.raises(NumericsError, match="not finite at the initial point"),
-            np.errstate(over="ignore", invalid="ignore"),
-        ):
-            minimize(sample, cfg)
+        for g in (np.where(np.arange(10) % 2, 1e160, -1e160), np.full(10, 1e308)):
+            with pytest.raises(NumericsError, match="variance scale of the data not finite"):
+                minimize(TraceSample(t, g, T0=1.0), cfg)
 
     def test_config_validation(self):
         # one or two terms, one starting exponent each

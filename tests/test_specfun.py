@@ -103,6 +103,15 @@ class TestMl2:
         for z in np.linspace(-30.0, 0.0, 61):
             assert rel_err(ml2(1.0, 1.0, float(z)), math.exp(float(z))) < 1e-12
 
+    def test_equals_the_one_argument_mml(self):
+        # one series, one shell cap: E_{alpha,beta}(z) is the multinomial
+        # function of the one argument (beta, z) to the bit, also where the
+        # double sum needs more than _SHELL_CAP + 1 shells, as at (0.1, 1, -0.9)
+        for alpha, beta, z in (
+            (0.1, 1.0, -0.9), (0.5, 1.0, -1.0), (0.7, 1.5, -3.0), (0.3, 0.8, -5.0), (0.9, 2.0, -12.0),
+        ):
+            assert ml2(alpha, beta, z) == mml(MLArgs(beta, (alpha,), (z,))), (alpha, beta, z)
+
     def test_extended_precision_regime(self):
         # deep cancellation: plain double summation would lose everything
         ref = mp_ml2(0.5, 1.0, -20.0, terms=2500, dps=220)
@@ -282,7 +291,7 @@ class TestShellMemo:
         # without converging; the cache keeps only the leading ones
         specfun._leading_shells.cache_clear()
         args = (1.8, (0.8, 0.6, 0.3), (-6.0, -0.5, -0.5))
-        _, _, converged = specfun._mml_double(*args, specfun._SHELL_CAP)
+        _, _, converged = specfun._mml_double(*args)
         assert not converged
         assert specfun._leading_shells.cache_info().currsize == 1
         *_, starts = specfun._leading_shells(specfun.log_gamma, *args[:2])
