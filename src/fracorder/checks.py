@@ -28,10 +28,8 @@ from fracorder.forward import (
 )
 from fracorder.models import Kind, PhysicalParams, from_physical
 from fracorder.specfun import (
-    MLArgs,
     OrderSpec,
     ml2,
-    mml,
     s1_kernel_contour,
     s1_kernel_series,
     s2_kernel_contour,
@@ -79,22 +77,6 @@ def ml_identity_erfc() -> CheckResult:
         ref = math.exp(x * x) * math.erfc(x)
         err = max(err, abs(ml2(0.5, 1.0, -x) - ref) / ref)
     return _max_rel_err("ml-identity-erfc", err, 1e-10)
-
-
-def mml_m1_reduction() -> CheckResult:
-    """The multinomial function with one argument is the two-parameter one,
-    over 50 random draws."""
-    rng = np.random.default_rng(7)
-    err = 0.0
-    for _ in range(50):
-        b0 = float(rng.uniform(0.5, 1.8))
-        b1 = float(rng.uniform(0.4, 0.95))
-        z = float(rng.uniform(-20.0, 0.0))
-        z = max(z, -0.8 * (25.0 ** b1))  # keep the series inside its envelope
-        a = mml(MLArgs(b0, (b1,), (z,)))
-        b = ml2(b1, b0, z)
-        err = max(err, abs(a - b) / max(abs(b), 1e-300))
-    return _max_rel_err("mml-m1-reduction", err, 1e-12)
 
 
 def oracle_grid_series_vs_contour() -> CheckResult:
@@ -336,7 +318,6 @@ CHECKS = (
     gamma_spot_values,
     ml_identity_e12,
     ml_identity_erfc,
-    mml_m1_reduction,
     oracle_grid_series_vs_contour,
     kernel_small_time_limits,
     kernel_weight_rescaling,

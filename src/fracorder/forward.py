@@ -26,9 +26,12 @@ import numpy as np
 from fracorder.specfun import (
     DomainError,
     OrderSpec,
+    _at_nodes,
     _check_source_exponent,
+    _denominator,
     _hyperbola_integral,
     _laplace_numerator,
+    _power_sum,
     s1_kernel_series,
     s2_kernel_int_series,
 )
@@ -211,15 +214,13 @@ def trace_source(
 
 
 def laplace_trace(problem: SpectralProblem, spec: OrderSpec, p: float) -> float:
-    """Laplace transform of the boundary trace at real p > 0."""
+    """Laplace transform of the boundary trace at real p > 0, from specfun's power terms."""
     if not p > 0.0:
         raise DomainError(f"p must be positive, got {p}")
-    q = math.fsum(r * p**a for a, r in zip(spec.alphas, spec.weights))
-    if problem.case is Case.INITIAL_DATA:
-        num = math.fsum(r * p ** (a - 1.0) for a, r in zip(spec.alphas, spec.weights))
-        return math.fsum(w * num / (lam + q) for lam, w in problem.modes)
-    sig_hat = p ** (-problem.source_exponent - 1.0)
-    return sig_hat * math.fsum(w / (lam + q) for lam, w in problem.modes)
+    a = None if problem.case is Case.INITIAL_DATA else problem.source_exponent
+    num = _power_sum(_at_nodes(_laplace_numerator(spec, a), p))
+    den = _power_sum(_at_nodes(_denominator(spec), p))
+    return math.fsum(w * num / (lam + den) for lam, w in problem.modes)
 
 
 # ---------------------------------------------------------------------------

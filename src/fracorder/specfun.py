@@ -39,20 +39,20 @@ z-independent parts of its terms are numpy columns (_rows), to which each
 call adds its own powers (_logs).  rel_tol must be positive and finite; ml2
 and mml reject any other value before they sum or take a shortcut.
 
-Every public function is a pure function of its arguments.  The one piece
-of module state is a bounded LRU cache (_leading_shells) of the series
-terms' z-independent parts (compositions, log coefficients, log-Gamma values)
-for the leading shells per (beta0, betas), which only saves their rebuilding.
-It needs no lock: lru_cache is thread-safe, and a cached table is never
-written after it is built.  The rare extended-precision path serializes on a
-lock because mpmath's precision is global.
+Every public function is a pure function of its arguments.  The module
+state is two read-only caches, which only save rebuilding: ln k! (_lnfact)
+and, per (beta0, betas), the z-independent parts of the leading shells'
+terms (_leading_shells, a bounded LRU cache).  Neither needs a lock:
+lru_cache is thread-safe, and a cached table is never written after it is
+built.  The extended-precision sum passes its own precision to each
+mpmath.libmp call, so no global mpmath state is read or set.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
+import operator
 from dataclasses import dataclass
 from itertools import count, pairwise
 
@@ -91,9 +91,10 @@ _EPS = float(np.finfo(float).eps)
 # error of terms assembled as exp(log-expressions) whose logs reach O(300).
 _CERT_FACTOR = 400.0
 _MAX_MP_DPS = 400
+# Shells an extended-precision sum may take at m = 1, 2 and more arguments
+_MP_SHELL_CAPS = (30000, 2000, 600)
 # Most terms an extended-precision sum may need (see _mp_plan)
 _MAX_SERIES_TERMS = 500_000
-_MP_LOCK = threading.Lock()
 _LN10 = math.log(10.0)
 
 
@@ -204,6 +205,10 @@ class ContourSpec:
             raise DomainError(f"theta must lie in (pi/2, pi), got {self.theta}")
         if not self.delta > 0.0:
             raise DomainError(f"delta must be positive, got {self.delta}")
+        try:
+            object.__setattr__(self, "n_radial", operator.index(self.n_radial))
+        except TypeError:
+            raise DomainError(f"n_radial must be an integer, got {self.n_radial!r}") from None
         if self.n_radial < 16:
             raise DomainError(f"n_radial must be >= 16, got {self.n_radial}")
         if not self.delta < self.r_max < math.inf:
@@ -246,23 +251,27 @@ def _compositions(k: int, m: int) -> np.ndarray:
 # log_gamma, and _logs adds one call's powers.
 
 
-def _lnfact(kmax: int) -> np.ndarray:
-    """ln k! for k = 0..kmax; ln 0! = 0 exactly, so a zero part of a
-    composition changes no coefficient bit."""
-    return np.array([0.0] + [log_gamma(i + 1.0) for i in range(1, kmax + 1)])
+@functools.lru_cache(maxsize=2)
+def _lnfact(gamma_fn) -> np.ndarray:
+    """Read-only ln k! up to the largest shell cap at m >= 2, keyed as in
+    _leading_shells; ln 0! = 0 exactly, so a zero part changes no bit."""
+    table = np.array([0.0] + [gamma_fn(k + 1.0) for k in range(1, max(_MP_SHELL_CAPS[1:]) + 1)])
+    table.flags.writeable = False
+    return table
 
 
-def _rows(beta0: float, betas: tuple[float, ...], ks, comps: np.ndarray, lnfact):
+def _rows(beta0: float, betas: tuple[float, ...], ks, comps: np.ndarray):
     """(coef, lg) of the compositions comps (an int64 array, one per row):
     the log coefficient ln k! - sum ln k_j! and ln Gamma(beta0 + sum beta_j
     k_j).  ks is the shell k of every row, or the ascending int64 array of
-    each row's shell; lnfact (_lnfact to the last shell) is read at m >= 2."""
+    each row's shell; at m >= 2 the ln k! come from _lnfact."""
     # the multinomial log coefficient is assembled apart from the powers so
     # that at m = 1 it is exactly 0 (ln k! - ln k!, no table needed), and the
     # Gamma argument is the float sum: the small-t fits hinge on the last bit
     # of these values, so both are formed in j order
     coef, bsum = np.zeros(len(comps)), np.zeros(len(comps))
     if len(betas) > 1:
+        lnfact = _lnfact(log_gamma)
         coef += lnfact[ks]
         for col in comps.T:
             coef -= lnfact[col]
@@ -303,21 +312,20 @@ def _leading_shells(gamma_fn, beta0: float, betas: tuple[float, ...]):
     starts = tuple(math.comb(k - 1 + m, m) for k in range(n + 1))
     ks = np.repeat(np.arange(n, dtype=np.int64), np.diff(starts))
     comps = ks[:, None] if m == 1 else np.vstack([_compositions(k, m) for k in range(n)])
-    table = (comps, *_rows(beta0, betas, ks, comps, _lnfact(n - 1) if m > 1 else None))
+    table = (comps, *_rows(beta0, betas, ks, comps))
     for a in table:
         a.flags.writeable = False  # every caller shares them
     return (*table, starts)
 
 
 def _shells(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], kmax: int,
-            with_comps: bool = False, lnfact=None):
+            with_comps: bool = False):
     """Shells 0..kmax of the series at zs in turn: the list of log |term| of
     each, or with with_comps the pair (compositions, logs), as lists.  The
     cached leading shells are read in runs of shells 0..7, 8..15, 16..31 and
     on, each as long as all before it, since most sums stop well before the
     table ends, and the logs of a run are formed in one pass; past the table
-    each shell is built alone and not kept, with lnfact (_lnfact to at least
-    kmax) when the caller has it."""
+    each shell is built alone and not kept; kmax is at most _mp_plan's cap."""
     m = len(betas)
     lnz = [math.log(-z) for z in zs]
     comps, coef, lg, starts = _leading_shells(log_gamma, beta0, betas)
@@ -333,11 +341,9 @@ def _shells(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], kmax:
         for a, b in pairwise(s - lo for s in starts[k : min(end, kmax + 1) + 1]):
             yield (run[a:b], flat[a:b]) if with_comps else flat[a:b]
         k = end
-    if lnfact is None and m > 1 and k <= kmax:
-        lnfact = _lnfact(kmax)
     for k in range(k, kmax + 1):
         shell = _compositions(k, m)
-        flat = _logs(shell, *_rows(beta0, betas, k, shell, lnfact), lnz).tolist()
+        flat = _logs(shell, *_rows(beta0, betas, k, shell), lnz).tolist()
         yield (shell.tolist(), flat) if with_comps else flat
 
 
@@ -370,8 +376,7 @@ def _mp_digits(rel_tol: float, peak_ln: float) -> int:
 
 
 def _mp_plan(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float):
-    """The shell cap, the peak guess and ln k! to the cap (None at m = 1;
-    _mml_mp's shell walks read it) of an extended-precision sum;
+    """The shell cap and the peak guess of an extended-precision sum;
     AccuracyError, before any full shell is built, where the scan puts the
     first shell K below the first attempt's noise floor so far out that
     shells 0..K hold more than _MAX_SERIES_TERMS terms, C(K + m, m).
@@ -382,9 +387,8 @@ def _mp_plan(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_
     actually saw.  Few compositions are sampled per shell, so K runs low
     (terms by about 2x at m = 3)."""
     m = len(betas)
-    shell_cap = 30000 if m == 1 else (2000 if m == 2 else 600)
+    shell_cap = _MP_SHELL_CAPS[min(m, 3) - 1]
     lnz = [math.log(-z) for z in zs]
-    lnfact = _lnfact(shell_cap) if m > 1 else None
     samples = []
     for k in sorted({int(round(shell_cap ** (i / 59.0))) for i in range(60)} | {0, 1, shell_cap}):
         if m == 1:
@@ -396,7 +400,7 @@ def _mp_plan(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_
             comps = [tuple(k if j == i else 0 for j in range(m)) for i in range(m)]
             comps.append(tuple(k // m for _ in range(m - 1)) + (k - (m - 1) * (k // m),))
         comps = np.array(comps)
-        samples.append((k, float(_logs(comps, *_rows(beta0, betas, k, comps, lnfact), lnz).max())))
+        samples.append((k, float(_logs(comps, *_rows(beta0, betas, k, comps), lnz).max())))
     peak_guess = max(ln for _, ln in samples)
     noise_guess = peak_guess - (_mp_digits(rel_tol, peak_guess) + 8) * _LN10
     reach = next(
@@ -409,17 +413,18 @@ def _mp_plan(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_
             f"(shells 0..{reach}) in extended precision, more than the "
             f"{_MAX_SERIES_TERMS} allowed"
         )
-    return shell_cap, peak_guess, lnfact
+    return shell_cap, peak_guess
 
 
 def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float) -> float:
     """The extended-precision sum, retried at more digits until the peak
     magnitude it observed certifies the result to rel_tol."""
-    import mpmath  # loaded on first use: most runs never need it
+    from mpmath import libmp as lib  # loaded on first use: most runs never need it
 
     m = len(betas)
+    rnd = lib.round_nearest
     label = f"mml(beta0={beta0}, betas={betas}, zs={zs})"
-    shell_cap, peak_guess, lnfact = _mp_plan(beta0, betas, zs, rel_tol)
+    shell_cap, peak_guess = _mp_plan(beta0, betas, zs, rel_tol)
     dps = _mp_digits(rel_tol, peak_guess) + 12
     if dps > _MAX_MP_DPS:
         raise AccuracyError(f"{label} needs ~{dps} digits; outside the series envelope")
@@ -431,12 +436,9 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
     unit = 1 << scale
     key0, *bkeys = (n * (unit // d) for n, d in ratios)
 
-    mp, lib = mpmath.mp, mpmath.libmp
-
-    def summed(dps):
+    def summed(dps, prec):
         # the sum is one integer counting quanta 2**-fbits, 12 digits and 32
         # bits below the noise floor that the cut below keeps to
-        prec, rnd = mp.prec, lib.round_nearest
         fbits = math.ceil(((dps + 8) * _LN10 - peak_guess) / math.log(2.0)) + 32
         # a term is k!/(k_1! ... k_m!) prod z_j**k_j / Gamma(x): the factors
         # |z_j|**k_j / k_j! are tabulated per index as (man, exp), and
@@ -466,7 +468,7 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
         total = 0
         peak_ln = -math.inf
         quiet = 0
-        walk = _shells(beta0, betas, zs, shell_cap, with_comps=True, lnfact=lnfact)
+        walk = _shells(beta0, betas, zs, shell_cap, with_comps=True)
         for k, (comps, logs) in enumerate(walk):
             if k:
                 kman *= k
@@ -489,7 +491,7 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
             if shell_max_ln + size_ln < noise_ln:
                 quiet += 1
                 if quiet >= 2 and k >= 4:
-                    return mp.make_mpf(lib.from_man_exp(total, -fbits, prec, rnd)), peak_ln, True
+                    return lib.from_man_exp(total, -fbits, prec, rnd), peak_ln
                 continue
             quiet = 0
             # every term of shell k has the sign (-1)**k; the exact products
@@ -512,22 +514,23 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
                 shell += man << exp if exp >= 0 else man >> -exp
             shell = (shell * kman) >> kman.bit_length()
             total += -shell if k % 2 else shell
-        return mp.make_mpf(lib.from_man_exp(total, -fbits, prec, rnd)), peak_ln, False
+        raise AccuracyError(f"{label}: series did not converge")
 
-    with _MP_LOCK:
-        for _ in range(4):
-            with mp.workdps(dps):
-                total, peak_ln, converged = summed(dps)
-                if not converged:
-                    raise AccuracyError(f"{label}: series did not converge")
-                if total == 0:
-                    return 0.0
-                need = _mp_digits(rel_tol, peak_ln) + 8 - int(mp.log10(abs(total)))
-                if need <= dps:
-                    return float(total)
-            if need > _MAX_MP_DPS:
-                raise AccuracyError(f"{label} needs ~{need} digits")
-            dps = need + 10
+    for _ in range(4):
+        prec = lib.dps_to_prec(dps)
+        total, peak_ln = summed(dps, prec)
+        if total == lib.fzero:
+            return 0.0
+        # int(log10 |total|) as mpmath.log10 forms it: the ln of each side
+        # at prec + 20 bits, their quotient rounded to prec, truncated
+        wp = prec + 20
+        ln_total, ln10 = (lib.mpf_log(x, wp, rnd) for x in (lib.mpf_abs(total), lib.from_int(10)))
+        need = _mp_digits(rel_tol, peak_ln) + 8 - lib.to_int(lib.mpf_div(ln_total, ln10, prec, rnd))
+        if need <= dps:
+            return lib.to_float(total, rnd=rnd)
+        if need > _MAX_MP_DPS:
+            raise AccuracyError(f"{label} needs ~{need} digits")
+        dps = need + 10
     raise AccuracyError(f"{label}: extended-precision retries exhausted")
 
 

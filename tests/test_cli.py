@@ -470,7 +470,6 @@ class TestCheckSuite:
         "gamma-spot-values",
         "ml-identity-e12",
         "ml-identity-erfc",
-        "mml-m1-reduction",
         "oracle-grid-series-vs-contour",
         "kernel-small-time-limits",
         "kernel-weight-rescaling",

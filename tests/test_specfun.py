@@ -315,12 +315,11 @@ class TestShellMemo:
         assert len(starts) - 1 == n_shells
         assert starts[-1] <= specfun._MEMO_TERMS < math.comb(n_shells + m, m)
         assert not any(a.flags.writeable for a in (comps, coef, lg))
-        lnfact = specfun._lnfact(n_shells)
         for k in range(n_shells):
             lo, hi = starts[k], starts[k + 1]
             one = specfun._compositions(k, m)
             run = (comps[lo:hi], coef[lo:hi], lg[lo:hi])
-            for a, b in zip(run, (one, *specfun._rows(1.7, betas, k, one, lnfact))):
+            for a, b in zip(run, (one, *specfun._rows(1.7, betas, k, one))):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
 
@@ -330,13 +329,12 @@ class TestShellMemo:
         # first run (shells 0..7), kmax = 30 crosses the table's edge
         beta0, betas, zs = 1.8, (0.8, 0.6, 0.3), (-0.5, -0.2, -0.1)
         lnz = [math.log(-z) for z in zs]
-        lnfact = specfun._lnfact(kmax)
         walk = list(specfun._shells(beta0, betas, zs, kmax))
         pairs = list(specfun._shells(beta0, betas, zs, kmax, with_comps=True))
         assert len(walk) == len(pairs) == kmax + 1
         for k, (logs, (comps, logs_too)) in enumerate(zip(walk, pairs)):
             one = specfun._compositions(k, 3)
-            alone = specfun._logs(one, *specfun._rows(beta0, betas, k, one, lnfact), lnz)
+            alone = specfun._logs(one, *specfun._rows(beta0, betas, k, one), lnz)
             assert np.array(logs).tobytes() == alone.tobytes()
             assert logs_too == logs
             assert comps == one.tolist()
@@ -348,6 +346,18 @@ class TestShellMemo:
         calls = count_calls(monkeypatch, specfun, "_logs")
         assert repr(mml(MLArgs(1.7, (0.7, 0.2), (-0.02, -0.02)))) == "1.0647443008316475"
         assert sum(len(comps) for comps, *_ in calls) == math.comb(17, 2) == 136
+
+    def test_lnfact_is_one_read_only_table_to_the_largest_cap(self):
+        # every m >= 2 shell walk reads this one table, up to _mp_plan's cap
+        table = specfun._lnfact(specfun.log_gamma)
+        assert specfun._lnfact(specfun.log_gamma) is table
+        assert not table.flags.writeable
+        assert table[0] == 0.0 and table[10] == math.lgamma(11.0)
+        caps = [
+            specfun._mp_plan(1.5, betas, (-0.1,) * len(betas), 1e-8)[0]
+            for betas in ((0.7, 0.4), (0.8, 0.6, 0.3), (0.8, 0.6, 0.3, 0.2))
+        ]
+        assert len(table) - 1 == max(caps) == 2000
 
     def test_replaced_gamma_reads_no_other_table(self, monkeypatch):
         args = MLArgs(1.7, (0.7, 0.4), (-1.5, -0.2))
@@ -382,6 +392,32 @@ class TestExtendedPrecisionSeries:
         for (b0, betas, zs, tol), golden in GOLDEN_MP.items():
             assert repr(mml(MLArgs(b0, betas, zs), rel_tol=tol)) == golden
         assert mp_calls == list(GOLDEN_MP)
+
+    def test_reads_no_global_mpmath_context(self, monkeypatch):
+        # the sum passes its own precision to mpmath.libmp: with a process-wide
+        # mpmath.mp that raises on any use, each value keeps its bits
+        import mpmath
+
+        spec = OrderSpec((0.2, 0.5, 0.8), (0.5, 0.5, 1.0))
+        calls = (
+            lambda: ml2(0.5, 1.0, -20.0),
+            lambda: s2_kernel_series(2.0 * PI2, spec, 0.2, rel_tol=1e-8),
+        )
+        specfun._leading_shells.cache_clear()
+        expected = [repr(call()) for call in calls]
+
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"mpmath.mp.{name} was read")
+
+            def __setattr__(self, name, value):
+                raise AssertionError(f"mpmath.mp.{name} was set")
+
+        monkeypatch.setattr(mpmath, "mp", Untouchable())
+        specfun._leading_shells.cache_clear()
+        mp_calls = count_calls(monkeypatch, specfun, "_mml_mp")
+        assert [repr(call()) for call in calls] == expected
+        assert len(mp_calls) == 2
 
     def test_against_direct_series(self, monkeypatch):
         # terms peak near e^7.3 against a value near 0.15, so the double
@@ -580,6 +616,11 @@ class TestContourKernels:
             ContourSpec(theta=5 * math.pi / 6, delta=1.0, n_radial=400, r_max=math.inf)
         with pytest.raises(DomainError, match="t must be positive and finite"):
             tight_contour(math.inf)
+        # a float n_radial would end the ray grid past r_max
+        for n in (4000.5, 16.0):
+            with pytest.raises(DomainError, match=f"n_radial must be an integer, got {n!r}"):
+                tight_contour(0.1, n)
+        assert tight_contour(0.1, np.int64(400)) == tight_contour(0.1, 400)
         spec = OrderSpec((0.7,), (1.0,))
         for kernel in (s1_kernel_contour, s2_kernel_contour):
             with pytest.raises(DomainError, match="t must be positive and finite"):
