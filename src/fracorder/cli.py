@@ -333,6 +333,15 @@ def cmd_fit(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _write_columns(path: Path, header: str, columns) -> None:
+    """The header, then one row of %.17g values per index of the columns."""
+    # plain floats and numpy scalars under %.17g give the bytes of "{:.17g}"
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(map(row.__mod__, zip(*columns)))
+
+
 def _write_fig_panel(path: Path, alphas: tuple[float, ...], cfg: ExperimentConfig) -> None:
     lam = _EX_4_1.modes[0][0]
     tgrid = np.geomspace(cfg.t_max * 1e-6, cfg.t_max, cfg.fig_points)
@@ -350,11 +359,7 @@ def _write_fig_panel(path: Path, alphas: tuple[float, ...], cfg: ExperimentConfi
         g = trace_initial(_EX_4_1, orders, tgrid, method="auto").tolist()
     vp = models.eval_model(fp, tgrid).tolist()
     vr = models.eval_model(fr, tgrid).tolist()
-    # plain floats under %.17g give the bytes of "{:.17g}" on numpy scalars
-    lines = map("%.17g,%.17g,%.17g,%.17g\n".__mod__, zip(ts, g, vp, vr))
-    with open(path, "w", newline="") as fh:
-        fh.write("t,g,fp,fr\n")
-        fh.writelines(lines)
+    _write_columns(path, "t,g,fp,fr", (ts, g, vp, vr))
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -387,7 +392,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         stem = f"{row.table}{order}_T0_{t0}"
         try:
             sample = make_sample(row, cfg.n_points)
-            sample.to_csv(cfg.out / f"{stem}.csv")
+            _write_columns(cfg.out / f"{stem}.csv", "t,g", (sample.times, sample.values))
             meta = _row_metadata(row, cfg.n_points)
             meta["T0"] = row.T0
             _write_json(cfg.out / f"{stem}.meta.json", meta)

@@ -247,6 +247,8 @@ def minimize(sample: TraceSample, config: FitConfig) -> FitResult:
     kind, case = config.kind, config.case
     t, g = sample.times, sample.values
     nc = n_coeffs(kind, case, config.n_terms)
+    if len(sample) < (n_params := nc + config.n_terms):
+        raise DomainError(f"{len(sample)} sample points cannot determine {n_params} parameters")
 
     # finite data whose scale overflows abort here, before numpy warns
     with np.errstate(over="ignore", invalid="ignore"):

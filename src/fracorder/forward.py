@@ -19,7 +19,6 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -123,16 +122,15 @@ class TraceSample:
     def __len__(self) -> int:
         return len(self.times)
 
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,g\n")
-            for t, g in zip(self.times, self.values):
-                fh.write(f"{t:.17g},{g:.17g}\n")
-
 
 # ---------------------------------------------------------------------------
 # pointwise trace evaluation
 # ---------------------------------------------------------------------------
+
+
+def _kernel_exponent(problem: SpectralProblem) -> float | None:
+    """The a of the modes' kernels: None (S1) on initial data, else the source exponent."""
+    return None if problem.case is Case.INITIAL_DATA else problem.source_exponent
 
 
 def _as_times(t) -> tuple[np.ndarray, bool]:
@@ -168,7 +166,7 @@ def _mode_sum(
     with one vectorized call over all times per distinct eigenvalue.
     """
     times, scalar = _as_times(t)
-    a = None if problem.case is Case.INITIAL_DATA else problem.source_exponent
+    a = _kernel_exponent(problem)
     distinct = dict.fromkeys(lam for lam, _ in problem.modes)
     if method == "series":
         kernel = {lam: [] for lam in distinct}
@@ -217,7 +215,7 @@ def laplace_trace(problem: SpectralProblem, spec: OrderSpec, p: float) -> float:
     """Laplace transform of the boundary trace at real p > 0, from specfun's power terms."""
     if not p > 0.0:
         raise DomainError(f"p must be positive, got {p}")
-    a = None if problem.case is Case.INITIAL_DATA else problem.source_exponent
+    a = _kernel_exponent(problem)
     num = _power_sum(_at_nodes(_laplace_numerator(spec, a), p))
     den = _power_sum(_at_nodes(_denominator(spec), p))
     return math.fsum(w * num / (lam + den) for lam, w in problem.modes)

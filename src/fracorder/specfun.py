@@ -33,11 +33,12 @@ instead of silently returning garbage or summing for minutes.  The extended
 sum is integer fixed point: the factors of each term (1/Gamma, z_j**k_j/k_j!,
 k!) are mpmath mantissas, their exact product is shifted once into a running
 Python integer that counts a fixed quantum far below the noise floor, and no
-term costs an mpf multiply, add or normalization.  Both sums read their terms'
-log magnitudes from one shell walk (_shells): a shell's compositions and the
-z-independent parts of its terms are numpy columns (_rows), to which each
-call adds its own powers (_logs).  rel_tol must be positive and finite; ml2
-and mml reject any other value before they sum or take a shortcut.
+term costs an mpf multiply, add or normalization.  Both sums read each shell
+from one walk (_shells) as its compositions, rows of an int64 array, and the
+log magnitudes of its terms: _rows forms their z-independent parts from the
+compositions alone, to which each call adds its own powers (_logs).  rel_tol
+must be positive and finite; ml2 and mml reject any other value before they
+sum or take a shortcut.
 
 Every public function is a pure function of its arguments.  The module
 state is two read-only caches, which only save rebuilding: ln k! (_lnfact)
@@ -260,11 +261,10 @@ def _lnfact(gamma_fn) -> np.ndarray:
     return table
 
 
-def _rows(beta0: float, betas: tuple[float, ...], ks, comps: np.ndarray):
+def _rows(beta0: float, betas: tuple[float, ...], comps: np.ndarray):
     """(coef, lg) of the compositions comps (an int64 array, one per row):
     the log coefficient ln k! - sum ln k_j! and ln Gamma(beta0 + sum beta_j
-    k_j).  ks is the shell k of every row, or the ascending int64 array of
-    each row's shell; at m >= 2 the ln k! come from _lnfact."""
+    k_j), where k = sum k_j is the row's shell (ln k! from _lnfact at m >= 2)."""
     # the multinomial log coefficient is assembled apart from the powers so
     # that at m = 1 it is exactly 0 (ln k! - ln k!, no table needed), and the
     # Gamma argument is the float sum: the small-t fits hinge on the last bit
@@ -272,7 +272,7 @@ def _rows(beta0: float, betas: tuple[float, ...], ks, comps: np.ndarray):
     coef, bsum = np.zeros(len(comps)), np.zeros(len(comps))
     if len(betas) > 1:
         lnfact = _lnfact(log_gamma)
-        coef += lnfact[ks]
+        coef += lnfact[comps.sum(axis=1)]
         for col in comps.T:
             coef -= lnfact[col]
     for b, col in zip(betas, comps.T):
@@ -310,23 +310,21 @@ def _leading_shells(gamma_fn, beta0: float, betas: tuple[float, ...]):
     m = len(betas)
     n = next(n for n in count() if math.comb(n + m, m) > _MEMO_TERMS)
     starts = tuple(math.comb(k - 1 + m, m) for k in range(n + 1))
-    ks = np.repeat(np.arange(n, dtype=np.int64), np.diff(starts))
-    comps = ks[:, None] if m == 1 else np.vstack([_compositions(k, m) for k in range(n)])
-    table = (comps, *_rows(beta0, betas, ks, comps))
+    comps = np.vstack([_compositions(k, m) for k in range(n)])
+    table = (comps, *_rows(beta0, betas, comps))
     for a in table:
         a.flags.writeable = False  # every caller shares them
     return (*table, starts)
 
 
-def _shells(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], kmax: int,
-            with_comps: bool = False):
-    """Shells 0..kmax of the series at zs in turn: the list of log |term| of
-    each, or with with_comps the pair (compositions, logs), as lists.  The
-    cached leading shells are read in runs of shells 0..7, 8..15, 16..31 and
-    on, each as long as all before it, since most sums stop well before the
-    table ends, and the logs of a run are formed in one pass; past the table
-    each shell is built alone and not kept; kmax is at most _mp_plan's cap."""
-    m = len(betas)
+def _shells(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], kmax: int):
+    """Shells 0..kmax of the series at zs in turn, each as the pair
+    (compositions, logs): an int64 array of one composition per row and the
+    list of their log |term|.  The cached leading shells are read in runs of
+    shells 0..7, 8..15, 16..31 and on, each as long as all before it, since
+    most sums stop well before the table ends, and the logs of a run are
+    formed in one pass; past the table each shell is built alone and not
+    kept; kmax is at most _mp_plan's cap."""
     lnz = [math.log(-z) for z in zs]
     comps, coef, lg, starts = _leading_shells(log_gamma, beta0, betas)
     n = len(starts) - 1
@@ -334,17 +332,13 @@ def _shells(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], kmax:
     while k <= kmax and k < n:
         end = min(n, max(8, 2 * k))
         lo, hi = starts[k], starts[end]
-        rows = comps[lo:hi]
-        flat = _logs(rows, coef[lo:hi], lg[lo:hi], lnz).tolist()
-        # without with_comps the sliced "compositions" are never yielded
-        run = rows.tolist() if with_comps else flat
-        for a, b in pairwise(s - lo for s in starts[k : min(end, kmax + 1) + 1]):
-            yield (run[a:b], flat[a:b]) if with_comps else flat[a:b]
+        flat = _logs(comps[lo:hi], coef[lo:hi], lg[lo:hi], lnz).tolist()
+        for a, b in pairwise(starts[k : min(end, kmax + 1) + 1]):
+            yield comps[a:b], flat[a - lo : b - lo]
         k = end
     for k in range(k, kmax + 1):
-        shell = _compositions(k, m)
-        flat = _logs(shell, *_rows(beta0, betas, k, shell), lnz).tolist()
-        yield (shell.tolist(), flat) if with_comps else flat
+        shell = _compositions(k, len(betas))
+        yield shell, _logs(shell, *_rows(beta0, betas, shell), lnz).tolist()
 
 
 def _mml_double(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...]):
@@ -352,7 +346,7 @@ def _mml_double(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...]):
     s = c = 0.0
     peak_log = -math.inf
     quiet = 0
-    for k, logs in enumerate(_shells(beta0, betas, zs, _SHELL_CAP)):
+    for k, (_, logs) in enumerate(_shells(beta0, betas, zs, _SHELL_CAP)):
         peak_log = max(peak_log, max(logs))
         if peak_log > 700.0:
             return math.nan, peak_log, False
@@ -382,29 +376,21 @@ def _mp_plan(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_
     shells 0..K hold more than _MAX_SERIES_TERMS terms, C(K + m, m).
 
     The scan takes the largest log term (double precision) of geometrically
-    spaced shells up to the cap, each over a coarse sample of its
-    compositions; the summation itself re-verifies against the peak it
-    actually saw.  Few compositions are sampled per shell, so K runs low
-    (terms by about 2x at m = 3)."""
+    spaced shells k up to the cap, each over the compositions of 16 scaled
+    to k (running sums times k/16, rounded, differenced), all in one array;
+    the summation itself re-verifies against the peak it actually saw."""
     m = len(betas)
     shell_cap = _MP_SHELL_CAPS[min(m, 3) - 1]
     lnz = [math.log(-z) for z in zs]
-    samples = []
-    for k in sorted({int(round(shell_cap ** (i / 59.0))) for i in range(60)} | {0, 1, shell_cap}):
-        if m == 1:
-            comps = [(k,)]
-        elif m == 2:
-            comps = [(k1, k - k1) for k1 in sorted({round(k * i / 16.0) for i in range(17)})]
-        else:
-            # axes plus the even split; backed up by the in-pass check
-            comps = [tuple(k if j == i else 0 for j in range(m)) for i in range(m)]
-            comps.append(tuple(k // m for _ in range(m - 1)) + (k - (m - 1) * (k // m),))
-        comps = np.array(comps)
-        samples.append((k, float(_logs(comps, *_rows(beta0, betas, k, comps), lnz).max())))
-    peak_guess = max(ln for _, ln in samples)
+    ks = sorted({int(round(shell_cap ** (i / 59.0))) for i in range(60)} | {0, 1, shell_cap})
+    grid = np.cumsum(_compositions(16, m), axis=1)
+    scaled = np.rint(grid * (np.array(ks)[:, None, None] / 16.0)).astype(np.int64)
+    comps = np.diff(scaled, axis=2, prepend=0).reshape(-1, m)
+    peaks = _logs(comps, *_rows(beta0, betas, comps), lnz).reshape(len(ks), -1).max(axis=1).tolist()
+    peak_guess = max(peaks)
     noise_guess = peak_guess - (_mp_digits(rel_tol, peak_guess) + 8) * _LN10
     reach = next(
-        (k for k, ln in samples if ln + math.log(math.comb(k + m - 1, m - 1)) < noise_guess),
+        (k for k, ln in zip(ks, peaks) if ln + math.log(math.comb(k + m - 1, m - 1)) < noise_guess),
         shell_cap,
     )
     if (n_terms := math.comb(reach + m, m)) > _MAX_SERIES_TERMS:
@@ -468,8 +454,7 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
         total = 0
         peak_ln = -math.inf
         quiet = 0
-        walk = _shells(beta0, betas, zs, shell_cap, with_comps=True)
-        for k, (comps, logs) in enumerate(walk):
+        for k, (comps, logs) in enumerate(_shells(beta0, betas, zs, shell_cap)):
             if k:
                 kman *= k
                 if (drop := kman.bit_length() - prec - 64) > 0:
@@ -500,7 +485,7 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
             kbits = kexp + kman.bit_length()
             shell = 0
             cut = noise_ln - size_ln - 8.0
-            for comp, tlog in zip(comps, logs):
+            for comp, tlog in zip(comps.tolist(), logs):
                 if tlog < cut:
                     continue
                 key, man, exp = key0, 1, fbits + kbits

@@ -39,7 +39,7 @@ from fracorder.checks import (
     oracle_grid_series_vs_contour,
 )
 from fracorder.fit import FitResult
-from fracorder.forward import Case, SpectralProblem
+from fracorder.forward import Case, SpectralProblem, sample_trace
 from fracorder.models import Kind, ModelParams, exponents, to_physical
 from fracorder.specfun import DomainError
 
@@ -189,6 +189,21 @@ class TestCmdSimulate:
         assert len(lines) == 101
         first_t = float(lines[1].split(",")[0])
         assert first_t == 1e-8
+
+    def test_round_trip_and_format(self, tmp_path):
+        # a trace file holds the times and values of sample_trace's sample,
+        # each cell the "{:.17g}" of the value it reads back as
+        cfg = ExperimentConfig("table1a", tmp_path, t0=(1e-6,))
+        assert cmd_simulate(cfg) == 0
+        row = experiment_rows(cfg)[0]
+        sample = sample_trace(row.problem, row.orders, row.T0, cfg.n_points)
+        text = (tmp_path / "table1a_T0_1e-06.csv").read_text().splitlines()
+        assert text[0] == "t,g"
+        assert len(text) == 101
+        cells = [[float(c) for c in line.split(",")] for line in text[1:]]
+        assert cells == [[t, g] for t, g in zip(sample.times.tolist(), sample.values.tolist())]
+        for line, t, g in zip(text[1:], sample.times, sample.values):
+            assert line == f"{t:.17g},{g:.17g}"
 
     def test_distinct_t0_values_name_distinct_files(self, tmp_path):
         # 1.5e-6 and 2e-6 share the short form 2e-06; a T0 that the short

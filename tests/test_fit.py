@@ -1,5 +1,6 @@
 """Objective, linear initialization, projected quasi-Newton fit, recovery."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -31,6 +32,7 @@ from fracorder.models import (
     eval_model,
     exponents,
     from_physical,
+    n_coeffs,
     to_physical,
 )
 from fracorder.specfun import DomainError, OrderSpec
@@ -177,6 +179,19 @@ class TestMinimize:
         g[3] = np.nan
         with pytest.raises(DomainError, match="value nan at index 3 is not finite"):
             TraceSample(t, g, T0=1.0)
+
+    def test_fewer_points_than_parameters(self):
+        # such a fit is not determined by its data: it stopped at its
+        # starting guess and read converged after 0 iterations
+        for kind, case in itertools.product(Kind, Case):
+            for beta_init in ((0.5,), (0.3, 0.9)):
+                cfg = FitConfig(kind=kind, case=case, beta_init=beta_init)
+                n_params = n_coeffs(kind, case, len(beta_init)) + len(beta_init)
+                t = np.arange(1, n_params) / n_params
+                sample = TraceSample(t, 1.0 + t, T0=1.0)
+                match = f"{n_params - 1} sample points cannot determine {n_params} parameters"
+                with pytest.raises(DomainError, match=match):
+                    minimize(sample, cfg)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_residual_aborts(self):

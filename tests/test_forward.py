@@ -406,20 +406,7 @@ class TestSampleTrace:
             sample_trace(build_example_4_1(), orders, math.inf, 4)
 
 
-class TestTraceSampleCsv:
-    def test_round_trip_and_format(self, tmp_path):
-        # simulate writes its trace files through to_csv
-        orders = OrderSpec((0.7,), (1.0,))
-        p = build_example_4_1()
-        s = sample_trace(p, orders, 1e-6, 10)
-        path = tmp_path / "trace.csv"
-        s.to_csv(path)
-        text = path.read_text().splitlines()
-        assert text[0] == "t,g"
-        assert len(text) == 11
-        cells = [[float(c) for c in line.split(",")] for line in text[1:]]
-        assert np.array_equal(np.array(cells), np.column_stack([s.times, s.values]))
-
+class TestTraceSample:
     def test_validation(self):
         with pytest.raises(DomainError):
             TraceSample(np.array([0.0, 1.0]), np.array([1.0, 2.0]), T0=1.0)

@@ -1,6 +1,7 @@
 """Special-function layer: Gamma, Mittag-Leffler family, contour kernels."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -319,7 +320,7 @@ class TestShellMemo:
             lo, hi = starts[k], starts[k + 1]
             one = specfun._compositions(k, m)
             run = (comps[lo:hi], coef[lo:hi], lg[lo:hi])
-            for a, b in zip(run, (one, *specfun._rows(1.7, betas, k, one))):
+            for a, b in zip(run, (one, *specfun._rows(1.7, betas, one))):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
 
@@ -330,14 +331,14 @@ class TestShellMemo:
         beta0, betas, zs = 1.8, (0.8, 0.6, 0.3), (-0.5, -0.2, -0.1)
         lnz = [math.log(-z) for z in zs]
         walk = list(specfun._shells(beta0, betas, zs, kmax))
-        pairs = list(specfun._shells(beta0, betas, zs, kmax, with_comps=True))
-        assert len(walk) == len(pairs) == kmax + 1
-        for k, (logs, (comps, logs_too)) in enumerate(zip(walk, pairs)):
+        assert len(walk) == kmax + 1
+        for k, (comps, logs) in enumerate(walk):
             one = specfun._compositions(k, 3)
-            alone = specfun._logs(one, *specfun._rows(beta0, betas, k, one), lnz)
+            alone = specfun._logs(one, *specfun._rows(beta0, betas, one), lnz)
             assert np.array(logs).tobytes() == alone.tobytes()
-            assert logs_too == logs
-            assert comps == one.tolist()
+            assert logs == alone.tolist()
+            assert comps.dtype == one.dtype and comps.shape == one.shape
+            assert comps.tobytes() == one.tobytes()
 
     def test_short_sum_forms_the_logs_of_few_rows(self, monkeypatch):
         # the double sum stops after 13 shells (91 rows); the walk reads runs
@@ -371,11 +372,14 @@ class TestShellMemo:
 # summed in integer fixed point, at (beta0, betas, zs, rel_tol): the S2
 # argument of the kernels benchmark's three-order point (lam = 2 pi^2, t = 0.2,
 # orders (0.2, 0.5, 0.8), weights (0.5, 0.5, 1)), and the S1 and S2 arguments
-# of the 36-point grid's orders (0.3, 0.7) at lam = 2 pi^2, t = 1, |z_1| = 19.74
+# of the 36-point grid's orders (0.3, 0.7) at lam = 2 pi^2, t = 1, |z_1| = 19.74.
+# The three-order value is the correctly rounded one: a direct 45-digit sum to
+# shell 109 gives 0.013362870858540299076 (the sum stopped at shell 88 once the
+# scan's peak guess matched the true peak; it read 0.0133628708585403 before)
 GOLDEN_MP = {
     (0.8, (0.8, 0.6000000000000001, 0.30000000000000004),
      (-5.446954375628454, -0.19036539387158782, -0.3085169313600048), 1e-8):
-        "0.0133628708585403",
+        "0.013362870858540299",
     (1.7, (0.7, 0.39999999999999997), (-19.739208802178716, -0.5), 1e-8):
         "0.04879681661366187",
     (0.7, (0.7, 0.39999999999999997), (-19.739208802178716, -0.5), 1e-8):
@@ -385,7 +389,7 @@ GOLDEN_MP = {
 
 class TestExtendedPrecisionSeries:
     def test_golden_bits_cold(self, monkeypatch):
-        # the three-order point sums about 114k terms (to shell 86), inside
+        # the three-order point sums about 121k terms (to shell 88), inside
         # the term budget
         specfun._leading_shells.cache_clear()
         mp_calls = count_calls(monkeypatch, specfun, "_mml_mp")
@@ -429,8 +433,39 @@ class TestExtendedPrecisionSeries:
         assert len(mp_calls) == 1
         assert rel_err(value, mp_mml(*args, shells=180)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "args, rel_tol",
+        [
+            (next(iter(GOLDEN_MP))[:3], 1e-8),
+            ((1.8, (0.8, 0.6, 0.3), (-6.0, -0.5, -0.5)), 1e-10),
+        ],
+        ids=["kernels-three-order-s2", "three-order-z-6"],
+    )
+    def test_scan_agrees_with_the_sum_at_three_arguments(self, monkeypatch, args, rel_tol):
+        # the scan's peak guess is the largest log term that the sum then
+        # walks, and its term estimate is not below the terms walked
+        _, peak_guess = specfun._mp_plan(*args, rel_tol)
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, "_MAX_SERIES_TERMS", 0)
+            with pytest.raises(AccuracyError, match=r"needs about \d+ terms") as info:
+                specfun._mp_plan(*args, rel_tol)
+        estimate = int(re.search(r"about (\d+) terms", str(info.value)).group(1))
+        walked, peaks = [], []
+        real = specfun._shells
+
+        def recorded(*walk_args):
+            for comps, logs in real(*walk_args):
+                walked.append(len(logs))
+                peaks.append(max(logs))
+                yield comps, logs
+
+        monkeypatch.setattr(specfun, "_shells", recorded)
+        specfun._mml_mp(*args, rel_tol)
+        assert abs(peak_guess - max(peaks)) < 0.05
+        assert estimate >= 0.9 * sum(walked)
+
     def test_hopeless_sums_fail_fast(self):
-        # the scan puts these past the term budget (about 2.0e6 and 8.8e6
+        # the scan puts these past the term budget (2,731,135 and 8,783,390
         # terms); summed anyway, the first takes seconds, the second minutes
         for args in (
             MLArgs(1.5, (0.8, 0.5, 0.3), (-15.0, -1.0, -0.5)),
