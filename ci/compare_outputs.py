@@ -25,8 +25,10 @@ table2 and table3 exits 1 by design) or a helper process fails.
 
 `compare` walks two trees.  For each CSV it prints how many cells differ,
 the largest relative difference of a numeric cell, and how many differing
-cells are not numeric; for every other file, how many lines differ; and
-files found on one side only.  A file differs when its bytes do, so it
+cells are not numeric; for kernels.txt and source.txt, whose lines are a
+name and a value, the same of the lines' last fields, a line whose name
+differs counting as not numeric; for every other file, how many lines differ; and files found
+on one side only.  A file differs when its bytes do, so it
 exits 1 on any byte difference or missing file, and 0 otherwise.
 """
 
@@ -44,6 +46,8 @@ from pathlib import Path
 TABLES = ("table1a", "table1b", "table2", "table3")
 SIMULATED = ("fig1", "fig2", *TABLES)
 SEEDS = (101, 202, 303)
+# the captured files of `name value` lines, whose names may hold spaces
+VALUE_FILES = ("kernels.txt", "source.txt")
 HERE = Path(__file__).resolve().parent
 
 
@@ -153,22 +157,47 @@ def _relative_difference(x: str, y: str) -> float:
     return abs(u - v) / max(abs(u), abs(v)) if u != v else 0.0
 
 
+def _tally(pairs) -> tuple[int, float, int]:
+    """How many of the (x, y) pairs differ, the largest relative difference
+    of a differing numeric pair, and how many differing pairs are not numeric."""
+    differ, worst, other = 0, 0.0, 0
+    for x, y in pairs:
+        if x == y:
+            continue
+        differ += 1
+        rel = _relative_difference(x, y)
+        if math.isfinite(rel):
+            worst = max(worst, rel)
+        else:
+            other += 1
+    return differ, worst, other
+
+
 def _compare_csv(a: Path, b: Path) -> tuple[int, str]:
     rows_a, rows_b = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
-    differ, other, worst = 0, 0, 0.0
-    for row_a, row_b in zip_longest(rows_a, rows_b, fillvalue=[]):
-        for x, y in zip_longest(row_a, row_b):
-            if x == y:
-                continue
-            differ += 1
-            rel = _relative_difference(x, y)
-            if math.isfinite(rel):
-                worst = max(worst, rel)
-            else:
-                other += 1
+    rows = zip_longest(rows_a, rows_b, fillvalue=[])
+    differ, worst, other = _tally(cells for row_a, row_b in rows for cells in zip_longest(row_a, row_b))
     return differ, (
         f"{differ} cells differ, largest relative difference {worst:.3g}, "
         f"{other} differing cells not numeric"
+    )
+
+
+def _values(x: str | None, y: str | None) -> tuple:
+    """The last fields of two `name value` lines when the rest agrees, else
+    the lines themselves (a name may hold spaces, a float value does not)."""
+    if x is None or y is None:
+        return x, y
+    (name_x, _, u), (name_y, _, v) = x.rpartition(" "), y.rpartition(" ")
+    return (u, v) if name_x == name_y else (x, y)
+
+
+def _compare_values(a: Path, b: Path) -> tuple[int, str]:
+    lines = zip_longest(a.read_text().splitlines(), b.read_text().splitlines())
+    differ, worst, other = _tally(_values(x, y) for x, y in lines)
+    return differ, (
+        f"{differ} lines differ, largest relative difference {worst:.3g}, "
+        f"{other} differing values not numeric"
     )
 
 
@@ -191,7 +220,12 @@ def compare(a: Path, b: Path) -> int:
             continue
         # a file differs when its bytes do; cells and lines say where
         same = (a / name).read_bytes() == (b / name).read_bytes()
-        count, report = (_compare_csv if name.suffix == ".csv" else _compare_lines)(a / name, b / name)
+        if name.suffix == ".csv":
+            count, report = _compare_csv(a / name, b / name)
+        elif name.as_posix() in VALUE_FILES:
+            count, report = _compare_values(a / name, b / name)
+        else:
+            count, report = _compare_lines(a / name, b / name)
         if count == 0 and not same:
             report += ", but the bytes differ"
         changed += not same

@@ -3,7 +3,8 @@
 Gamma, the two-parameter and multinomial Mittag-Leffler functions, and two
 quadratures of the relaxation kernels' Laplace transforms that share no code
 with the series: the arc-plus-rays contour kernels (s*_kernel_contour), the
-independent cross-check of the series evaluations, and the Weideman-Trefethen
+independent cross-check of the series evaluations, which form each node
+power from the node's polar parts (_polar_nodes), and the Weideman-Trefethen
 hyperbola (_hyperbola_integral), which serves every value of forward's "auto"
 method.  Both take a transform's numerator and denominator as power terms
 (weight, exponent), summed by one helper (_power_sum).  The hyperbola takes a
@@ -30,10 +31,15 @@ accuracy in double precision the evaluation transparently retries in bounded
 extended precision.  When even that cannot be certified, or a coarse scan says
 the sum would need more than _MAX_SERIES_TERMS terms, AccuracyError is raised
 instead of silently returning garbage or summing for minutes.  The extended
-sum is integer fixed point: the factors of each term (1/Gamma, z_j**k_j/k_j!,
-k!) are mpmath mantissas, their exact product is shifted once into a running
-Python integer that counts a fixed quantum far below the noise floor, and no
-term costs an mpf multiply, add or normalization.  Both sums read each shell
+sum is integer fixed point: a running Python integer counts a fixed quantum
+far below the noise floor.  The factors of each term (1/Gamma, z_j**k_j/k_j!,
+k!) are mpmath mantissas whose exact product is shifted once into that
+integer, so no term costs an mpf multiply, add or normalization; only a miss
+of the 1/Gamma memo does, served by the recurrence from a neighbour up to
+_GAMMA_STEPS unit steps away with one rounding, else by mpf_rgamma.  Terms
+just above the per-term cut, whose double exp(log) errs by less than a
+dropped term (_term_rel_err), are summed in double precision instead, one
+math.fsum per shell added to the integer once.  Both sums read each shell
 from one walk (_shells) as its compositions, rows of an int64 array, and the
 log magnitudes of its terms: _rows forms their z-independent parts from the
 compositions alone, to which each call adds its own powers (_logs).  rel_tol
@@ -96,7 +102,11 @@ _MAX_MP_DPS = 400
 _MP_SHELL_CAPS = (30000, 2000, 600)
 # Most terms an extended-precision sum may need (see _mp_plan)
 _MAX_SERIES_TERMS = 500_000
+# Largest step n of the Gamma recurrence that serves a 1/Gamma memo miss
+_GAMMA_STEPS = 8
 _LN10 = math.log(10.0)
+# ln of the smallest normal double: exp below it returns a subnormal
+_LN_TINY = math.log(float(np.finfo(float).tiny))
 
 
 class DomainError(ValueError):
@@ -231,16 +241,22 @@ def _certified(value: float, peak_log: float, rel_tol: float) -> bool:
 
 def _compositions(k: int, m: int) -> np.ndarray:
     """All m-tuples of non-negative integers summing to k, lexicographic, as
-    the rows of an int64 array."""
-    if m == 1:
-        return np.array([[k]], dtype=np.int64)
-    head = np.arange(k + 1, dtype=np.int64)
-    if m == 2:
-        return np.column_stack([head, k - head])
-    return np.vstack(
-        [np.column_stack([np.full(math.comb(k - f + m - 2, m - 2), f), _compositions(k - f, m - 1)])
-         for f in range(k + 1)]
-    )
+    the rows of an int64 array, filled one column at a time."""
+    out = np.empty((math.comb(k + m - 1, m - 1), m), dtype=np.int64)
+    left = np.array([k], dtype=np.int64)  # what each prefix leaves to the columns after it
+    for j in range(m - 1):
+        # a prefix leaving r takes each v = 0..r in column j, and each v spans
+        # the C(r - v + p, p) rows that split r - v over the p + 1 columns
+        # after j, formed as a running product that stays an exact integer
+        n = left + 1
+        v = np.arange(n.sum(), dtype=np.int64) - np.repeat(np.cumsum(n) - n, n)
+        left = np.repeat(left, n) - v
+        span = np.ones_like(left)
+        for i in range(1, m - j - 1):
+            span = span * (left + i) // i
+        out[:, j] = np.repeat(v, span)
+    out[:, -1] = left
+    return out
 
 
 # The terms of the multinomial series at z_j < 0, listed shell by shell.
@@ -277,7 +293,7 @@ def _rows(beta0: float, betas: tuple[float, ...], comps: np.ndarray):
             coef -= lnfact[col]
     for b, col in zip(betas, comps.T):
         bsum += b * col
-    return coef, np.array([log_gamma(x) for x in (beta0 + bsum).tolist()])
+    return coef, np.array(list(map(log_gamma, (beta0 + bsum).tolist())))
 
 
 def _logs(comps: np.ndarray, coef: np.ndarray, lg: np.ndarray, lnz) -> np.ndarray:
@@ -341,12 +357,12 @@ def _shells(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], kmax:
         yield shell, _logs(shell, *_rows(beta0, betas, shell), lnz).tolist()
 
 
-def _mml_double(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...]):
-    # Kahan-compensated sum s of the shells, c its running compensation
+def _mml_double(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], kmax: int = _SHELL_CAP):
+    # Kahan-compensated sum s of the shells 0..kmax, c its running compensation
     s = c = 0.0
     peak_log = -math.inf
     quiet = 0
-    for k, (_, logs) in enumerate(_shells(beta0, betas, zs, _SHELL_CAP)):
+    for k, (_, logs) in enumerate(_shells(beta0, betas, zs, kmax)):
         peak_log = max(peak_log, max(logs))
         if peak_log > 700.0:
             return math.nan, peak_log, False
@@ -367,6 +383,29 @@ def _mml_double(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...]):
 def _mp_digits(rel_tol: float, peak_ln: float) -> int:
     """Digits for rel_tol plus those lost to cancellation from e**peak_ln."""
     return max(6, int(math.ceil(-math.log10(rel_tol)))) + max(0, int(peak_ln / _LN10) + 1)
+
+
+# Relative error of a term formed in double precision as exp(tlog), in units
+# of _EPS per unit of L = ln k! + k max|ln|z_j|| + max|lgamma(x)| + 1.  Of
+# tlog = (ln k! - sum ln k_j!) + sum k_j ln|z_j| - lgamma(x), the factorial
+# part errs by under 13 ulps of ln k! (m + 1 values of math.lgamma, each
+# within 2 ulps at the integers, and m roundings), the powers by under 5 ulps
+# of k max|ln|z_j||, and lgamma(x) by under 16 ulps of |lgamma(x)| + 1: 7 of
+# math.lgamma's own (against 40-digit mpmath at 40,000 arguments), and 2m as
+# the Gamma argument x, a float sum of 2m roundings, moves lgamma(x) by at
+# most m eps |x digamma(x)| < 2m eps (|lgamma(x)| + 1).  With the two final
+# additions, exp and the band's fsum, that is under 18 ulps of L at m <= 4;
+# 64 leaves a factor 3.5.
+_BAND_ULPS = 64.0
+
+
+def _term_rel_err(k: int, beta0: float, betas: tuple[float, ...], zs: tuple[float, ...]) -> float:
+    """Bound on the relative error of exp(tlog) for every term of shell k:
+    the Gamma arguments of the shell lie between beta0 + k min(betas) and
+    beta0 + k max(betas), where |lgamma| is largest at an end, or below 1."""
+    lgam = max(abs(math.lgamma(beta0 + k * b)) for b in (min(betas), max(betas)))
+    lnz = max(abs(math.log(-z)) for z in zs)
+    return _BAND_ULPS * _EPS * (math.lgamma(k + 1.0) + k * lnz + lgam + 1.0)
 
 
 def _mp_plan(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_tol: float):
@@ -433,22 +472,29 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
         zlast, zpow = [lib.fone] * m, [[(1, 0)] for _ in range(m)]
         kman, kexp = 1, 0
         # per-call memo of 1/Gamma on the exact argument lattice, as raw libmp
-        # values (sign, man, exp, bits); arguments are all positive, and a
-        # neighbour at unit offset is served by the recurrence
-        # 1/Gamma(x) = x/Gamma(x+1) = 1/((x-1) Gamma(x-1))
+        # values (sign, man, exp, bits); arguments are all positive, and the
+        # nearest neighbour at n unit offsets, n <= _GAMMA_STEPS, serves a
+        # miss by the recurrence 1/Gamma(x) = x (x+1) ... (x+n-1) / Gamma(x+n)
+        # = 1/((x-n) ... (x-1) Gamma(x-n)), the product of the n factors an
+        # exact integer over unit**n, applied with one rounding
         rgam: dict[int, tuple] = {}
 
         def rgamma(key: int) -> tuple:
             r = rgam.get(key)
-            if r is None:
-                if (up := rgam.get(key + unit)) is not None:
-                    man = up[1] * key  # x times up, rounded once as mpf_mul does
-                    r = lib.normalize(0, man, up[2] - scale, man.bit_length(), prec, rnd)
-                elif (down := rgam.get(key - unit)) is not None:
-                    r = lib.mpf_div(down, lib.from_man_exp(key - unit, -scale), prec, rnd)
-                else:
-                    r = lib.mpf_rgamma(lib.from_man_exp(key, -scale), prec, rnd)
-                rgam[key] = r
+            if r is not None:
+                return r
+            for n in range(1, _GAMMA_STEPS + 1):
+                if (up := rgam.get(key + n * unit)) is not None:
+                    man = up[1] * math.prod(range(key, key + n * unit, unit))
+                    r = lib.normalize(0, man, up[2] - n * scale, man.bit_length(), prec, rnd)
+                    break
+                if (down := rgam.get(key - n * unit)) is not None:
+                    den = lib.from_man_exp(math.prod(range(key - n * unit, key, unit)), -n * scale)
+                    r = lib.mpf_div(down, den, prec, rnd)
+                    break
+            else:
+                r = lib.mpf_rgamma(lib.from_man_exp(key, -scale), prec, rnd)
+            rgam[key] = r
             return r
 
         total = 0
@@ -485,8 +531,16 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
             kbits = kexp + kman.bit_length()
             shell = 0
             cut = noise_ln - size_ln - 8.0
+            # a term in [cut, top) is summed as its double exp(tlog), which
+            # errs by less than a dropped term (see _term_rel_err), so the
+            # mass neglected per shell stays below 2 e**(noise_ln - 8); below
+            # _LN_TINY, exp(tlog) would lose bits as a subnormal
+            top = cut - math.log(_term_rel_err(k, beta0, betas, zs)) if cut > _LN_TINY else cut
+            band = []
             for comp, tlog in zip(comps.tolist(), logs):
-                if tlog < cut:
+                if tlog < top:
+                    if tlog >= cut:
+                        band.append(tlog)
                     continue
                 key, man, exp = key0, 1, fbits + kbits
                 for bk, zj, kj in zip(bkeys, zpow, comp):
@@ -498,6 +552,7 @@ def _mml_mp(beta0: float, betas: tuple[float, ...], zs: tuple[float, ...], rel_t
                 exp += rexp
                 shell += man << exp if exp >= 0 else man >> -exp
             shell = (shell * kman) >> kman.bit_length()
+            shell += round(math.ldexp(math.fsum(map(math.exp, band)), fbits))
             total += -shell if k % 2 else shell
         raise AccuracyError(f"{label}: series did not converge")
 
@@ -538,9 +593,18 @@ def _mml_value(
         # exact classical limit; the raw series cancels hopelessly for large |z|
         return math.exp(zs[0])
     m = len(betas)
-    if math.comb(_SHELL_CAP + m, m) > _MAX_SERIES_TERMS:
-        _mp_plan(beta0, betas, zs, rel_tol)  # the double sum alone could take long
-    value, peak_log, converged = _mml_double(beta0, betas, zs)
+    if math.comb(_SHELL_CAP + m, m) <= _MAX_SERIES_TERMS:
+        value, peak_log, converged = _mml_double(beta0, betas, zs)
+    else:
+        # the double sum alone could take long: it runs past the cached
+        # leading shells and the first shell after them, which confirms a
+        # quiet last cached one, only after _mp_plan's scan finds it within
+        # budget
+        *_, starts = _leading_shells(log_gamma, beta0, betas)
+        value, peak_log, converged = _mml_double(beta0, betas, zs, len(starts) - 1)
+        if not converged:
+            _mp_plan(beta0, betas, zs, rel_tol)
+            value, peak_log, converged = _mml_double(beta0, betas, zs)
     if converged and _certified(value, peak_log, rel_tol):
         return value
     return _mml_mp(beta0, betas, zs, rel_tol)
@@ -680,12 +744,19 @@ def _power_sum(node_terms, mu=1.0):
     return acc
 
 
+def _polar_nodes(terms, radius, angle) -> list:
+    """_at_nodes at p = radius e^(i angle), |angle| < pi, one of the two an
+    array: p**e on the principal branch is radius**e e^(i e angle), a real
+    power and a phase, which cost far less than a complex power."""
+    return [(w, e, radius**e * np.exp(1j * e * angle) if e else 1.0) for w, e in terms]
+
+
 def _contour_integral(lam, spec, t, contour, numerator) -> float:
     """Inverse Laplace transform at t of numerator / (lam + sum r p^alpha)."""
 
-    def integrand(p: np.ndarray) -> np.ndarray:
-        den = lam + _power_sum(_at_nodes(_denominator(spec), p))
-        return np.exp(t * p) * _power_sum(_at_nodes(numerator, p)) / den
+    def integrand(p: np.ndarray, radius, angle) -> np.ndarray:
+        den = lam + _power_sum(_polar_nodes(_denominator(spec), radius, angle))
+        return np.exp(t * p) * _power_sum(_polar_nodes(numerator, radius, angle)) / den
 
     theta, delta, n, r_max = contour.theta, contour.delta, contour.n_radial, contour.r_max
     eith = complex(math.cos(theta), math.sin(theta))
@@ -693,15 +764,15 @@ def _contour_integral(lam, spec, t, contour, numerator) -> float:
     # outgoing ray, composite trapezoid on geometrically graded nodes;
     # the incoming ray is its conjugate, so the pair contributes Im(.)/pi
     r = delta * (r_max / delta) ** (np.arange(n + 1) / n)
-    fray = integrand(r * eith) * eith
+    fray = integrand(r * eith, r, theta) * eith
     seg = 0.5 * (fray[1:] + fray[:-1]) * np.diff(r)
     ray_part = float(np.imag(np.sum(seg))) / math.pi
 
     # arc, midpoint rule on [0, theta] doubled by conjugate symmetry
     n_arc = max(64, 2 * n)
     phi = (np.arange(n_arc) + 0.5) * (theta / n_arc)
-    parc = delta * np.exp(1j * phi)
-    garc = integrand(parc) * np.exp(1j * phi)
+    eiphi = np.exp(1j * phi)
+    garc = integrand(delta * eiphi, delta, phi) * eiphi
     arc_part = delta / math.pi * float(np.sum(np.real(garc))) * (theta / n_arc)
 
     total = ray_part + arc_part

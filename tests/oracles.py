@@ -7,6 +7,8 @@ code with the package under test.
 
 from __future__ import annotations
 
+import math
+
 import mpmath
 import numpy as np
 
@@ -46,27 +48,36 @@ def mp_ml2(alpha, beta, z, terms: int = 400, dps: int = 60) -> float:
         return _certified(total, abs(term), peak, dps, f"mp_ml2({alpha}, {beta}, {z})")
 
 
+def _compositions(k: int, m: int):
+    """The m-tuples of non-negative integers summing to k, lexicographic."""
+    if m == 1:
+        yield (k,)
+        return
+    for first in range(k + 1):
+        for rest in _compositions(k - first, m - 1):
+            yield (first, *rest)
+
+
 def mp_mml(beta0, betas, zs, shells: int = 400, dps: int = 60) -> float:
-    """Multinomial Mittag-Leffler (two arguments) by brute-force summation.
+    """Multinomial Mittag-Leffler function by brute-force summation, shell by
+    shell, each term k!/(k_1! ... k_m!) prod z_j**k_j / Gamma(beta0 + sum
+    beta_j k_j) formed on its own.
 
     Raises ArithmeticError when `shells` or `dps` do not certify the value.
     """
-    assert len(betas) == len(zs) == 2
+    assert len(betas) == len(zs) >= 1
     with mpmath.workdps(dps):
         b0 = mpmath.mpf(beta0)
-        b1, b2 = (mpmath.mpf(b) for b in betas)
-        z1, z2 = (mpmath.mpf(z) for z in zs)
+        bs = [mpmath.mpf(b) for b in betas]
+        zz = [mpmath.mpf(z) for z in zs]
         total = peak = shell = mpmath.mpf(0)
         for k in range(shells + 1):
             shell = mpmath.mpf(0)
-            for k1 in range(k + 1):
-                k2 = k - k1
-                term = (
-                    mpmath.binomial(k, k1)
-                    * z1**k1
-                    * z2**k2
-                    / mpmath.gamma(b0 + b1 * k1 + b2 * k2)
-                )
+            for comp in _compositions(k, len(bs)):
+                term = mpmath.mpf(math.factorial(k) // math.prod(map(math.factorial, comp)))
+                for z, kj in zip(zz, comp):
+                    term *= z**kj
+                term /= mpmath.gamma(sum((b * kj for b, kj in zip(bs, comp)), b0))
                 shell += term
                 peak = max(peak, abs(term))
             total += shell

@@ -55,6 +55,36 @@ def test_compare_reports_cells_lines_and_missing_files(tmp_path):
     assert "check.txt: 0 lines differ, but the bytes differ" in run.stdout
 
 
+def test_compare_quantifies_name_value_files(tmp_path):
+    # kernels.txt and source.txt are `name value` lines; a name may hold spaces
+    a = tmp_path / "a"
+    a.mkdir()
+    lines = ["grid/s1/a=(0.3, 0.7)/t=1.0 0.25", "ml2/z=-19.5 AccuracyError: no", "t=0.01 2.0"]
+    for name in ("kernels.txt", "source.txt", "other.txt"):
+        (a / name).write_text("\n".join(lines) + "\n")
+    b = tmp_path / "b"
+    shutil.copytree(a, b)
+    run = _compare(a, b)
+    assert run.returncode == 0, run.stdout
+    assert "kernels.txt: 0 lines differ, largest relative difference 0, 0 differing values not numeric" in run.stdout
+
+    # the first value moves from 0.25 to 0.3125 (0.2 relative), and the
+    # error's text and the last name change: two differences not numeric
+    moved = ["grid/s1/a=(0.3, 0.7)/t=1.0 0.3125", "ml2/z=-19.5 AccuracyError: yes", "t=0.02 2.0"]
+    for name in ("kernels.txt", "source.txt", "other.txt"):
+        (b / name).write_text("\n".join(moved) + "\n")
+    run = _compare(a, b)
+    assert run.returncode == 1
+    for name in ("kernels.txt", "source.txt"):
+        assert f"{name}: 3 lines differ, largest relative difference 0.2, 2 differing values not numeric" in run.stdout
+    assert "other.txt: 3 lines differ\n" in run.stdout
+
+    # a line found on one side only is not numeric
+    (b / "kernels.txt").write_text(lines[0] + "\n")
+    run = _compare(a, b)
+    assert "kernels.txt: 2 lines differ, largest relative difference 0, 2 differing values not numeric" in run.stdout
+
+
 def test_source_values_records_each_figures_source_time(tmp_path):
     # one line per source time of the figures benchmark inputs at the three
     # seeds, each the repr of the value in this process

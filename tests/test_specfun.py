@@ -387,6 +387,19 @@ GOLDEN_MP = {
 }
 
 
+# the S2 argument of the 36-point grid's orders (0.2, 0.9) at lam = 2 pi^2,
+# t = 1: its betas (0.9, 0.7) satisfy 4 beta_1 + 2 beta_2 = 5 exactly as
+# doubles, a Gamma relation that no unit step of the recurrence reaches
+GRID_S2_ARGS = (0.9, (0.9, 0.7), (-19.739208802178716, -1.0))
+# frozen from oracles.mp_mml at (beta0, betas, zs): the three-order GOLDEN_MP
+# argument with shells=110, dps=45 (about 16 s) and GRID_S2_ARGS with
+# shells=160, dps=40 (about 1 s)
+MP_MML_REF = {
+    next(iter(GOLDEN_MP))[:3]: 0.013362870858540299,
+    GRID_S2_ARGS: 0.0007194798264508124,
+}
+
+
 class TestExtendedPrecisionSeries:
     def test_golden_bits_cold(self, monkeypatch):
         # the three-order point sums about 121k terms (to shell 88), inside
@@ -423,15 +436,65 @@ class TestExtendedPrecisionSeries:
         assert [repr(call()) for call in calls] == expected
         assert len(mp_calls) == 2
 
-    def test_against_direct_series(self, monkeypatch):
-        # terms peak near e^7.3 against a value near 0.15, so the double
-        # series cannot certify 1e-12; the oracle sums shells 0..180 at 60
-        # digits, where the last is below 1e-60
+    @pytest.mark.parametrize(
+        "args, rel_tol, reference",
+        [
+            # terms peak near e^7.3 against a value near 0.15, so the double
+            # series cannot certify 1e-12; the oracle sums shells 0..180 at
+            # 60 digits, where the last is below 1e-60
+            ((1.8, (0.8, 0.3), (-6.0, -0.5)), 1e-12, lambda args: mp_mml(*args, shells=180)),
+            ((1.7, (0.7,), (-15.0,)), 1e-10, lambda args: mp_mml(*args)),
+            (next(iter(GOLDEN_MP))[:3], 1e-8, MP_MML_REF.get),
+            (GRID_S2_ARGS, 1e-8, MP_MML_REF.get),
+        ],
+        ids=["two-args-z-6", "one-arg-z-15", "kernels-three-order-s2", "grid-s2-0.9-0.7"],
+    )
+    def test_against_direct_series(self, monkeypatch, args, rel_tol, reference):
+        # each value is summed in extended precision, where the double
+        # band and the n-step Gamma recurrence serve some of its terms
         mp_calls = count_calls(monkeypatch, specfun, "_mml_mp")
-        args = (1.8, (0.8, 0.3), (-6.0, -0.5))
-        value = mml(MLArgs(*args), rel_tol=1e-12)
+        value = mml(MLArgs(*args), rel_tol=rel_tol)
         assert len(mp_calls) == 1
-        assert rel_err(value, mp_mml(*args, shells=180)) < 1e-12
+        assert rel_err(value, reference(args)) < rel_tol
+
+    def test_gamma_recurrence_serves_most_misses(self, monkeypatch):
+        # with unit steps only, this sum called mpf_rgamma 4,803 times; steps
+        # up to 8 reach the relation 4 beta_1 + 2 beta_2 = 5
+        from mpmath import libmp
+
+        calls = count_calls(monkeypatch, libmp, "mpf_rgamma")
+        assert repr(specfun._mml_mp(*GRID_S2_ARGS, 1e-8)) == "0.0007194798264508146"
+        assert 0 < len(calls) < 600
+
+    @pytest.mark.parametrize(
+        "args, kmax",
+        [
+            (next(iter(GOLDEN_MP))[:3], 60),
+            (GRID_S2_ARGS, 120),
+            ((0.3, (0.9, 0.6, 0.4, 0.1), (-3.0, -1.0, -0.5, -0.2)), 24),
+        ],
+        ids=["three-order", "grid-s2-0.9-0.7", "four-args"],
+    )
+    def test_band_bound_covers_the_log_error(self, args, kmax):
+        # the band sums a term as its double exp(tlog); the error of tlog,
+        # against 40-digit logs of up to 16 terms per shell, stays below an
+        # eighth of the bound _term_rel_err puts on the error of exp(tlog)
+        import mpmath
+
+        beta0, betas, zs = args
+        with mpmath.workdps(40):
+            for k, (comps, logs) in enumerate(specfun._shells(*args, kmax)):
+                bound = specfun._term_rel_err(k, *args)
+                for i in range(0, len(logs), max(1, len(logs) // 16)):
+                    comp = comps[i].tolist()
+                    x = sum((mpmath.mpf(b) * kj for b, kj in zip(betas, comp)), mpmath.mpf(beta0))
+                    exact = (
+                        mpmath.loggamma(k + 1)
+                        - sum(mpmath.loggamma(kj + 1) for kj in comp)
+                        + sum(kj * mpmath.log(-z) for kj, z in zip(comp, zs))
+                        - mpmath.loggamma(x)
+                    )
+                    assert abs(logs[i] - exact) < bound / 8, (k, comp)
 
     @pytest.mark.parametrize(
         "args, rel_tol",
@@ -475,6 +538,13 @@ class TestExtendedPrecisionSeries:
             with pytest.raises(AccuracyError, match=r"needs about \d+ terms"):
                 mml(args)
             assert time.perf_counter() - start < 1.0
+
+    def test_four_arguments_scan_only_a_long_sum(self, monkeypatch):
+        # the double sum converges on shell 13, the first past the 13 cached
+        # shells, so _mp_plan's scan (about 20 ms a call) does not run
+        plans = count_calls(monkeypatch, specfun, "_mp_plan")
+        assert repr(mml(MLArgs(0.5, (0.9, 0.6, 0.4, 0.1), (-0.01,) * 4))) == "0.5279447459585168"
+        assert plans == []
 
 
 class TestOrderSpecAndNormalize:
