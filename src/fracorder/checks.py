@@ -209,8 +209,8 @@ def laplace_step2_source_value() -> CheckResult:
     problem = build_example_4_2("ii")
     orders = OrderSpec((0.5, 0.7), (0.5, 1.0))
     p = 1e8
-    q = specfun._power_sum(specfun._at_nodes(specfun._denominator(orders), p))
     a = problem.source_exponent
+    _, q = specfun._transform_at(orders, p, a)
     val = p ** (a + 1.0) * q * laplace_trace(problem, orders, p)
     f_x0, _ = _boundary_values(problem)
     err = abs(val - f_x0) / f_x0

@@ -25,12 +25,9 @@ import numpy as np
 from fracorder.specfun import (
     DomainError,
     OrderSpec,
-    _at_nodes,
     _check_source_exponent,
-    _denominator,
     _hyperbola_integral,
-    _laplace_numerator,
-    _power_sum,
+    _transform_at,
     s1_kernel_series,
     s2_kernel_int_series,
 )
@@ -179,8 +176,7 @@ def _mode_sum(
                     kernel[lam].append(s2_kernel_int_series(lam, spec, a, ti))
         columns = [[w * k for k in kernel[lam]] for lam, w in problem.modes]
     elif method == "auto":
-        numerator = _laplace_numerator(spec, a)
-        kernel = {lam: _hyperbola_integral(lam, spec, times, numerator) for lam in distinct}
+        kernel = {lam: _hyperbola_integral(lam, spec, times, a) for lam in distinct}
         columns = [(w * kernel[lam]).tolist() for lam, w in problem.modes]
     else:
         raise DomainError(f"unknown method {method!r}; expected 'series' or 'auto'")
@@ -212,12 +208,10 @@ def trace_source(
 
 
 def laplace_trace(problem: SpectralProblem, spec: OrderSpec, p: float) -> float:
-    """Laplace transform of the boundary trace at real p > 0, from specfun's power terms."""
+    """Laplace transform of the boundary trace at real p > 0, from specfun's _transform_at."""
     if not p > 0.0:
         raise DomainError(f"p must be positive, got {p}")
-    a = _kernel_exponent(problem)
-    num = _power_sum(_at_nodes(_laplace_numerator(spec, a), p))
-    den = _power_sum(_at_nodes(_denominator(spec), p))
+    num, den = _transform_at(spec, p, _kernel_exponent(problem))
     return math.fsum(w * num / (lam + den) for lam, w in problem.modes)
 
 

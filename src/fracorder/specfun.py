@@ -6,12 +6,14 @@ with the series: the arc-plus-rays contour kernels (s*_kernel_contour), the
 independent cross-check of the series evaluations, which form each node
 power from the node's polar parts (_polar_nodes), and the Weideman-Trefethen
 hyperbola (_hyperbola_integral), which serves every value of forward's "auto"
-method.  Both take a transform's numerator and denominator as power terms
-(weight, exponent), summed by one helper (_power_sum).  The hyperbola takes a
-float or a 1-d array of times, and evaluates an array in vectorized passes of
-up to _HYP_ROWS times, one row of nodes per time.  Its nodes scale with 1/t,
-so the factors that do not depend on t (exp(t p), dp/du and the node powers)
-are formed once, and a time costs one real power per term and complex
+method.  Both, and the values at real p (_transform_at), read one statement
+of a mode kernel's Laplace transform (_transform), which names the kernel by
+its exponent a and gives both sides as power terms (weight, exponent),
+summed by one helper (_power_sum).  The hyperbola takes a float or a 1-d
+array of times, and evaluates an array in vectorized passes of up to
+_HYP_ROWS times, one row of nodes per time.  Its nodes scale with 1/t, so the
+factors that do not depend on t (exp(t p), dp/du and the node powers) are
+formed once, and a time costs one real power per term and complex
 multiply-adds over its row.
 
 There is one series: the multinomial one, summed shell by shell.  The
@@ -711,21 +713,20 @@ def tight_contour(t: float, n_radial: int = 4000) -> ContourSpec:
     return ContourSpec(theta, delta, n_radial, r_max)
 
 
-# A kernel's Laplace transform is numerator(p) / (lam + sum r_k p**alpha_k),
-# and each side is a tuple of power terms (w, e), the sum of w p**e
-_S2_NUMERATOR = ((1.0, 0.0),)
-
-
-def _denominator(spec: OrderSpec) -> tuple[tuple[float, float], ...]:
-    return tuple(zip(spec.weights, spec.alphas))
-
-
-def _laplace_numerator(spec: OrderSpec, a: float | None) -> tuple[tuple[float, float], ...]:
-    """The numerator of S1 (a is None) or of the convolution of S2 with
-    s^a / Gamma(a+1)."""
+def _transform(spec: OrderSpec, a: float | None):
+    """Numerator and denominator power terms (w, e), each side the sum of
+    w p**e, of the transform numerator(p) / (lam + sum r_j p**alpha_j) of the
+    kernel named by a: S1 for None, S2 convolved with s^a / Gamma(a+1) for a
+    in [0, 1], bare S2 for -1 (the order-0 integral: (1, -a - 1) is (1, 0.0))."""
+    den = tuple(zip(spec.weights, spec.alphas))
     if a is None:
-        return tuple((r, alpha - 1.0) for alpha, r in zip(spec.alphas, spec.weights))
-    return ((1.0, -a - 1.0),)
+        return tuple((r, alpha - 1.0) for r, alpha in den), den
+    return ((1.0, -a - 1.0),), den
+
+
+def _transform_at(spec: OrderSpec, p: float, a: float | None) -> tuple[float, float]:
+    """The numerator and sum r_j p**alpha_j of _transform at a real p > 0."""
+    return tuple(_power_sum(_at_nodes(terms, p)) for terms in _transform(spec, a))
 
 
 def _at_nodes(terms, p: np.ndarray) -> list:
@@ -751,11 +752,12 @@ def _polar_nodes(terms, radius, angle) -> list:
     return [(w, e, radius**e * np.exp(1j * e * angle) if e else 1.0) for w, e in terms]
 
 
-def _contour_integral(lam, spec, t, contour, numerator) -> float:
-    """Inverse Laplace transform at t of numerator / (lam + sum r p^alpha)."""
+def _contour_integral(lam, spec, t, contour, a) -> float:
+    """Inverse Laplace transform at t of the kernel named by a (see _transform)."""
+    numerator, denominator = _transform(spec, a)
 
     def integrand(p: np.ndarray, radius, angle) -> np.ndarray:
-        den = lam + _power_sum(_polar_nodes(_denominator(spec), radius, angle))
+        den = lam + _power_sum(_polar_nodes(denominator, radius, angle))
         return np.exp(t * p) * _power_sum(_polar_nodes(numerator, radius, angle)) / den
 
     theta, delta, n, r_max = contour.theta, contour.delta, contour.n_radial, contour.r_max
@@ -788,13 +790,13 @@ def _contour_integral(lam, spec, t, contour, numerator) -> float:
 def s1_kernel_contour(lam: float, spec: OrderSpec, t: float, contour: ContourSpec) -> float:
     """Contour quadrature of the S1 kernel (initial-datum response)."""
     _check_kernel_inputs(lam, t)
-    return _contour_integral(lam, spec, t, contour, _laplace_numerator(spec, None))
+    return _contour_integral(lam, spec, t, contour, None)
 
 
 def s2_kernel_contour(lam: float, spec: OrderSpec, t: float, contour: ContourSpec) -> float:
     """Contour quadrature of the S2 kernel (forcing response)."""
     _check_kernel_inputs(lam, t)
-    return _contour_integral(lam, spec, t, contour, _S2_NUMERATOR)
+    return _contour_integral(lam, spec, t, contour, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -819,9 +821,9 @@ _HYP_EXP_COS = np.exp(_HYP_MU_T * _HYP_Q) * np.cos(_HYP_W)
 _HYP_ROWS = 64
 
 
-def _hyperbola_integral(lam, spec, t, numerator):
-    """Inverse Laplace transform at t of numerator / (lam + sum r p^alpha)
-    by the trapezoid rule on a hyperbola around the branch cut.
+def _hyperbola_integral(lam, spec, t, a):
+    """Inverse Laplace transform at t of the kernel named by a (see
+    _transform) by the trapezoid rule on a hyperbola around the branch cut.
 
     t is a float (a float result) or a 1-d array of times (an array): each
     time is one row of nodes, summed along the row, so an array is a few
@@ -838,8 +840,7 @@ def _hyperbola_integral(lam, spec, t, numerator):
     """
     times = np.asarray(t, dtype=float)
     tcol = np.atleast_1d(times)[:, None]
-    den_nodes = _at_nodes(_denominator(spec), _HYP_Q)
-    num_nodes = _at_nodes(numerator, _HYP_Q)
+    num_nodes, den_nodes = (_at_nodes(terms, _HYP_Q) for terms in _transform(spec, a))
     total = np.empty(len(tcol))
     for i in range(0, len(tcol), _HYP_ROWS):
         mu = _HYP_MU_T / tcol[i : i + _HYP_ROWS]

@@ -38,10 +38,10 @@ from fracorder.checks import (
     model_jacobian_vs_fd,
     oracle_grid_series_vs_contour,
 )
-from fracorder.fit import FitResult
+from fracorder.fit import FitResult, RankDeficiencyError
 from fracorder.forward import Case, SpectralProblem, sample_trace
 from fracorder.models import Kind, ModelParams, exponents, to_physical
-from fracorder.specfun import DomainError
+from fracorder.specfun import AccuracyError, DomainError
 
 from conftest import count_calls
 
@@ -113,6 +113,24 @@ class TestCmdFit:
         statuses = {r["T0"]: r["status"] for r in rows if r["kind"] == "fp"}
         assert statuses["1e-06"] == "ok"
         assert "DomainError" in statuses["1000000.0"]
+
+    def test_failing_fit_marks_only_its_row(self, tmp_path, monkeypatch):
+        # the fr fit of the shared sample raises: the fp row is fitted and
+        # reads ok, the fr row reads the error, and the run exits 1
+        real = cli.recover
+
+        def recover(sample, config):
+            if config.kind is Kind.RATIONAL:
+                raise RankDeficiencyError("rank 1 < 2")
+            return real(sample, config)
+
+        monkeypatch.setattr(cli, "recover", recover)
+        assert main(["fit", "--experiment", "table1a", "--t0", "1e-6", "--out", str(tmp_path)]) == 1
+        rows = {r["kind"]: r for r in _read_csv(tmp_path / "table1a.csv")}
+        assert rows["fp"]["status"] == "ok"
+        assert abs(float(rows["fp"]["alpha2"]) - 0.7) < 0.01
+        assert rows["fr"]["status"] == "RankDeficiencyError: rank 1 < 2"
+        assert rows["fr"]["alpha2"] == ""
 
     def test_each_sample_is_drawn_once(self, tmp_path, monkeypatch):
         # both model kinds of a row are fitted to one trace sample
@@ -269,6 +287,40 @@ class TestCmdSimulate:
             for line in lines[1:]:
                 assert line == ",".join("{:.17g}".format(float(x)) for x in line.split(","))
 
+    def test_failing_panel_writes_no_csv(self, tmp_path, monkeypatch, caplog):
+        # the other panels and the metadata are written, the failing panel
+        # leaves no partial CSV, and the run exits 1
+        real = cli.trace_initial
+
+        def trace(problem, orders, t, **kwargs):
+            if orders.alphas == (0.5,):
+                raise AccuracyError("boom")
+            return real(problem, orders, t, **kwargs)
+
+        monkeypatch.setattr(cli, "trace_initial", trace)
+        assert main(["simulate", "--experiment", "fig1", "--out", str(tmp_path)]) == 1
+        written = sorted(path.name for path in tmp_path.iterdir())
+        panels = [f"fig1_alpha{alpha}.csv" for alpha in ("0.25", "0.75", "1.00")]
+        assert written == ["fig1.meta.json", *panels]
+        assert "panel alpha0.50 failed: boom" in caplog.text
+
+    def test_failing_trace_is_logged_and_skipped(self, tmp_path, monkeypatch, caplog):
+        # one table1b order's sampling raises: the other six traces are
+        # written, the failure is logged, and the run exits 1
+        real = cli.make_sample
+
+        def sample(row, n_points):
+            if row.label == "0.5":
+                raise AccuracyError("boom")
+            return real(row, n_points)
+
+        monkeypatch.setattr(cli, "make_sample", sample)
+        assert cmd_simulate(ExperimentConfig("table1b", tmp_path)) == 1
+        stems = sorted(path.stem for path in tmp_path.glob("*.csv"))
+        assert stems == [f"table1b_alpha{a}_T0_1e-06" for a in (0.3, 0.4, 0.6, 0.7, 0.8, 0.9)]
+        assert len(list(tmp_path.glob("*.meta.json"))) == 6
+        assert "trace table1b_alpha0.5_T0_1e-06 failed: boom" in caplog.text
+
     def test_fig2_metadata_flags_r1(self, tmp_path):
         cfg = ExperimentConfig("fig2", tmp_path, fig_points=12)
         assert cmd_simulate(cfg) == 0
@@ -292,6 +344,14 @@ class TestMainEntry:
             run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
             loaded = sorted(["fracorder", *(f"fracorder.{name}" for name in layers[: i + 1])])
             assert (run.returncode, run.stdout) == (0, f"{loaded}\n"), layer
+
+    def test_module_entry_exits_with_the_code_of_main(self):
+        # python -m fracorder runs __main__.py, which exits with main's code
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        argv = [sys.executable, "-m", "fracorder", "fit", "--experiment", "nonsense"]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert run.returncode == 2
+        assert "error: argument --experiment: invalid choice: 'nonsense'" in run.stderr
 
     def test_usage_errors_exit_2(self, tmp_path):
         assert main(["fit", "--experiment", "table1a", "--t0", "", "--out", str(tmp_path)]) == 2

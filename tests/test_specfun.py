@@ -539,6 +539,59 @@ class TestExtendedPrecisionSeries:
                 mml(args)
             assert time.perf_counter() - start < 1.0
 
+    def test_low_peak_guess_retries_at_more_digits(self, monkeypatch):
+        # a peak guess 20 (80) ln-units low starts too few digits: the sum
+        # certifies itself on the second (third) walk, to the same bits; a
+        # digit cap at the first attempt's digits turns the retry into an error
+        args = (1.7, (0.7, 0.39999999999999997), (-19.739208802178716, -0.5), 1e-8)
+        real_plan = specfun._mp_plan
+        for drop, walks in ((20.0, 2), (80.0, 3)):
+            with monkeypatch.context() as patch:
+                low = lambda *a: (lambda cap, peak: (cap, peak - drop))(*real_plan(*a))
+                patch.setattr(specfun, "_mp_plan", low)
+                shells = count_calls(patch, specfun, "_shells")
+                assert repr(specfun._mml_mp(*args)) == GOLDEN_MP[args] == "0.04879681661366187"
+                assert len(shells) == walks
+                _, low_guess = specfun._mp_plan(*args)
+                patch.setattr(specfun, "_MAX_MP_DPS", specfun._mp_digits(args[-1], low_guess) + 12)
+                with pytest.raises(AccuracyError, match=r"needs ~\d+ digits$"):
+                    specfun._mml_mp(*args)
+
+    def test_retries_end_after_four_walks(self, monkeypatch):
+        # digit estimates that rise with every call are never met: the sum
+        # gives up after its fourth walk instead of retrying without end
+        real, estimates = specfun._mp_digits, []
+
+        def rising(rel_tol, peak_ln):
+            estimates.append(peak_ln)
+            return real(rel_tol, peak_ln) + 12 * len(estimates)
+
+        monkeypatch.setattr(specfun, "_mp_digits", rising)
+        shells = count_calls(monkeypatch, specfun, "_shells")
+        with pytest.raises(AccuracyError, match="extended-precision retries exhausted"):
+            specfun._mml_mp(1.0, (0.5,), (-5.0,), 1e-8)
+        assert len(shells) == 4
+
+    def test_digits_envelope_fails_fast(self):
+        # the scan puts the peak near e^1600, which needs more digits than
+        # _MAX_MP_DPS: the sum raises before it walks any shell
+        start = time.perf_counter()
+        with pytest.raises(AccuracyError, match=r"needs ~715 digits; outside the series envelope"):
+            ml2(0.5, 1.0, -40.0)
+        assert time.perf_counter() - start < 0.5
+
+    def test_four_arguments_long_double_sum(self, monkeypatch):
+        # the double sum is not quiet by the last of the 13 cached shells, so
+        # the scan runs once and the sum goes on in double precision, where
+        # it certifies itself without extended precision
+        args = (0.5, (0.9, 0.6, 0.4, 0.1), (-0.2, -0.1, -0.05, -0.025))
+        plans = count_calls(monkeypatch, specfun, "_mp_plan")
+        mp_calls = count_calls(monkeypatch, specfun, "_mml_mp")
+        value = mml(MLArgs(*args))
+        assert repr(value) == "0.28049247113074366"
+        assert (len(plans), mp_calls) == (1, [])
+        assert rel_err(value, specfun._mml_mp(*args, 1e-12)) < 1e-14
+
     def test_four_arguments_scan_only_a_long_sum(self, monkeypatch):
         # the double sum converges on shell 13, the first past the 13 cached
         # shells, so _mp_plan's scan (about 20 ms a call) does not run
@@ -695,12 +748,21 @@ class TestContourKernels:
         spec = OrderSpec((0.3, 0.7), (0.5, 1.0))
         lam = PI2 + 1.0
         for a in (0.0, 0.5):
-            numerator = specfun._laplace_numerator(spec, a)
             for t in (1e-3, 1e-1):
                 assert rel_err(
                     s2_kernel_int_series(lam, spec, a, t),
-                    specfun._hyperbola_integral(lam, spec, t, numerator),
+                    specfun._hyperbola_integral(lam, spec, t, a),
                 ) < 1e-6
+
+    def test_bare_s2_is_the_order_zero_integral(self):
+        # a = -1 names bare S2: its numerator (1, -a - 1) is exactly 1 p**0,
+        # which the nodes take as the scalar 1.0, with no power formed
+        spec = OrderSpec((0.3, 0.7), (0.5, 1.0))
+        numerator, denominator = specfun._transform(spec, -1.0)
+        assert numerator == ((1.0, 0.0),) and math.copysign(1.0, numerator[0][1]) == 1.0
+        assert denominator == ((0.5, 0.3), (1.0, 0.7))
+        assert specfun._at_nodes(numerator, np.full(3, 2.0 + 1.0j)) == [(1.0, 0.0, 1.0)]
+        assert specfun._transform(spec, None)[0] == ((0.5, 0.3 - 1.0), (1.0, 0.7 - 1.0))
 
     def test_default_contour_shape(self):
         c = tight_contour(0.01)
@@ -759,11 +821,13 @@ FIGURE_SPECS = (
 SOURCE_SPECS = tuple((k * PI2, OrderSpec((0.5, 0.7), (0.5, 1.0))) for k in (2.0, 5.0, 10.0))
 
 
-def direct_hyperbola(lam, spec, t, numerator):
-    """The hyperbola rule with every factor formed at each time: the nodes
-    p = mu (1 + sin(iu - alpha)) with mu = 4.4921 N / t, complex p**e per
-    node and exp(t p); t is a 1-d array of times.  Returns the values and
-    the rule's rounding scale, the sum of its terms' magnitudes."""
+def direct_hyperbola(lam, spec, t, a):
+    """The hyperbola rule for the kernel named by a, with every factor
+    formed at each time: the nodes p = mu (1 + sin(iu - alpha)) with
+    mu = 4.4921 N / t, complex p**e per node and exp(t p); t is a 1-d array
+    of times.  Returns the values and the rule's rounding scale, the sum of
+    its terms' magnitudes."""
+    numerator, _ = specfun._transform(spec, a)
     n = 20
     w = 1j * (1.0818 / n) * np.arange(n + 1) - 1.1721
     mu = 4.4921 * n / np.asarray(t)[:, None]
@@ -777,12 +841,9 @@ def direct_hyperbola(lam, spec, t, numerator):
 
 class TestHyperbola:
     @staticmethod
-    def _numerator(kernel, spec, a=None):
-        return ((1.0, 0.0),) if kernel == "s2" else specfun._laplace_numerator(spec, a)
-
-    @classmethod
-    def _hyperbola(cls, kernel, lam, spec, t, a=None):
-        return specfun._hyperbola_integral(lam, spec, t, cls._numerator(kernel, spec, a))
+    def _hyperbola(kernel, lam, spec, t, a=None):
+        # bare S2 is the kernel a = -1
+        return specfun._hyperbola_integral(lam, spec, t, -1.0 if kernel == "s2" else a)
 
     @pytest.mark.parametrize("lam, spec", FIGURE_SPECS + SOURCE_SPECS)
     def test_time_free_factors_match_the_direct_formula(self, lam, spec):
@@ -793,10 +854,9 @@ class TestHyperbola:
         # source points read.  S2 alone cancels by up to 5e5 near t = 1, where
         # both forms lie up to 1.6e-10 from a 40-digit sum of the same rule
         times = np.geomspace(1e-6, 1.0, 500)
-        for kernel, a in (("s1", None), ("s2", None), ("int", 0.0), ("int", 0.5)):
-            numerator = self._numerator(kernel, spec, a)
-            got = specfun._hyperbola_integral(lam, spec, times, numerator)
-            ref, rounding = direct_hyperbola(lam, spec, times, numerator)
+        for kernel, a in (("s1", None), ("s2", -1.0), ("int", 0.0), ("int", 0.5)):
+            got = specfun._hyperbola_integral(lam, spec, times, a)
+            ref, rounding = direct_hyperbola(lam, spec, times, a)
             assert np.max(np.abs(got - ref) / rounding) < 1e-14, (kernel, a)
             if kernel != "s2":
                 assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-11, (kernel, a)
@@ -829,7 +889,7 @@ class TestHyperbola:
     def test_non_finite_sum_raises(self):
         spec = OrderSpec((0.5,), (1.0,))
         with pytest.raises(AccuracyError), np.errstate(invalid="ignore"):
-            specfun._hyperbola_integral(math.nan, spec, 0.1, ((1.0, 0.0),))
+            specfun._hyperbola_integral(math.nan, spec, 0.1, -1.0)
 
     def test_time_array_matches_scalar_calls(self):
         # more times than one vectorized pass takes
@@ -847,4 +907,4 @@ class TestHyperbola:
         spec = OrderSpec((0.5,), (1.0,))
         times = np.append(np.full(specfun._HYP_ROWS + 1, 0.1), math.nan)
         with pytest.raises(AccuracyError, match="t=nan"), np.errstate(all="ignore"):
-            specfun._hyperbola_integral(2.0, spec, times, ((1.0, 0.0),))
+            specfun._hyperbola_integral(2.0, spec, times, -1.0)
